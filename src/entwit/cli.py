@@ -34,7 +34,7 @@ from .measures import (
     ssr_nonlocality,
 )
 from .sdp import SolverError
-from .spin import ChainSpec, susceptibility, thermo_estimate, toth_witness, xxx_hamiltonian
+from .spin import chain_spectrum, thermal_table
 from .states import (
     DensityMatrix,
     horodecki_3x3,
@@ -44,14 +44,12 @@ from .states import (
     random_pure,
     state_from_json,
     state_to_json,
-    thermal,
     vc_ssr_state,
     w_ghz_mix,
 )
 from .witnesses import (
     DECOMPOSABLE_BIPARTITE,
     DECOMPOSABLE_MULTI,
-    evaluate,
     mc_product_check,
     validate_decomposable,
     witness_from_json,
@@ -301,16 +299,14 @@ def cmd_heisenberg(args) -> int:
         "command": "heisenberg", "N": args.N, "J": args.J, "B": args.B,
         "periodic": args.periodic, "beta_grid": args.beta_grid,
     }
-    w = toth_witness(args.N, args.periodic)
+    c, m = chain_spectrum(args.N, args.periodic)
+    table = thermal_table(c, m, args.J, args.B, betas)
+    columns = (table.energy, table.magnetization, table.witness_value,
+               table.estimate, table.chi_exact, table.chi_witness_form)
     rows = []
-    for beta in betas:
-        spec = ChainSpec(args.N, args.J, args.B, float(beta), args.periodic)
-        rho = thermal(xxx_hamiltonian(spec), float(beta))
-        wv = -evaluate(w, rho)
-        est, u, mz = thermo_estimate(spec)
-        if args.B == 0.0 and beta > 0.0:
-            chi_exact, chi_wf = susceptibility(spec)
-        else:
+    for k, beta in enumerate(betas):
+        u, mz, wv, est, chi_exact, chi_wf = (float(col[k]) for col in columns)
+        if not (args.B == 0.0 and beta > 0.0):
             chi_exact, chi_wf = math.nan, math.nan
         t = math.inf if beta == 0.0 else 1.0 / float(beta)
         rows.append((float(beta), t, u, mz, wv, est, chi_exact, chi_wf))

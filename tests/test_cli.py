@@ -150,6 +150,45 @@ def test_heisenberg_estimate_matches_witness_column(tmp_path):
     assert math.isinf(float(rows[0][cols.index("T")]))
 
 
+# rows of `reproduce heisenberg` as computed by the dense Kronecker path
+HEISENBERG_PINNED = {
+    ("--N", "4"): {
+        "0.5": "0.5,2.0,-4.478892166183664,-4.163336342344337e-17,0.05986152077295823,"
+               "0.05986152077295803,0.7404537162841909,1.2535179723027228",
+        "20.0": "20.0,0.05,-6.46410161513775,-6.342453238258579e-34,0.308012701892219,"
+                "0.30801270189221874,2.046172470256758e-21,36.905989232414996",
+    },
+    ("--N", "8", "--periodic", "--beta-grid", "0:20:9"): {
+        "2.5": "2.5,0.4,-14.570749908562279,-2.862293735361732e-17,0.410671869285142,"
+               "0.41067186928514243,0.10597829563107519,7.857708409531437",
+        "20.0": "20.0,0.05,-14.604373635748724,2.28290105957941e-30,0.4127733522342943,"
+                "0.41277335223429523,1.1080344675426712e-16,62.63750909500851",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", list(HEISENBERG_PINNED))
+def test_heisenberg_rows_pinned(tmp_path, flags):
+    out = tmp_path / "h.csv"
+    assert main(["reproduce", "heisenberg", *flags, "--out", str(out)]) == 0
+    _, rows, _ = read_csv(out)
+    by_beta = {row[0]: row for row in rows}
+    for beta, line in HEISENBERG_PINNED[flags].items():
+        ref = line.split(",")
+        got = by_beta[beta]
+        assert got[:2] == ref[:2]
+        for g, r in zip(got[2:], ref[2:], strict=True):
+            assert abs(float(g) - float(r)) <= 1e-12 * (1 + abs(float(r))), (beta, g, r)
+
+
+@pytest.mark.parametrize("flags", [("--J", "0"), ("--beta-grid", "-1:1:3")])
+def test_heisenberg_bad_input_writes_nothing(tmp_path, capsys, flags):
+    out = tmp_path / "h.csv"
+    assert main(["reproduce", "heisenberg", *flags, "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_example1_rows_and_values(tmp_path):
     out = tmp_path / "e1.csv"
     rc = main(["reproduce", "example1", "--q-count", "3", "--n-list", "1",

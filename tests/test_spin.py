@@ -1,11 +1,17 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from entwit.linalg import HermitianMatrix, SystemShape
 from entwit.spin import (
     ChainSpec,
     bonds,
+    chain_spectrum,
     rg_witness_lower_thermal,
     susceptibility,
+    thermal_table,
     thermo_estimate,
     toth_witness,
     xxx_hamiltonian,
@@ -121,3 +127,115 @@ def test_susceptibility_limits():
         susceptibility(ChainSpec(4, 1.0, field=0.1, beta=1.0))
     with pytest.raises(ValueError):
         susceptibility(ChainSpec(4, 1.0, beta=0.0))
+
+
+_PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def _kron_at(op, i, n):
+    return np.kron(np.kron(np.eye(2**i), op), np.eye(2 ** (n - i - 1)))
+
+
+def _kron_bond(i, j, n):
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for s in _PAULIS:
+        out += _kron_at(s, i, n) @ _kron_at(s, j, n)
+    return out
+
+
+def _kron_mz(n):
+    return sum(_kron_at(_PAULIS[2], i, n) for i in range(n))
+
+
+def _kron_pt(mat, n, site):
+    t = np.swapaxes(mat.reshape((2,) * (2 * n)), site, site + n)
+    return t.reshape(mat.shape)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_sector_spectrum_matches_dense_hamiltonian():
+    for n in range(2, 9):
+        for periodic in (False, True):
+            c, m = chain_spectrum(n, periodic)
+            values, counts = np.unique(m, return_counts=True)
+            downs = (n - values[::-1]) / 2
+            assert list(downs) == list(range(n + 1))
+            assert list(counts[::-1]) == [math.comb(n, k) for k in range(n + 1)]
+            dense = np.linalg.eigvalsh(xxx_hamiltonian(ChainSpec(n, 1.0, periodic=periodic)).mat)
+            assert np.abs(np.sort(c) - dense).max() <= 1e-12
+
+
+def test_thermal_table_matches_dense_path():
+    for n, periodic in itertools.product((3, 4, 6, 8), (False, True)):
+        c, m = chain_spectrum(n, periodic)
+        w = toth_witness(n, periodic)
+        mz = _kron_mz(n)
+        for coupling in (1.0, -1.0):
+            for field in (0.0, 0.3):
+                betas = [0.0, 0.5, 5.0, 20.0]
+                table = thermal_table(c, m, coupling, field, betas)
+                for k, beta in enumerate(betas):
+                    spec = ChainSpec(n, coupling, field, beta, periodic)
+                    h = xxx_hamiltonian(spec)
+                    state = thermal(h, beta)
+                    rho = state.mat
+                    u = np.trace(h.mat @ rho).real
+                    m1 = np.trace(mz @ rho).real
+                    m2 = np.trace(mz @ mz @ rho).real
+                    wv = -evaluate(w, state)
+                    bond_sum = -2 * n * wv - n
+                    want = {
+                        "energy": u,
+                        "magnetization": m1,
+                        "witness_value": wv,
+                        "estimate": wv,
+                        "chi_exact": beta * (m2 - m1 * m1),
+                        "chi_witness_form": beta * (n + bond_sum / 3.0),
+                    }
+                    for name, value in want.items():
+                        got = getattr(table, name)[k]
+                        assert abs(got - value) <= 1e-10, (n, coupling, field, beta, name)
+
+
+def test_dense_builders_bit_identical_to_kronecker():
+    for n in (2, 3, 5, 8):
+        for periodic in (False, True):
+            spec = ChainSpec(n, 0.7, -0.3, periodic=periodic)
+            h = np.zeros((2**n, 2**n), dtype=complex)
+            for i, j in bonds(n, periodic):
+                h += spec.coupling * _kron_bond(i, j, n)
+            h += spec.field * _kron_mz(n)
+            ref = HermitianMatrix(h, SystemShape([2] * n))
+            assert _same_bits(xxx_hamiltonian(spec).mat, ref.mat)
+
+            w = toth_witness(n, periodic)
+            bond_list = bonds(n, periodic)
+            op = n * np.eye(2**n, dtype=complex)
+            for i, j in bond_list:
+                op += _kron_bond(i, j, n)
+            op /= 2 * n
+            assert _same_bits(w.op.mat, HermitianMatrix(op).mat)
+            p = np.eye(2**n) * (n - len(bond_list)) / (2 * n)
+            assert _same_bits(w.parts["P"].mat, HermitianMatrix(p).mat)
+            assert len(w.parts["Q"]) == len(bond_list)
+            for q, (i, j) in zip(w.parts["Q"], bond_list):
+                swap = (_kron_bond(i, j, n) + np.eye(2**n)) / 2
+                assert _same_bits(q.mat, HermitianMatrix(_kron_pt(swap, n, i) / n).mat)
+
+
+def test_spectrum_and_table_reject_bad_input():
+    c, m = chain_spectrum(4, True)
+    with pytest.raises(ValueError):
+        thermal_table(c, m, 1.0, 0.0, [0.0, -0.5])
+    with pytest.raises(ValueError):
+        thermal_table(c, m, 0.0, 0.0, [1.0]).estimate
+    with pytest.raises(ValueError):
+        chain_spectrum(9, False)
