@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -119,13 +118,6 @@ def _load_state(path: str) -> DensityMatrix:
         return state_from_json(fh.read())
 
 
-def _pool_map(fn, items, workers: int) -> list:
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _run_measure(name: str, rho: DensityMatrix, cuts, n, m) -> MeasureResult:
     if name == "negativity":
         return negativity(rho, cuts[0])
@@ -227,6 +219,8 @@ def cmd_validate_witness(args) -> int:
 
 
 def cmd_fig56(args) -> int:
+    if args.samples < 1:
+        raise ValueError("need --samples >= 1")
     d1 = args.dim
     d2 = args.dim2 or args.dim
     shape = SystemShape((d1, d2))
@@ -236,11 +230,10 @@ def cmd_fig56(args) -> int:
         "samples": args.samples, "seed": args.seed,
     }
 
-    def one(i: int):
+    rows = []
+    for i in range(args.samples):
         rho = random_density(d1 * d2, np.random.SeedSequence((args.seed, i)), shape)
-        return negativity(rho, cut).value, rg_ppt_closed(rho, cut).value
-
-    rows = _pool_map(one, range(args.samples), args.workers)
+        rows.append((negativity(rho, cut).value, rg_ppt_closed(rho, cut).value))
     frac = float(np.mean([r <= 2.0 * n + 1e-12 for n, r in rows]))
     _emit_csv(args.out, config, ["negativity", "rg_ppt"], rows,
               trailing={"fraction_rg_le_2n": frac})
@@ -386,7 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p56.add_argument("--dim2", type=int, default=None)
     p56.add_argument("--samples", type=int, default=1000)
     p56.add_argument("--seed", type=int, required=True)
-    p56.add_argument("--workers", type=int, default=1)
+    p56.add_argument("--workers", type=int, default=1,
+                     help="accepted for compatibility; has no effect")
     p56.add_argument("--out")
     p56.set_defaults(func=cmd_fig56)
 

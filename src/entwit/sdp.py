@@ -1,26 +1,21 @@
 """Dense primal-dual interior-point solver for small semidefinite programs.
 
-Standard form over block-diagonal real symmetric matrices:
+Standard form over block-diagonal complex Hermitian matrices:
 
     minimize    sum_b <C_b, X_b>
     subject to  sum_b <A_ib, X_b> = b_i,   X_b >= 0,
 
-with <.,.> the Frobenius inner product. The search direction is the
-HKM/HRVW one with a Mehrotra predictor-corrector; everything is dense
-numpy, so a rerun on the same inputs is bit-identical.
-
-Complex Hermitian variables enter through the real embedding
-
-    H = A + iB  ->  [[A, -B], [B, A]],
-
-which doubles inner products; the HermitianSdp builder hides the
-bookkeeping and recovers complex matrices and duals from a solution.
+with <A, X> = Re tr(AX), the real inner product on Hermitian matrices;
+real symmetric data is the special case with zero imaginary part. The
+search direction is the HKM/HRVW one with a Mehrotra predictor-corrector;
+everything is dense numpy, so a rerun on the same inputs is bit-identical.
+The HermitianSdp builder assembles such problems from matrix-valued
+equalities and reads primal and dual matrices back from a solution.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +23,7 @@ import numpy as np
 DEFAULT_TOL = 1e-7
 MAX_ITER = 200
 DIVERGE_NORM = 1e8
-SYM_ATOL = 1e-9
+HERM_ATOL = 1e-9
 
 
 class SolverError(RuntimeError):
@@ -46,9 +41,9 @@ class SdpProblem:
     """Validated problem data.
 
     blocks: sizes of the diagonal blocks.
-    c_blocks: cost matrix per block.
-    a_blocks: per block, an (m, nb, nb) array stacking the constraint
-        matrices; row i across all blocks forms one equality.
+    c_blocks: Hermitian cost matrix per block.
+    a_blocks: per block, an (m, nb, nb) array stacking the Hermitian
+        constraint matrices; row i across all blocks forms one equality.
     b: right-hand side, length m.
     """
 
@@ -59,16 +54,17 @@ class SdpProblem:
         self.c_blocks = []
         self.a_blocks = []
         for nb, c, a in zip(self.blocks, c_blocks, a_blocks, strict=True):
-            c = np.asarray(c, dtype=float)
-            a = np.asarray(a, dtype=float)
+            c = np.asarray(c, dtype=complex)
+            a = np.asarray(a, dtype=complex)
             if c.shape != (nb, nb) or a.shape != (m, nb, nb):
                 raise ValueError("block data has inconsistent shapes")
-            if np.abs(c - c.T).max(initial=0.0) > SYM_ATOL:
-                raise ValueError("cost block is not symmetric")
-            if a.size and np.abs(a - a.transpose(0, 2, 1)).max() > SYM_ATOL:
-                raise ValueError("constraint block is not symmetric")
-            self.c_blocks.append((c + c.T) / 2)
-            self.a_blocks.append((a + a.transpose(0, 2, 1)) / 2)
+            if np.abs(c - c.conj().T).max(initial=0.0) > HERM_ATOL:
+                raise ValueError("cost block is not Hermitian")
+            a_h = a.conj().transpose(0, 2, 1)
+            if a.size and np.abs(a - a_h).max() > HERM_ATOL:
+                raise ValueError("constraint block is not Hermitian")
+            self.c_blocks.append(_herm(c))
+            self.a_blocks.append((a + a_h) / 2)
         self._check_independence()
 
     def _check_independence(self):
@@ -78,7 +74,7 @@ class SdpProblem:
         g = np.zeros((m, m))
         for a in self.a_blocks:
             r = a.reshape(m, -1)
-            g += r @ r.T
+            g += _re_gram(r, r)
         w = np.linalg.eigvalsh(g)
         if w[0] <= 1e-10 * max(1.0, w[-1]):
             raise ValueError(
@@ -108,10 +104,21 @@ class SdpSolution:
     history: list = field(default_factory=list)
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """<A, B> = Re tr(AB) for Hermitian A; Re tr(A^H B) in general."""
+    return float(np.vdot(a, b).real)
+
+
+def _re_gram(f: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Re(F A^H) for row stacks F, A: entry ij is Re sum_kl F_ik conj(A_jk)."""
+    return f.real @ a.real.T + f.imag @ a.imag.T
+
+
 def _apply(a_blocks, mats) -> np.ndarray:
+    """A(X)_i = sum_b <A_ib, X_b>."""
     out = 0.0
     for a, w in zip(a_blocks, mats):
-        out = out + np.einsum("iab,ab->i", a, w)
+        out = out + np.einsum("iab,ba->i", a, w).real
     return np.asarray(out)
 
 
@@ -119,8 +126,8 @@ def _adjoint(a_blocks, y):
     return [np.einsum("i,iab->ab", y, a) for a in a_blocks]
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2
+def _herm(m: np.ndarray) -> np.ndarray:
+    return (m + m.conj().T) / 2
 
 
 def _max_step(s_blocks, ds_blocks) -> float:
@@ -130,7 +137,7 @@ def _max_step(s_blocks, ds_blocks) -> float:
         w, v = np.linalg.eigh(s)
         w = np.maximum(w, w[-1] * 1e-15)
         isqrt = v / np.sqrt(w)
-        lam = float(np.linalg.eigvalsh(_sym(isqrt.T @ ds @ isqrt))[0])
+        lam = float(np.linalg.eigvalsh(_herm(isqrt.conj().T @ ds @ isqrt))[0])
         if lam < -1e-14:
             t = min(t, -1.0 / lam)
     return t
@@ -155,15 +162,12 @@ def _meets_optimal(prob, x, y, z, pobj, dobj, tol, norm_b, norm_c) -> bool:
     if float(np.abs(rp).max(initial=0.0)) > tol * (1.0 + norm_b):
         return False
     ady = _adjoint(prob.a_blocks, y)
-    rd2 = sum(
-        float(np.sum((c - a - zb) ** 2))
-        for c, a, zb in zip(prob.c_blocks, ady, z)
-    )
-    if np.sqrt(rd2) > tol * (1.0 + norm_c):
+    rd = [c - a - zb for c, a, zb in zip(prob.c_blocks, ady, z)]
+    if np.sqrt(sum(_inner(r, r) for r in rd)) > tol * (1.0 + norm_c):
         return False
     if abs(pobj - dobj) > 1e-6 * (1.0 + abs(dobj)):
         return False
-    comp = np.sqrt(sum(float(np.sum((xb @ zb) ** 2)) for xb, zb in zip(x, z)))
+    comp = np.sqrt(sum(np.linalg.norm(xb @ zb) ** 2 for xb, zb in zip(x, z)))
     return comp <= 1e-6
 
 
@@ -173,10 +177,10 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
     n_tot = prob.dim_total
     b = prob.b
     norm_b = float(np.abs(b).max(initial=0.0))
-    norm_c = float(np.sqrt(sum(np.sum(c * c) for c in prob.c_blocks)))
+    norm_c = float(np.sqrt(sum(_inner(c, c) for c in prob.c_blocks)))
     tau = 1.0 + max(norm_b, norm_c)
-    x = [tau * np.eye(nb) for nb in prob.blocks]
-    z = [tau * np.eye(nb) for nb in prob.blocks]
+    x = [tau * np.eye(nb, dtype=complex) for nb in prob.blocks]
+    z = [tau * np.eye(nb, dtype=complex) for nb in prob.blocks]
     y = np.zeros(m)
 
     status = SdpStatus.ITERATION_LIMIT
@@ -187,15 +191,15 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
     best = None
     best_merit = np.inf
     for k in range(max_iter + 1):
-        conic = sum(float(np.sum(xb * zb)) for xb, zb in zip(x, z))
+        conic = sum(_inner(xb, zb) for xb, zb in zip(x, z))
         mu = conic / n_tot
-        pobj = sum(float(np.sum(c * xb)) for c, xb in zip(prob.c_blocks, x))
+        pobj = sum(_inner(c, xb) for c, xb in zip(prob.c_blocks, x))
         dobj = float(b @ y)
         rp = b - _apply(prob.a_blocks, x)
         ady = _adjoint(prob.a_blocks, y)
         rd = [c - a - zb for c, a, zb in zip(prob.c_blocks, ady, z)]
         rp_norm = float(np.abs(rp).max(initial=0.0))
-        rd_norm = float(np.sqrt(sum(np.sum(r * r) for r in rd)))
+        rd_norm = float(np.sqrt(sum(_inner(r, r) for r in rd)))
         history.append(
             {
                 "iter": k,
@@ -241,11 +245,12 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
         if k == max_iter:
             break
 
-        zi = [_sym(np.linalg.inv(zb)) for zb in z]
+        zi = [_herm(np.linalg.inv(zb)) for zb in z]
+        # M_ij = Re tr(X A_i Z^-1 A_j) = <F_i, A_j> with F_i = X A_i Z^-1
         schur = np.zeros((m, m))
         for a, xb, zib in zip(prob.a_blocks, x, zi):
             f = np.matmul(xb, np.matmul(a, zib))
-            schur += f.reshape(m, -1) @ a.reshape(m, -1).T
+            schur += _re_gram(f.reshape(m, -1), a.reshape(m, -1))
 
         xrz = [xb @ r @ zib for xb, r, zib in zip(x, rd, zi)]
         rhs_aff = b + _apply(prob.a_blocks, xrz)
@@ -253,12 +258,12 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
         ady_aff = _adjoint(prob.a_blocks, dy_aff)
         dz_aff = [r - a for r, a in zip(rd, ady_aff)]
         dx_aff = [
-            _sym(-xb - xb @ dzb @ zib) for xb, dzb, zib in zip(x, dz_aff, zi)
+            _herm(-xb - xb @ dzb @ zib) for xb, dzb, zib in zip(x, dz_aff, zi)
         ]
         ap_aff = min(1.0, _max_step(x, dx_aff))
         ad_aff = min(1.0, _max_step(z, dz_aff))
         mu_aff = sum(
-            float(np.sum((xb + ap_aff * dxb) * (zb + ad_aff * dzb)))
+            _inner(xb + ap_aff * dxb, zb + ad_aff * dzb)
             for xb, dxb, zb, dzb in zip(x, dx_aff, z, dz_aff)
         ) / n_tot
         sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
@@ -274,7 +279,7 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
         ady2 = _adjoint(prob.a_blocks, dy)
         dz = [r - a for r, a in zip(rd, ady2)]
         dx = [
-            _sym(sigma * mu * zib - xb - xb @ dzb @ zib - cr)
+            _herm(sigma * mu * zib - xb - xb @ dzb @ zib - cr)
             for zib, xb, dzb, cr in zip(zi, x, dz, cross)
         ]
         ap = min(1.0, 0.98 * _max_step(x, dx))
@@ -285,8 +290,8 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
 
     if status not in (SdpStatus.PRIMAL_INFEASIBLE, SdpStatus.DUAL_INFEASIBLE) and best:
         x, y, z = best
-    conic = sum(float(np.sum(xb * zb)) for xb, zb in zip(x, z))
-    pobj = sum(float(np.sum(c * xb)) for c, xb in zip(prob.c_blocks, x))
+    conic = sum(_inner(xb, zb) for xb, zb in zip(x, z))
+    pobj = sum(_inner(c, xb) for c, xb in zip(prob.c_blocks, x))
     dobj = float(b @ y)
     if status is SdpStatus.ITERATION_LIMIT and _meets_optimal(
         prob, x, y, z, pobj, dobj, tol, norm_b, norm_c
@@ -303,34 +308,6 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
         iterations=iterations,
         history=history,
     )
-
-
-def problem_to_json(prob: SdpProblem) -> str:
-    """Debug dump for cross-validation against external solvers."""
-    doc = {
-        "blocks": prob.blocks,
-        "b": prob.b.tolist(),
-        "c": [c.tolist() for c in prob.c_blocks],
-        "a": [a.tolist() for a in prob.a_blocks],
-    }
-    return json.dumps(doc)
-
-
-def embed_hermitian(h: np.ndarray) -> np.ndarray:
-    """H = A + iB -> [[A, -B], [B, A]]; doubles Frobenius inner products."""
-    a = np.real(h)
-    bb = np.imag(h)
-    return np.block([[a, -bb], [bb, a]])
-
-
-def extract_hermitian(q: np.ndarray) -> np.ndarray:
-    """Inverse of embed_hermitian composed with the symmetry average."""
-    d = q.shape[0] // 2
-    q11 = q[:d, :d]
-    q22 = q[d:, d:]
-    q21 = q[d:, :d]
-    q12 = q[:d, d:]
-    return (q11 + q22) / 2 + 1j * (q21 - q12) / 2
 
 
 def hermitian_basis(d: int) -> list:
@@ -354,9 +331,10 @@ def hermitian_basis(d: int) -> list:
 
 
 class HermitianSdp:
-    """Assembles complex Hermitian SDPs into the real block form.
+    """Assembles complex Hermitian SDPs into the standard block form.
 
-    Variables are either PSD Hermitian matrices or nonnegative scalars.
+    Variables are either PSD Hermitian matrices or nonnegative scalars;
+    each is one block, a scalar being a 1 x 1 block.
     Matrix-valued equalities are expanded over an orthonormal Hermitian
     basis of the target space; each expansion remembers its row range so
     the matrix-shaped dual variable can be reassembled from y.
@@ -420,31 +398,16 @@ class HermitianSdp:
 
     def build(self) -> SdpProblem:
         m = len(self._rows)
-        blocks = []
+        blocks = [self._vars[name][1] for name in self._order]
         c_blocks = []
         a_blocks = []
-        for name in self._order:
-            kind, dim = self._vars[name]
-            nb = 2 * dim if kind == "herm" else 1
-            blocks.append(nb)
-            cost = self._cost.get(name)
-            if kind == "herm":
-                c = (
-                    embed_hermitian(np.asarray(cost)) / 2
-                    if cost is not None
-                    else np.zeros((nb, nb))
-                )
-            else:
-                c = np.array([[float(cost)]]) if cost is not None else np.zeros((1, 1))
-            a = np.zeros((m, nb, nb))
+        for name, nb in zip(self._order, blocks):
+            cost = self._cost.get(name, np.zeros((nb, nb)))
+            c_blocks.append(np.reshape(cost, (nb, nb)))
+            a = np.zeros((m, nb, nb), dtype=complex)
             for i, row in enumerate(self._rows):
-                if name not in row:
-                    continue
-                if kind == "herm":
-                    a[i] = embed_hermitian(row[name]) / 2
-                else:
-                    a[i, 0, 0] = row[name]
-            c_blocks.append(c)
+                if name in row:
+                    a[i] = np.reshape(row[name], (nb, nb))
             a_blocks.append(a)
         return SdpProblem(blocks, c_blocks, a_blocks, np.array(self._rhs))
 
@@ -465,19 +428,13 @@ class HermitianSdp:
 
     def value(self, sol: SdpSolution, name: str):
         """Primal value of a variable: Hermitian matrix or scalar."""
-        kind, _ = self._vars[name]
         xb = sol.x_blocks[self._index(name)]
-        if kind == "herm":
-            return extract_hermitian(xb)
-        return float(xb[0, 0])
+        return float(xb[0, 0].real) if self._vars[name][0] == "scalar" else xb
 
     def dual_slack(self, sol: SdpSolution, name: str):
         """Hermitian dual slack of a matrix variable (or scalar slack)."""
-        kind, _ = self._vars[name]
         zb = sol.z_blocks[self._index(name)]
-        if kind == "herm":
-            return 2 * extract_hermitian(zb)
-        return float(zb[0, 0])
+        return float(zb[0, 0].real) if self._vars[name][0] == "scalar" else zb
 
     def dual_matrix(self, sol: SdpSolution, group: str) -> np.ndarray:
         """Matrix-shaped dual of an add_matrix_equality group."""

@@ -189,6 +189,15 @@ def test_heisenberg_bad_input_writes_nothing(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_fig56_empty_run_writes_nothing(tmp_path, capsys, samples):
+    out = tmp_path / "f.csv"
+    assert main(["reproduce", "fig56", "--samples", samples, "--seed", "1",
+                 "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_example1_rows_and_values(tmp_path):
     out = tmp_path / "e1.csv"
     rc = main(["reproduce", "example1", "--q-count", "3", "--n-list", "1",

@@ -5,10 +5,7 @@ from entwit.sdp import (
     HermitianSdp,
     SdpProblem,
     SdpStatus,
-    embed_hermitian,
-    extract_hermitian,
     hermitian_basis,
-    problem_to_json,
     solve,
 )
 
@@ -36,6 +33,10 @@ def test_min_eigenvalue_form():
     c = np.array([[0.0, 1.0], [1.0, 0.0]])
     sol = solve(min_eig_problem(c))
     assert sol.pobj == pytest.approx(-1.0, abs=1e-6)
+    # sigma_y: purely imaginary off-diagonal, same spectrum
+    sol = solve(SdpProblem([2], [[[0, -1j], [1j, 0]]], [np.eye(2)[None]], [1.0]))
+    assert sol.status is SdpStatus.OPTIMAL
+    assert sol.pobj == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_min_eig_suite_and_invariants():
@@ -44,7 +45,9 @@ def test_min_eig_suite_and_invariants():
         rng = np.random.default_rng(2000 + s)
         d = int(rng.integers(2, 8))
         g = rng.standard_normal((d, d))
-        h = (g + g.T) / 2
+        if s % 2:
+            g = g + 1j * rng.standard_normal((d, d))
+        h = (g + g.conj().T) / 2
         sol = solve(min_eig_problem(h))
         assert sol.status is SdpStatus.OPTIMAL
         lam = np.linalg.eigvalsh(h)[0]
@@ -92,6 +95,10 @@ def test_gram_rejection_and_shape_checks():
     with pytest.raises(ValueError):
         SdpProblem([2], [np.array([[0.0, 1.0], [0.0, 0.0]])],
                    [np.eye(2)[None, :, :]], [1.0])
+    # symmetric but not Hermitian
+    with pytest.raises(ValueError):
+        SdpProblem([2], [np.array([[0.0, 1j], [1j, 0.0]])],
+                   [np.eye(2)[None, :, :]], [1.0])
 
 
 def test_statuses():
@@ -117,31 +124,6 @@ def test_history_records():
     # residuals decrease substantially over the run
     assert sol.history[-1]["rp"] < 1e-6
     assert sol.history[-1]["mu"] < sol.history[0]["mu"]
-
-
-def test_embed_properties():
-    rng = np.random.default_rng(4)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h = (g + g.conj().T) / 2
-    k = (g @ g.conj().T) / 4
-    eh = embed_hermitian(h)
-    assert np.abs(eh - eh.T).max() == 0.0
-    assert np.allclose(
-        np.sort(np.linalg.eigvalsh(eh)),
-        np.sort(np.concatenate([np.linalg.eigvalsh(h)] * 2)),
-    )
-    assert np.abs(extract_hermitian(eh) - h).max() == 0.0
-    # inner products double
-    lhs = float(np.sum(embed_hermitian(h) * embed_hermitian(k)))
-    assert lhs == pytest.approx(2 * np.real(np.trace(h @ k)), abs=1e-12)
-    # real symmetric input duplicates on the diagonal
-    r = np.real(h)
-    er = embed_hermitian(r)
-    assert np.allclose(er[:4, :4], r)
-    assert np.abs(er[:4, 4:]).max() == 0.0
-    sy = np.array([[0, 1], [-1, 0]]) * 1j  # -i sigma_y has imaginary entries
-    es = embed_hermitian((sy + sy.conj().T) / 2)
-    assert np.abs(es[:2, :2]).max() == 0.0
 
 
 def test_hermitian_basis_orthonormal():
@@ -205,12 +187,3 @@ def test_builder_scalar_vars():
     with pytest.raises(ValueError):
         hs.add_scalar_var("u")
 
-
-def test_problem_json_dump():
-    import json
-
-    prob = min_eig_problem(rand_sym(2, 3))
-    doc = json.loads(problem_to_json(prob))
-    assert doc["blocks"] == [3]
-    assert len(doc["a"][0]) == 1
-    assert np.allclose(doc["c"][0], prob.c_blocks[0])
