@@ -80,6 +80,8 @@ def _config_hash(config: dict) -> str:
 
 
 def _emit_csv(out, config, header, rows, trailing=None) -> None:
+    if not rows:
+        raise ValueError("the grid is empty, so there are no rows to write")
     lines = [
         f"# version={__version__} seed={config.get('seed', '-')} "
         f"config={_config_hash(config)}"

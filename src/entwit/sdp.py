@@ -1,4 +1,4 @@
-"""Dense primal-dual interior-point solver for small semidefinite programs.
+"""Primal-dual interior-point solver for small semidefinite programs.
 
 Standard form over block-diagonal complex Hermitian matrices:
 
@@ -7,8 +7,23 @@ Standard form over block-diagonal complex Hermitian matrices:
 
 with <A, X> = Re tr(AX), the real inner product on Hermitian matrices;
 real symmetric data is the special case with zero imaginary part. The
-search direction is the HKM/HRVW one with a Mehrotra predictor-corrector;
-everything is dense numpy, so a rerun on the same inputs is bit-identical.
+search direction is the HKM/HRVW one with a Mehrotra predictor-corrector.
+
+Constraints are stored by coordinates, not as dense matrices: each A_ib is
+expanded once in the orthonormal Hermitian basis E_k of hermitian_basis,
+and only its nonzero coordinates are kept as (row, coordinate, value)
+triplets. Every constraint the measures build has one to a few nonzero
+coordinates per row. A(X) and A^T(y) are then a gather and a scatter. The
+Schur matrix M_ij = Re tr(X A_i Z^-1 A_j) is assembled per block as
+A_b H_b^T, where row i of H_b holds the coordinates of X A_i Z^-1; that
+product is formed from the few nonzero rows of A_i, first A_i Z^-1 and
+then X times it (sparse Schur assembly after Fujisawa, Kojima and Nakata,
+Math. Prog. 79, 1997). The order matters: when Z^-1 is huge on a subspace
+that no A_i reaches (a dual slack without an interior point), that part
+cancels in A_i Z^-1, while forming the basis Gram of X (x) Z^-1 first would
+carry it into every entry. The Schur system itself is dense. Every step is
+deterministic, so a rerun on the same inputs is bit-identical.
+
 The HermitianSdp builder assembles such problems from matrix-valued
 equalities and reads primal and dual matrices back from a solution.
 """
@@ -16,6 +31,7 @@ equalities and reads primal and dual matrices back from a solution.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +53,144 @@ class SdpStatus(enum.Enum):
     ITERATION_LIMIT = "iteration-limit"
 
 
+class _Basis:
+    """Index tables of the orthonormal Hermitian basis E_k of size nb.
+
+    The order is that of hermitian_basis: the nb diagonal units, then for
+    each pair i < j the symmetric element (e_ij + e_ji)/sqrt 2 followed by
+    the antisymmetric one (-i e_ij + i e_ji)/sqrt 2. In the float view of a
+    complex matrix M (real and imaginary parts interleaved), coordinate k
+    of M is <E_k, M> = w[0, k] M[at[0, k]] + w[1, k] M[at[1, k]]. For smat,
+    the real part of flat entry f of X is coef[f] u[k_of[f]] and its
+    imaginary part is coef[n2 + f] u[k_of[n2 + f]].
+    """
+
+    def __init__(self, nb: int):
+        n2 = nb * nb
+        r = 1.0 / np.sqrt(2.0)
+        at = np.zeros((2, n2), dtype=np.intp)
+        w = np.zeros((2, n2))
+        k_of = np.zeros(2 * n2, dtype=np.intp)
+        coef = np.zeros(2 * n2)
+        for i in range(nb):
+            at[:, i] = 2 * (i * nb + i)
+            w[0, i] = 1.0
+            k_of[i * nb + i] = i
+            coef[i * nb + i] = 1.0
+        k = nb
+        for i in range(nb):
+            for j in range(i + 1, nb):
+                up, lo = i * nb + j, j * nb + i
+                at[:, k] = (2 * lo, 2 * up)
+                w[:, k] = (r, r)
+                at[:, k + 1] = (2 * lo + 1, 2 * up + 1)
+                w[:, k + 1] = (r, -r)
+                k_of[[up, lo]] = k
+                coef[[up, lo]] = r
+                k_of[[n2 + up, n2 + lo]] = k + 1
+                coef[[n2 + up, n2 + lo]] = (-r, r)
+                k += 2
+        self.nb = nb
+        self.n2 = n2
+        self.at, self.w, self.k_of, self.coef = at, w, k_of, coef
+        for arr in (at, w, k_of, coef):
+            arr.flags.writeable = False
+
+    @functools.cached_property
+    def mats(self) -> np.ndarray:
+        """The basis matrices, stacked as a read-only (n2, nb, nb) array."""
+        out = _smat(self, np.eye(self.n2))
+        out.flags.writeable = False
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _basis(nb: int) -> _Basis:
+    return _Basis(nb)
+
+
+def _svec(tab: _Basis, mats: np.ndarray) -> np.ndarray:
+    """Coordinates <E_k, M> = Re tr(E_k M) over the last two axes.
+
+    For a non-Hermitian M these are the coordinates of its Hermitian part.
+    """
+    shape = np.shape(mats)[:-2] + (2 * tab.n2,)
+    re = np.ascontiguousarray(mats, dtype=complex).view(float).reshape(shape)
+    return re[..., tab.at[0]] * tab.w[0] + re[..., tab.at[1]] * tab.w[1]
+
+
+def _smat(tab: _Basis, u: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix sum_k u_k E_k, over the last axis of u."""
+    parts = u[..., tab.k_of] * tab.coef
+    mat = parts[..., : tab.n2] + 1j * parts[..., tab.n2 :]
+    return mat.reshape(np.shape(u)[:-1] + (tab.nb, tab.nb))
+
+
+class _BlockRows:
+    """One block's constraints as (row, coordinate, value) triplets.
+
+    Built from the (m, n2) basis coordinates of the block's rows. The block
+    covers the rows lo .. lo + span - 1. Its triplets come in layers: layer
+    0 holds the first triplet of every row in order, and layer j >= 1 the
+    (j + 1)-th triplet of the rows listed (relative to lo) in later[j - 1].
+    A row without a nonzero coordinate holds one zero triplet, so that a
+    row sum is layer 0 plus scattered adds.
+
+    For the Schur matrix each row i also keeps the nonzero rows of its
+    matrix A_i = sum_k a_ik E_k: their indices nz_rows[i] and entries
+    row_vals[i], padded with zero rows to the widest row.
+    """
+
+    def __init__(self, tab: _Basis, coords: np.ndarray):
+        used = np.flatnonzero(coords.any(axis=1))
+        block = coords[used[0] : used[-1] + 1] if used.size else coords[:0]
+        keep = block != 0
+        keep[~keep.any(axis=1), 0] = True
+        rows, cols = np.nonzero(keep)
+        rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+        order = np.lexsort((rows, rank))
+        rows, cols, rank = rows[order], cols[order], rank[order]
+        mats = _smat(tab, block)
+        nonzero = mats.any(axis=2)
+        width = int(nonzero.sum(axis=1).max(initial=0))
+        self.basis = tab
+        self.lo = int(used[0]) if used.size else 0
+        self.span = block.shape[0]
+        self.rows, self.cols, self.vals = rows + self.lo, cols, block[rows, cols]
+        self.later = [rows[rank == j] for j in range(1, int(rank.max(initial=0)) + 1)]
+        self.nz_rows = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
+        self.row_vals = np.take_along_axis(mats, self.nz_rows[:, :, None], axis=1)
+
+    def row_sums(self, t: np.ndarray) -> np.ndarray:
+        """Sum the per-triplet rows of t into one row per constraint row.
+
+        The result may share memory with t.
+        """
+        out = t[: self.span]
+        k = self.span
+        for pos in self.later:
+            out[pos] += t[k : k + pos.size]
+            k += pos.size
+        return out
+
+    def add_schur(self, x: np.ndarray, zi: np.ndarray, out: np.ndarray) -> None:
+        """out[i, j] += Re tr(X A_i Z^-1 A_j) over this block's rows.
+
+        A_i Z^-1 is formed first from the nonzero rows of A_i; Z^-1 can be
+        huge on a subspace no A_i reaches (a dual slack without an interior
+        point), and that part cancels in this product before X scales it.
+        """
+        nb = self.basis.nb
+        v = (self.row_vals.reshape(-1, nb) @ zi).reshape(self.row_vals.shape)
+        f = np.matmul(x[:, self.nz_rows].transpose(1, 0, 2), v)
+        # coordinates of X A_i Z^-1 at each triplet's coordinate, scaled in
+        # place: a fresh product array costs more
+        h = _svec(self.basis, f).T[self.cols]
+        h *= self.vals[:, None]
+        span = slice(self.lo, self.lo + self.span)
+        out[span, span] += self.row_sums(h)
+
+
 class SdpProblem:
     """Validated problem data.
 
@@ -44,6 +198,8 @@ class SdpProblem:
     c_blocks: Hermitian cost matrix per block.
     a_blocks: per block, an (m, nb, nb) array stacking the Hermitian
         constraint matrices; row i across all blocks forms one equality.
+        It is kept only as the nonzero basis coordinates of each row
+        (a_rows, one _BlockRows per block).
     b: right-hand side, length m.
     """
 
@@ -52,7 +208,7 @@ class SdpProblem:
         self.b = np.asarray(b, dtype=float).reshape(-1)
         m = self.b.size
         self.c_blocks = []
-        self.a_blocks = []
+        self.a_rows = []
         for nb, c, a in zip(self.blocks, c_blocks, a_blocks, strict=True):
             c = np.asarray(c, dtype=complex)
             a = np.asarray(a, dtype=complex)
@@ -60,22 +216,19 @@ class SdpProblem:
                 raise ValueError("block data has inconsistent shapes")
             if np.abs(c - c.conj().T).max(initial=0.0) > HERM_ATOL:
                 raise ValueError("cost block is not Hermitian")
-            a_h = a.conj().transpose(0, 2, 1)
-            if a.size and np.abs(a - a_h).max() > HERM_ATOL:
+            if a.size and np.abs(a - a.conj().transpose(0, 2, 1)).max() > HERM_ATOL:
                 raise ValueError("constraint block is not Hermitian")
             self.c_blocks.append(_herm(c))
-            self.a_blocks.append((a + a_h) / 2)
+            tab = _basis(nb)
+            self.a_rows.append(_BlockRows(tab, _svec(tab, a)))
         self._check_independence()
 
     def _check_independence(self):
         m = self.b.size
         if m == 0:
             return
-        g = np.zeros((m, m))
-        for a in self.a_blocks:
-            r = a.reshape(m, -1)
-            g += _re_gram(r, r)
-        w = np.linalg.eigvalsh(g)
+        eye = [np.eye(nb) for nb in self.blocks]
+        w = np.linalg.eigvalsh(_schur(self, eye, eye))
         if w[0] <= 1e-10 * max(1.0, w[-1]):
             raise ValueError(
                 "equality constraints are linearly dependent "
@@ -109,21 +262,29 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
-def _re_gram(f: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Re(F A^H) for row stacks F, A: entry ij is Re sum_kl F_ik conj(A_jk)."""
-    return f.real @ a.real.T + f.imag @ a.imag.T
-
-
-def _apply(a_blocks, mats) -> np.ndarray:
+def _apply(prob: SdpProblem, mats) -> np.ndarray:
     """A(X)_i = sum_b <A_ib, X_b>."""
-    out = 0.0
-    for a, w in zip(a_blocks, mats):
-        out = out + np.einsum("iab,ba->i", a, w).real
-    return np.asarray(out)
+    out = np.zeros(prob.m)
+    for blk, w in zip(prob.a_rows, mats):
+        u = _svec(blk.basis, w)
+        out += np.bincount(blk.rows, blk.vals * u[blk.cols], minlength=prob.m)
+    return out
 
 
-def _adjoint(a_blocks, y):
-    return [np.einsum("i,iab->ab", y, a) for a in a_blocks]
+def _adjoint(prob: SdpProblem, y: np.ndarray) -> list:
+    """A^T(y)_b = sum_i y_i A_ib."""
+    return [
+        _smat(blk.basis, np.bincount(blk.cols, blk.vals * y[blk.rows], minlength=blk.basis.n2))
+        for blk in prob.a_rows
+    ]
+
+
+def _schur(prob: SdpProblem, x, zi) -> np.ndarray:
+    """M_ij = sum_b Re tr(X_b A_ib Z_b^-1 A_jb); the Gram of A at X = Z = I."""
+    out = np.zeros((prob.m, prob.m))
+    for blk, xb, zib in zip(prob.a_rows, x, zi):
+        blk.add_schur(xb, zib, out)
+    return out
 
 
 def _herm(m: np.ndarray) -> np.ndarray:
@@ -147,7 +308,7 @@ def _solve_schur(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     jitter = 0.0
     for _ in range(4):
         try:
-            sol = np.linalg.solve(m + jitter * np.eye(m.shape[0]), rhs)
+            sol = np.linalg.solve(m + jitter * np.eye(m.shape[0]) if jitter else m, rhs)
             if np.all(np.isfinite(sol)):
                 return sol
         except np.linalg.LinAlgError:
@@ -158,10 +319,10 @@ def _solve_schur(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _meets_optimal(prob, x, y, z, pobj, dobj, tol, norm_b, norm_c) -> bool:
     """Certify the published optimality bar on a stalled endpoint."""
-    rp = prob.b - _apply(prob.a_blocks, x)
+    rp = prob.b - _apply(prob, x)
     if float(np.abs(rp).max(initial=0.0)) > tol * (1.0 + norm_b):
         return False
-    ady = _adjoint(prob.a_blocks, y)
+    ady = _adjoint(prob, y)
     rd = [c - a - zb for c, a, zb in zip(prob.c_blocks, ady, z)]
     if np.sqrt(sum(_inner(r, r) for r in rd)) > tol * (1.0 + norm_c):
         return False
@@ -195,8 +356,8 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
         mu = conic / n_tot
         pobj = sum(_inner(c, xb) for c, xb in zip(prob.c_blocks, x))
         dobj = float(b @ y)
-        rp = b - _apply(prob.a_blocks, x)
-        ady = _adjoint(prob.a_blocks, y)
+        rp = b - _apply(prob, x)
+        ady = _adjoint(prob, y)
         rd = [c - a - zb for c, a, zb in zip(prob.c_blocks, ady, z)]
         rp_norm = float(np.abs(rp).max(initial=0.0))
         rd_norm = float(np.sqrt(sum(_inner(r, r) for r in rd)))
@@ -246,16 +407,12 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
             break
 
         zi = [_herm(np.linalg.inv(zb)) for zb in z]
-        # M_ij = Re tr(X A_i Z^-1 A_j) = <F_i, A_j> with F_i = X A_i Z^-1
-        schur = np.zeros((m, m))
-        for a, xb, zib in zip(prob.a_blocks, x, zi):
-            f = np.matmul(xb, np.matmul(a, zib))
-            schur += _re_gram(f.reshape(m, -1), a.reshape(m, -1))
+        schur = _schur(prob, x, zi)
 
         xrz = [xb @ r @ zib for xb, r, zib in zip(x, rd, zi)]
-        rhs_aff = b + _apply(prob.a_blocks, xrz)
+        rhs_aff = b + _apply(prob, xrz)
         dy_aff = _solve_schur(schur, rhs_aff)
-        ady_aff = _adjoint(prob.a_blocks, dy_aff)
+        ady_aff = _adjoint(prob, dy_aff)
         dz_aff = [r - a for r, a in zip(rd, ady_aff)]
         dx_aff = [
             _herm(-xb - xb @ dzb @ zib) for xb, dzb, zib in zip(x, dz_aff, zi)
@@ -271,12 +428,12 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
         cross = [dxb @ dzb @ zib for dxb, dzb, zib in zip(dx_aff, dz_aff, zi)]
         rhs = (
             b
-            - sigma * mu * _apply(prob.a_blocks, zi)
-            + _apply(prob.a_blocks, xrz)
-            + _apply(prob.a_blocks, cross)
+            - sigma * mu * _apply(prob, zi)
+            + _apply(prob, xrz)
+            + _apply(prob, cross)
         )
         dy = _solve_schur(schur, rhs)
-        ady2 = _adjoint(prob.a_blocks, dy)
+        ady2 = _adjoint(prob, dy)
         dz = [r - a for r, a in zip(rd, ady2)]
         dx = [
             _herm(sigma * mu * zib - xb - xb @ dzb @ zib - cr)
@@ -312,22 +469,7 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
 
 def hermitian_basis(d: int) -> list:
     """Orthonormal basis of d x d Hermitian matrices under tr(ab)."""
-    out = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        out.append(e)
-    r = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = e[j, i] = r
-            out.append(e)
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = -1j * r
-            e[j, i] = 1j * r
-            out.append(e)
-    return out
+    return [e.copy() for e in _basis(d).mats]
 
 
 class HermitianSdp:
@@ -367,18 +509,19 @@ class HermitianSdp:
         (a callable) and a scalar variable to its coefficient matrix G_v.
         """
         r = rhs.shape[0]
-        basis = hermitian_basis(r)
+        tab = _basis(r)
+        coords = {
+            name: _svec(tab, np.asarray(spec))
+            for name, spec in terms.items()
+            if self._vars[name][0] == "scalar"
+        }
         start = len(self._rows)
-        for e in basis:
+        for k, e in enumerate(tab.mats):
             row = {}
             for name, spec in terms.items():
-                kind, _ = self._vars[name]
-                if kind == "herm":
-                    row[name] = np.asarray(spec(e))
-                else:
-                    row[name] = float(np.real(np.trace(e @ spec)))
+                row[name] = float(coords[name][k]) if name in coords else np.asarray(spec(e))
             self._rows.append(row)
-            self._rhs.append(float(np.real(np.trace(e @ rhs))))
+        self._rhs.extend(_svec(tab, rhs).tolist())
         self._groups[group] = (start, len(self._rows), r)
 
     def add_scalar_equality(self, terms: dict, rhs: float):
@@ -439,8 +582,4 @@ class HermitianSdp:
     def dual_matrix(self, sol: SdpSolution, group: str) -> np.ndarray:
         """Matrix-shaped dual of an add_matrix_equality group."""
         start, stop, r = self._groups[group]
-        basis = hermitian_basis(r)
-        out = np.zeros((r, r), dtype=complex)
-        for yk, e in zip(sol.y[start:stop], basis):
-            out += yk * e
-        return out
+        return _smat(_basis(r), sol.y[start:stop])

@@ -198,6 +198,23 @@ def test_fig56_empty_run_writes_nothing(tmp_path, capsys, samples):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["isotropic", "--p-count", "0"],
+    ["example1", "--q-count", "0"],
+    ["fig7q", "--a-grid", "0.1:0.9:0"],
+    ["heisenberg", "--beta-grid", "0:20:0"],
+])
+def test_empty_grid_writes_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "g.csv"
+    assert main(["reproduce", *argv, "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["reproduce", *argv]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
 def test_example1_rows_and_values(tmp_path):
     out = tmp_path / "e1.csv"
     rc = main(["reproduce", "example1", "--q-count", "3", "--n-list", "1",

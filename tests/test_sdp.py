@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from entwit import sdp
+from entwit.linalg import Cut, SystemShape, _pt_array
+from entwit.measures import e_nm_ppt
 from entwit.sdp import (
     HermitianSdp,
     SdpProblem,
@@ -8,6 +11,7 @@ from entwit.sdp import (
     hermitian_basis,
     solve,
 )
+from entwit.states import random_density
 
 
 def min_eig_problem(h: np.ndarray) -> SdpProblem:
@@ -66,14 +70,102 @@ def test_min_eig_suite_and_invariants():
     assert worst <= 1e-6
 
 
+def built_e_nm_ppt_problem() -> SdpProblem:
+    """The problem e_nm_ppt builds for n = 2, m = 1: blocks P, Q, S, T."""
+    built = []
+    build = HermitianSdp.build
+
+    def spy(self):
+        built.append(build(self))
+        return built[-1]
+
+    rho = random_density(6, 5, SystemShape((2, 3)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HermitianSdp, "build", spy)
+        e_nm_ppt(rho, [Cut([0])], 2.0, 1.0)
+    return built[0]
+
+
 def test_deterministic_rerun():
-    h = rand_sym(3, 5)
-    s1 = solve(min_eig_problem(h))
-    s2 = solve(min_eig_problem(h))
-    assert np.array_equal(s1.x_blocks[0], s2.x_blocks[0])
-    assert np.array_equal(s1.y, s2.y)
-    assert np.array_equal(s1.z_blocks[0], s2.z_blocks[0])
-    assert s1.iterations == s2.iterations
+    nm_prob = built_e_nm_ppt_problem()
+    assert nm_prob.blocks == [6, 6, 6, 6]
+    for prob in (min_eig_problem(rand_sym(3, 5)), nm_prob):
+        s1 = solve(prob)
+        s2 = solve(prob)
+        assert s1.status is SdpStatus.OPTIMAL
+        for a, b in zip(s1.x_blocks + s1.z_blocks, s2.x_blocks + s2.z_blocks):
+            assert np.array_equal(a, b)
+        assert np.array_equal(s1.y, s2.y)
+        assert s1.iterations == s2.iterations
+        assert s1.history == s2.history
+
+
+def rand_herm(rng, d: int) -> np.ndarray:
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (g + g.conj().T) / 2
+
+
+def rand_pd(rng, d: int) -> np.ndarray:
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return g @ g.conj().T + 0.1 * np.eye(d)
+
+
+def reference_problem(seed: int):
+    """Dense stacks over blocks of sizes 4, 4, 3, 2, 1 with m = 27 rows.
+
+    Rows 0-15 are +PT(E_k) on block 0 and -PT(E_k) on block 1 (one basis
+    coordinate each, as in e_nm_ppt); row 16 is the trace row on block 0;
+    rows 17-21 put four random basis coordinates on block 2 (as in DPS2);
+    rows 22-26 are dense random Hermitian on block 2 and random on the
+    1 x 1 block, except row 24 there. Block 3 has only zero rows.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = [4, 4, 3, 2, 1]
+    m = 27
+    a = [np.zeros((m, nb, nb), dtype=complex) for nb in sizes]
+    for k, e in enumerate(hermitian_basis(4)):
+        a[0][k] = _pt_array(e, (2, 2), (0,))
+        a[1][k] = -a[0][k]
+    a[0][16] = np.eye(4)
+    basis3 = hermitian_basis(3)
+    for i in range(17, 22):
+        for k in rng.choice(9, size=4, replace=False):
+            a[2][i] += rng.standard_normal() * basis3[k]
+    for i in range(22, m):
+        a[2][i] = rand_herm(rng, 3)
+        a[4][i] = rng.standard_normal() if i != 24 else 0.0
+    c = [rand_herm(rng, nb) for nb in sizes]
+    return sizes, SdpProblem(sizes, c, a, rng.standard_normal(m)), a
+
+
+def assert_close(got, want):
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sparse_operators_match_dense_formulas(seed):
+    sizes, prob, a = reference_problem(seed)
+    # each PT row is one basis coordinate +-1, the trace row four
+    assert [blk.rows.size for blk in prob.a_rows[:2]] == [20, 16]
+    assert np.allclose(np.abs(prob.a_rows[1].vals), 1.0, rtol=1e-15, atol=0)
+    assert prob.a_rows[3].rows.size == 0
+    rng = np.random.default_rng(100 + seed)
+    x = [rand_pd(rng, nb) for nb in sizes]
+    zi = [rand_pd(rng, nb) for nb in sizes]
+    y = rng.standard_normal(prob.m)
+    # A(X) on Hermitian and on general square matrices (the solver applies
+    # A to products such as X R Z^-1)
+    general = [xb @ zb for xb, zb in zip(x, zi)]
+    for mats in (x, general):
+        want = sum(np.einsum("iab,ba->i", ab, w).real for ab, w in zip(a, mats))
+        assert_close(sdp._apply(prob, mats), want)
+    for got, ab in zip(sdp._adjoint(prob, y), a):
+        assert_close(got, np.einsum("i,iab->ab", y, ab))
+    want = sum(
+        np.einsum("ab,ibc,cd,jda->ij", xb, ab, zib, ab).real
+        for xb, ab, zib in zip(x, a, zi)
+    )
+    assert_close(sdp._schur(prob, x, zi), want)
 
 
 def test_multi_block_lp():
@@ -187,3 +279,23 @@ def test_builder_scalar_vars():
     with pytest.raises(ValueError):
         hs.add_scalar_var("u")
 
+
+
+def test_schur_cancels_z_inverse_off_the_constraint_support():
+    # Constraints live on Sym^2(C^2), as DPS2's M1 block lives on A (x)
+    # Sym^2(B); Z^-1 is 1e12 on the antisymmetric vector, which no A_i
+    # reaches. Forming X (x) Z^-1 before applying A misses by 4e-5 here.
+    rng = np.random.default_rng(4)
+    r = 1 / np.sqrt(2)
+    iso = np.array([[1, 0, 0], [0, r, 0], [0, r, 0], [0, 0, 1]])
+    anti = np.array([0, r, -r, 0])
+    a = np.stack([iso @ e @ iso.T for e in hermitian_basis(3)])
+    prob = SdpProblem([4], [np.eye(4)], [a], np.ones(9))
+    zs = rand_pd(rng, 3)
+    zi = iso @ np.linalg.inv(zs) @ iso.T + 1e12 * np.outer(anti, anti)
+    x = rand_pd(rng, 4)
+    want = np.einsum(
+        "ab,ibc,cd,jda->ij", *(t.astype(np.clongdouble) for t in (x, a, zi, a))
+    ).real.astype(float)
+    got = sdp._schur(prob, [x], [zi])
+    assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
