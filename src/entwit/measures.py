@@ -1,7 +1,8 @@
 """Witness-based entanglement measures: closed forms and SDP optimizations.
 
-Every SDP-backed value is reported from a rescaled, certifiably feasible
-witness, so values never exceed the true optimum; quoted tolerance 1e-6.
+Every SDP-backed value comes from one skeleton, _fit_witness, which scales
+the solved witness until it is exactly feasible, so values never exceed the
+true optimum.
 """
 
 from __future__ import annotations
@@ -149,10 +150,109 @@ def isotropic_e_n1(d: int, p: float, n: float) -> float:
     return max(0.0, slope * (d * p + (1.0 - p) / d - 1.0))
 
 
-def _as_cut_list(cuts) -> list:
-    if isinstance(cuts, Cut):
-        return [cuts]
-    return list(cuts)
+def _nm_box(n, m) -> tuple:
+    """Validated (n, m) of the box -nI <= W <= mI, and its trace-norm choice."""
+    n, m = float(n), float(m)
+    if math.isinf(n) and math.isinf(m):
+        raise ValueError("n and m cannot both be infinite")
+    if n < 0 or m <= 0:
+        raise ValueError("need n >= 0 and m > 0")
+    return n, m, OP_LEQ_I if (math.isinf(n) and m == 1.0) else None
+
+
+@dataclass
+class _Fit:
+    """A solved witness SDP after repair: W = offset + linear(blocks) / scale."""
+
+    result: MeasureResult
+    blocks: dict
+    duals: dict
+    scale: float
+
+
+def _fit_witness(rho: DensityMatrix, variables: dict, cost: dict, equalities: list,
+                 linear, repair, offset=None, **fields) -> _Fit:
+    """Build, solve, repair and report one witness SDP.
+
+    variables maps names to block sizes (1 x 1: a nonnegative scalar). Each
+    (terms, rhs) is a matrix equality for a matrix rhs, else a scalar row.
+    linear maps the solved blocks to the variable part of W; repair maps
+    them to the scale that makes W exactly feasible (>= 1 for a bound). The
+    result reports max{0, -Tr(W rho)}, with Witness(W, **fields) if given.
+    """
+    hs = HermitianSdp()
+    for name, dim in variables.items():
+        hs.add_psd_var(name, dim)
+    hs.set_cost(cost)
+    for k, (terms, rhs) in enumerate(equalities):
+        if np.ndim(rhs):
+            hs.add_matrix_equality(f"eq{k}", terms, rhs)
+        else:
+            hs.add_scalar_equality(terms, rhs)
+    sol = hs.solve()
+    blocks = {name: hs.value(sol, name) for name in variables}
+    scale = repair(blocks)
+    w = linear(blocks) / scale
+    op = HermitianMatrix(w if offset is None else offset + w, rho.require_shape())
+    result = MeasureResult(max(0.0, -hs_inner(op, rho)), SDP_TOL,
+                           Witness(op=op, **fields) if fields else None)
+    return _Fit(result, blocks, {name: hs.dual_slack(sol, name) for name in variables}, scale)
+
+
+def _pt_map(dims, parties=(), negate=False):
+    """e -> e^{T_parties} or its negative; for no parties, e itself (a view, no copy)."""
+    if negate:
+        return lambda e: -_pt_array(e, dims, parties)
+    return lambda e: _pt_array(e, dims, parties)
+
+
+def _box_scale(w: np.ndarray, n: float, m: float) -> float:
+    """Smallest scale >= 1 that puts W / scale in -nI <= W <= mI, n > 0."""
+    eigs = np.linalg.eigvalsh((w + w.conj().T) / 2)
+    return max(1.0, eigs[-1] / m, -eigs[0] / n)
+
+
+def _trace_scale(w: np.ndarray, dd: int) -> float:
+    """The scale that makes Tr(W / scale) = D exactly."""
+    return float(np.trace(w).real) / dd
+
+
+def _rains_scale(f: np.ndarray, dims, parties, d: int) -> float:
+    """Smallest scale >= 1 that puts F / scale in F <= I, |F^T| <= I/d."""
+    ft = _pt_array(f, dims, parties)
+    eig_f = np.linalg.eigvalsh((f + f.conj().T) / 2)
+    eig_ft = np.linalg.eigvalsh((ft + ft.conj().T) / 2)
+    return max(1.0, eig_f[-1], d * eig_ft[-1], -d * eig_ft[0])
+
+
+def _ssr_scale(s: np.ndarray) -> float:
+    """Smallest scale >= 1 that keeps the diagonal of I - S / scale nonnegative."""
+    return max(1.0, float(np.diag(s).real.max()))
+
+
+def _decomposable(rho, cut_list, pts, variables, equalities, repair, **fields) -> _Fit:
+    """Fit W = P + sum_c Q_c^{T_c}; pts maps "P" to () and each Q_c to cut c.
+
+    repair maps W, before scaling, to its scale.
+    """
+    shape = rho.require_shape()
+    dims = shape.local_dims
+
+    def linear(blocks):
+        w = 0.0
+        for name, parties in pts.items():
+            w = w + _pt_array(blocks[name], dims, parties)
+        return w
+
+    fit = _fit_witness(rho, variables,
+                       {name: _pt_array(rho.mat, dims, ps) for name, ps in pts.items()},
+                       equalities, linear, lambda blocks: repair(linear(blocks)),
+                       kind=_decomp_kind(cut_list), cuts=cut_list, **fields)
+    parts = {name: HermitianMatrix(_psd_clip(fit.blocks[name] / fit.scale), shape)
+             for name in pts}
+    p_part = parts.pop("P", HermitianMatrix(np.zeros_like(rho.mat), shape))
+    fit.result.witness.parts = {"P": p_part, "Q": list(parts.values())}
+    return fit
 
 
 def e_nm_ppt(rho: DensityMatrix, cuts, n: float, m: float) -> MeasureResult:
@@ -165,17 +265,12 @@ def e_nm_ppt(rho: DensityMatrix, cuts, n: float, m: float) -> MeasureResult:
     weight. The mixing certificate comes from the SDP duals.
     """
     shape = rho.require_shape()
-    cut_list = _as_cut_list(cuts)
+    cut_list = [cuts] if isinstance(cuts, Cut) else list(cuts)
     if not cut_list:
         raise ValueError("need at least one cut")
     for c in cut_list:
         c.validate(shape)
-    n = float(n)
-    m = float(m)
-    if math.isinf(n) and math.isinf(m):
-        raise ValueError("n and m cannot both be infinite")
-    if n < 0 or m <= 0:
-        raise ValueError("need n >= 0 and m > 0")
+    n, m, choice = _nm_box(n, m)
     dims = shape.local_dims
     dd = shape.total_dim
     eye = np.eye(dd)
@@ -190,84 +285,35 @@ def e_nm_ppt(rho: DensityMatrix, cuts, n: float, m: float) -> MeasureResult:
             _to_density(eye, shape), _to_density(eye, shape))
         return MeasureResult(0.0, SDP_TOL, w, cert)
 
-    hs = HermitianSdp()
     has_p = math.isfinite(n)
+    pts = {"P": ()} if has_p else {}
+    pts.update({f"Q{i}": c.party_set for i, c in enumerate(cut_list)})
+    variables = dict.fromkeys(pts, dd)
+    equalities = []
+
+    def bound(slack, negate, rhs):  # slack + W = rhs, or slack - W = rhs
+        variables[slack] = dd
+        terms = {name: _pt_map(dims, ps, negate) for name, ps in pts.items()}
+        equalities.append(({slack: _pt_map(dims), **terms}, rhs))
+
+    if math.isfinite(m):
+        bound("S", False, m * eye)
     if has_p:
-        hs.add_psd_var("P", dd)
-    qnames = []
-    for i in range(len(cut_list)):
-        qnames.append(f"Q{i}")
-        hs.add_psd_var(f"Q{i}", dd)
-    if math.isfinite(m):
-        hs.add_psd_var("S", dd)
-    if math.isfinite(n):
-        hs.add_psd_var("T", dd)
-
-    cost = {}
-    if has_p:
-        cost["P"] = rho.mat
-    for name, c in zip(qnames, cut_list):
-        cost[name] = _pt_array(rho.mat, dims, c.party_set)
-    hs.set_cost(cost)
-
-    def pt_adj(c):
-        return lambda e: _pt_array(e, dims, c.party_set)
-
-    if math.isfinite(m):
-        terms = {"S": lambda e: e}
-        if has_p:
-            terms["P"] = lambda e: e
-        for name, c in zip(qnames, cut_list):
-            terms[name] = pt_adj(c)
-        hs.add_matrix_equality("m-bound", terms, m * eye)
-    if math.isfinite(n):
-        terms = {"T": lambda e: e, "P": lambda e: -e}
-        for name, c in zip(qnames, cut_list):
-            adj = pt_adj(c)
-            terms[name] = (lambda f: (lambda e: -f(e)))(adj)
-        hs.add_matrix_equality("n-bound", terms, n * eye)
-
-    sol = hs.solve()
-
-    p_mat = hs.value(sol, "P") if has_p else np.zeros((dd, dd), dtype=complex)
-    q_mats = [hs.value(sol, name) for name in qnames]
-    w_raw = p_mat.copy()
-    for q, c in zip(q_mats, cut_list):
-        w_raw = w_raw + _pt_array(q, dims, c.party_set)
-    eigs = np.linalg.eigvalsh((w_raw + w_raw.conj().T) / 2)
-    scale = 1.0
-    if math.isfinite(m):
-        scale = max(scale, eigs[-1] / m)
-    if math.isfinite(n) and n > 0:
-        scale = max(scale, -eigs[0] / n)
-    w_op = HermitianMatrix(w_raw / scale, shape)
-    witness = Witness(
-        op=w_op,
-        kind=_decomp_kind(cut_list),
-        bounds=(n, m),
-        parts={
-            "P": HermitianMatrix(_psd_clip(p_mat / scale), shape),
-            "Q": [HermitianMatrix(_psd_clip(q / scale), shape) for q in q_mats],
-        },
-        cuts=cut_list,
-        trace_norm_choice=OP_LEQ_I if (math.isinf(n) and m == 1.0) else None,
-    )
-    value = max(0.0, -hs_inner(w_op, rho))
-
-    u = hs.dual_slack(sol, "S") if math.isfinite(m) else np.zeros((dd, dd))
-    v = hs.dual_slack(sol, "T") if math.isfinite(n) else np.zeros((dd, dd))
+        bound("T", True, n * eye)
+    fit = _decomposable(rho, cut_list, pts, variables, equalities,
+                        lambda w: _box_scale(w, n, m), bounds=(n, m),
+                        trace_norm_choice=choice)
+    zero = np.zeros((dd, dd))
+    u, v = fit.duals.get("S", zero), fit.duals.get("T", zero)
     s = max(0.0, float(np.trace(u).real))
     t = max(0.0, float(np.trace(v).real))
-    sigma_raw = hs.dual_slack(sol, "P") if has_p else rho.mat + u
-    cert = MixingCertificate(
-        s=s,
-        t=t,
-        sigma=_to_density(sigma_raw, shape),
-        pi1=_to_density(u, shape) if s > 1e-9 else _to_density(eye, shape),
-        pi2=_to_density(v, shape) if t > 1e-9 else _to_density(eye, shape),
+    fit.result.certificate = MixingCertificate(
+        s=s, t=t,
+        sigma=_to_density(fit.duals["P"] if has_p else rho.mat + u, shape),
+        pi1=_to_density(u if s > 1e-9 else eye, shape),
+        pi2=_to_density(v if t > 1e-9 else eye, shape),
     )
-    return MeasureResult(value=value, tolerance=SDP_TOL, witness=witness,
-                         certificate=cert)
+    return fit.result
 
 
 def _decomp_kind(cut_list) -> str:
@@ -288,40 +334,18 @@ def rr_ppt(rho: DensityMatrix, cut: Cut) -> MeasureResult:
     """Optimal decomposable witness normalized by Tr W = D (total dim)."""
     shape = rho.require_shape()
     cut.validate(shape)
-    dims = shape.local_dims
     dd = shape.total_dim
-    hs = HermitianSdp()
-    hs.add_psd_var("P", dd)
-    hs.add_psd_var("Q", dd)
-    hs.set_cost({"P": rho.mat, "Q": _pt_array(rho.mat, dims, cut.party_set)})
-    hs.add_scalar_equality({"P": np.eye(dd), "Q": np.eye(dd)}, float(dd))
-    sol = hs.solve()
-    p_mat = hs.value(sol, "P")
-    q_mat = hs.value(sol, "Q")
-    w_raw = p_mat + _pt_array(q_mat, dims, cut.party_set)
-    tr = float(np.trace(w_raw).real)
-    scale = tr / dd
-    w_op = HermitianMatrix(w_raw / scale, shape)
-    witness = Witness(
-        op=w_op,
-        kind=DECOMPOSABLE_BIPARTITE,
-        bounds=(math.inf, math.inf),
-        parts={
-            "P": HermitianMatrix(_psd_clip(p_mat / scale), shape),
-            "Q": [HermitianMatrix(_psd_clip(q_mat / scale), shape)],
-        },
-        cuts=[cut],
-        trace_norm_choice=TRACE_EQUALS_D,
-    )
-    value = max(0.0, -hs_inner(w_op, rho))
-    return MeasureResult(value=value, tolerance=SDP_TOL, witness=witness)
+    return _decomposable(
+        rho, [cut], {"P": (), "Q": cut.party_set}, {"P": dd, "Q": dd},
+        [({"P": np.eye(dd), "Q": np.eye(dd)}, float(dd))], lambda w: _trace_scale(w, dd),
+        bounds=(math.inf, math.inf), trace_norm_choice=TRACE_EQUALS_D).result
 
 
 def rains_fidelity(rho: DensityMatrix, cut: Cut) -> float:
     """Best singlet fraction reachable by PPT-preserving maps.
 
-    max Tr(F rho) over 0 <= F <= I with -I/d <= F^{T_cut} <= I/d, for a
-    d x d bipartite state. The reported value comes from the rescaled
+    max Tr(F rho) over 0 <= F <= I with -I/d <= F^{T_cut} <= I/d (W = -F),
+    for a d x d bipartite state. The reported value comes from the rescaled
     feasible F, clamped below by the always-feasible F = I/d.
     """
     shape = rho.require_shape()
@@ -330,28 +354,16 @@ def rains_fidelity(rho: DensityMatrix, cut: Cut) -> float:
     if len(dims) != 2 or dims[0] != dims[1]:
         raise ValueError("need a d x d bipartite state")
     d = dims[0]
-    dd = shape.total_dim
-    eye = np.eye(dd)
-    hs = HermitianSdp()
-    for name in ("F", "S", "G1", "G2"):
-        hs.add_psd_var(name, dd)
-    hs.set_cost({"F": -rho.mat})
-
-    def pt(e):
-        return _pt_array(e, dims, cut.party_set)
-
-    hs.add_matrix_equality("cap", {"F": lambda e: e, "S": lambda e: e}, eye)
-    hs.add_matrix_equality("pt-hi", {"F": pt, "G1": lambda e: e}, eye / d)
-    hs.add_matrix_equality("pt-lo", {"F": lambda e: -pt(e), "G2": lambda e: e},
-                           eye / d)
-    sol = hs.solve()
-    f_mat = hs.value(sol, "F")
-    ft = _pt_array(f_mat, dims, cut.party_set)
-    eig_f = np.linalg.eigvalsh((f_mat + f_mat.conj().T) / 2)
-    eig_ft = np.linalg.eigvalsh((ft + ft.conj().T) / 2)
-    scale = max(1.0, eig_f[-1], d * eig_ft[-1], -d * eig_ft[0])
-    value = float(np.real(np.trace(f_mat @ rho.mat))) / scale
-    return max(value, 1.0 / d)
+    eye = np.eye(shape.total_dim)
+    ident, pt = _pt_map(dims), _pt_map(dims, cut.party_set)
+    fit = _fit_witness(
+        rho, dict.fromkeys(("F", "S", "G1", "G2"), shape.total_dim), {"F": -rho.mat},
+        [({"F": ident, "S": ident}, eye),
+         ({"F": pt, "G1": ident}, eye / d),
+         ({"F": _pt_map(dims, cut.party_set, True), "G2": ident}, eye / d)],
+        lambda blocks: -blocks["F"],
+        lambda blocks: _rains_scale(blocks["F"], dims, cut.party_set, d))
+    return max(fit.result.value, 1.0 / d)
 
 
 def concurrence_2q(rho: DensityMatrix) -> float:
@@ -382,25 +394,16 @@ def ssr_nonlocality(rho: DensityMatrix) -> MeasureResult:
     """Witness optimization over G <= I with nonnegative diagonal.
 
     Detects states that need coherence between local particle-number
-    sectors; separable states can score nonzero here.
+    sectors; separable states can score nonzero here. G = I - S, S psd.
     """
     shape = rho.require_shape()
     dd = shape.total_dim
-    hs = HermitianSdp()
-    hs.add_psd_var("S", dd)
-    for i in range(dd):
-        hs.add_scalar_var(f"t{i}")
-    hs.set_cost({"S": -rho.mat})
-    for i in range(dd):
-        e = np.zeros((dd, dd))
-        e[i, i] = 1.0
-        hs.add_scalar_equality({"S": e, f"t{i}": 1.0}, 1.0)
-    sol = hs.solve()
-    s_mat = hs.value(sol, "S")
-    g_op = HermitianMatrix(np.eye(dd) - s_mat, shape)
-    witness = Witness(op=g_op, kind=SSR_DIAGONAL, bounds=(math.inf, 1.0))
-    value = max(0.0, -hs_inner(g_op, rho))
-    return MeasureResult(value=value, tolerance=SDP_TOL, witness=witness)
+    variables = {"S": dd, **{f"t{i}": 1 for i in range(dd)}}
+    rows = [({"S": np.diag(np.eye(dd)[i]), f"t{i}": 1.0}, 1.0) for i in range(dd)]
+    return _fit_witness(rho, variables, {"S": -rho.mat}, rows,
+                        lambda blocks: -blocks["S"],
+                        lambda blocks: _ssr_scale(blocks["S"]), offset=np.eye(dd),
+                        kind=SSR_DIAGONAL, bounds=(math.inf, 1.0)).result
 
 
 def _sym_isometry(b: int) -> np.ndarray:
@@ -416,12 +419,30 @@ def _sym_isometry(b: int) -> np.ndarray:
     return np.array(cols).T
 
 
+def _dps2_h0(blocks: dict, a: int, b: int) -> np.ndarray:
+    """H0 = I - iso^H (Sw (x) I_B2 + (iso M1 iso^H)^{T_A} + M2^{T_B2}) iso."""
+    iso = np.kron(np.eye(a), _sym_isometry(b))
+    ext = (a, b, b)
+    full = (np.kron(blocks["Sw"], np.eye(b))
+            + _pt_array(iso @ blocks["M1"] @ iso.conj().T, ext, (0,))
+            + _pt_array(blocks["M2"], ext, (2,)))
+    return np.eye(iso.shape[1]) - iso.conj().T @ full @ iso
+
+
+def _dps2_scale(blocks: dict, a: int, b: int) -> float:
+    """1 + max(0, -lambda_min(H0)): scaling Sw, M1, M2 by its inverse makes H0 psd."""
+    h0 = _dps2_h0(blocks, a, b)
+    return 1.0 + max(0.0, -float(np.linalg.eigvalsh((h0 + h0.conj().T) / 2)[0]))
+
+
 def rg_dps2(rho: DensityMatrix, cut: Cut) -> MeasureResult:
     """Robustness-type bound from witnesses certified at extension level 2.
 
     Searches W <= I together with a certificate (H0, M1, M2 >= 0) that W
     is nonnegative on every state with a PPT 2-symmetric extension of the
     non-cut side, so the bound can be nonzero on PPT entangled states.
+    M1 lives on A (x) Sym^2(B) like the extension (DPS, PRA 69, 022308,
+    2004): the partial transpose on A commutes with the symmetric projector.
     """
     shape = rho.require_shape()
     cut.validate(shape)
@@ -429,55 +450,33 @@ def rg_dps2(rho: DensityMatrix, cut: Cut) -> MeasureResult:
         raise ValueError("need a bipartite state")
     if shape.total_dim > DPS2_DIM_CAP:
         raise ValueError(f"total dimension exceeds cap {DPS2_DIM_CAP}")
-    mat = rho.mat
-    dims = shape.local_dims
-    if cut.party_set == (1,):
-        mat = (
-            mat.reshape(dims * 2).transpose(1, 0, 3, 2).reshape(mat.shape)
-        )
-        dims = (dims[1], dims[0])
+    swap = cut.party_set == (1,)
+    dims = shape.local_dims[::-1] if swap else shape.local_dims
     a, b = dims
     dd = a * b
-    e_b = _sym_isometry(b)
-    ns = e_b.shape[1]
-    # isometry from A (x) sym^2(B) into the extension space A (x) B1 (x) B2
-    iso = np.kron(np.eye(a), e_b)
-    ds = a * ns
-    ext_dims = (a, b, b)
 
-    hs = HermitianSdp()
-    hs.add_psd_var("Sw", dd)
-    hs.add_psd_var("H0", ds)
-    hs.add_psd_var("M1", a * b * b)
-    hs.add_psd_var("M2", a * b * b)
-    hs.set_cost({"Sw": -mat})
+    def to_cut(mat, first):
+        # reorder so that the cut side comes first, or back
+        return mat.reshape(first * 2).transpose(1, 0, 3, 2).reshape(dd, dd) if swap else mat
+
+    # isometry from A (x) sym^2(B) into the extension space A (x) B1 (x) B2
+    iso = np.kron(np.eye(a), _sym_isometry(b))
+    ds = iso.shape[1]
+    ext = (a, b, b)
 
     def lift(e):
         return iso @ e @ iso.conj().T
 
-    def adj_sw(e):
-        full = lift(e)
-        return _ptrace_array(full, ext_dims, (0, 1))
-
-    def adj_m1(e):
-        return _pt_array(lift(e), ext_dims, (0,))
-
-    def adj_m2(e):
-        return _pt_array(lift(e), ext_dims, (2,))
-
-    hs.add_matrix_equality(
-        "cert",
-        {"Sw": adj_sw, "M1": adj_m1, "M2": adj_m2, "H0": lambda e: e},
-        np.eye(ds, dtype=complex),
-    )
-    sol = hs.solve()
-    s_mat = hs.value(sol, "Sw")
-    if cut.party_set == (1,):
-        s_mat = (
-            s_mat.reshape((b, a) * 2).transpose(1, 0, 3, 2).reshape(dd, dd)
-        )
-    w_op = HermitianMatrix(np.eye(dd) - s_mat, shape)
-    witness = Witness(op=w_op, kind=DPS2_CERTIFIED, bounds=(math.inf, 1.0),
-                      trace_norm_choice=OP_LEQ_I)
-    value = max(0.0, -hs_inner(w_op, rho))
-    return MeasureResult(value=value, tolerance=SDP_TOL, witness=witness)
+    terms = {
+        "Sw": lambda e: _ptrace_array(lift(e), ext, (0, 1)),
+        "H0": lambda e: e,
+        "M1": lambda e: iso.conj().T @ _pt_array(lift(e), ext, (0,)) @ iso,
+        "M2": lambda e: _pt_array(lift(e), ext, (2,)),
+    }
+    return _fit_witness(
+        rho, {"Sw": dd, "H0": ds, "M1": ds, "M2": a * b * b},
+        {"Sw": -to_cut(rho.mat, shape.local_dims)},
+        [(terms, np.eye(ds, dtype=complex))],
+        lambda blocks: -to_cut(blocks["Sw"], dims),
+        lambda blocks: _dps2_scale(blocks, a, b), offset=np.eye(dd),
+        kind=DPS2_CERTIFIED, bounds=(math.inf, 1.0), trace_norm_choice=OP_LEQ_I).result

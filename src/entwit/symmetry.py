@@ -11,9 +11,9 @@ import math
 import numpy as np
 
 from .linalg import Cut, HermitianMatrix, SystemShape, partial_transpose
-from .measures import MeasureResult
+from .measures import MeasureResult, _nm_box
 from .states import max_entangled
-from .witnesses import DECOMPOSABLE_BIPARTITE, OP_LEQ_I, Witness
+from .witnesses import DECOMPOSABLE_BIPARTITE, Witness
 
 LP_ATOL = 1e-11
 
@@ -60,12 +60,7 @@ def symmetric_witness_opt(d: int, p: float, n: float, m: float) -> MeasureResult
     """
     if d < 2 or not 0.0 <= p <= 1.0:
         raise ValueError("need d >= 2 and p in [0, 1]")
-    n = float(n)
-    m = float(m)
-    if math.isinf(n) and math.isinf(m):
-        raise ValueError("n and m cannot both be infinite")
-    if n < 0 or m <= 0:
-        raise ValueError("need n >= 0 and m > 0")
+    n, m, choice = _nm_box(n, m)
     f = p + (1.0 - p) / d**2
 
     cons = [((-1.0 / d, -1.0), 0.0), ((0.0, -1.0), 0.0)]
@@ -93,6 +88,6 @@ def symmetric_witness_opt(d: int, p: float, n: float, m: float) -> MeasureResult
         bounds=(n, m),
         parts=parts,
         cuts=[cut],
-        trace_norm_choice=OP_LEQ_I if (math.isinf(n) and m == 1.0) else None,
+        trace_norm_choice=choice,
     )
     return MeasureResult(value=value, tolerance=1e-12, witness=witness)

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from entwit.linalg import Cut, SystemShape
+from entwit import sdp
+from entwit.linalg import Cut, SystemShape, _pt_array
 from entwit.measures import (
+    _box_scale,
+    _dps2_h0,
+    _dps2_scale,
+    _rains_scale,
+    _ssr_scale,
+    _trace_scale,
     concurrence_2q,
     e_nm_ppt,
     isotropic_e_n1,
@@ -281,5 +288,105 @@ def test_dps2_cut_symmetry_and_cap():
     v0 = rg_dps2(rho, Cut([0])).value
     v1 = rg_dps2(rho, Cut([1])).value
     assert v0 == pytest.approx(v1, abs=1e-5)
+    # an entangled state with unequal local dims: the cut [1] witness must
+    # be mapped back to the 2 x 3 ordering to score it
+    psi = random_pure(6, 1, SystemShape([2, 3])).density()
+    v0 = rg_dps2(psi, Cut([0])).value
+    v1 = rg_dps2(psi, Cut([1]))
+    assert v0 > 0.5
+    assert v1.value == pytest.approx(v0, abs=1e-5)
+    assert evaluate(v1.witness, psi) == pytest.approx(-v1.value, abs=1e-12)
     with pytest.raises(ValueError):
         rg_dps2(random_density(16, 1, SystemShape([4, 4])), CUT_A)
+
+
+def test_dps2_fig7q_states_reach_optimal(monkeypatch):
+    # M1 lives on A (x) Sym^2(B), where the constraint map reaches; on the
+    # full A (x) B (x) B space these solves stalled short of optimality
+    statuses = []
+    solve = sdp.solve
+
+    def recording(prob, *args, **kwargs):
+        sol = solve(prob, *args, **kwargs)
+        statuses.append(sol.status)
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    shape = SystemShape([3, 3])
+    values = {}
+    for a in (0.3, 0.5):
+        for e in (0.95, 1.0):
+            mixed = e * horodecki_3x3(a).mat + (1.0 - e) * np.eye(9) / 9.0
+            values[a, e] = rg_dps2(DensityMatrix(mixed, shape), CUT_A).value
+    assert len(statuses) == 4
+    assert all(s is sdp.SdpStatus.OPTIMAL for s in statuses)
+    assert values[0.3, 1.0] == pytest.approx(0.0135987, abs=1e-6)
+
+
+def _push(w, target, sign=1.0):
+    """Rescale w by a positive factor so that its extreme eigenvalue on the
+    sign side becomes target."""
+    eigs = np.linalg.eigvalsh(w)
+    factor = target / (eigs[-1] if sign > 0 else eigs[0])
+    assert factor > 0
+    return w * factor
+
+
+def _psd(seed, d):
+    return random_density(d, seed).mat
+
+
+@pytest.mark.parametrize("n, m", [(1.0, 1.0), (math.inf, 1.0), (2.0, math.inf)])
+def test_box_repair_meets_bounds_exactly(n, m):
+    for seed in range(3):
+        w = _psd(seed, 4) - 2.0 * _pt_array(_psd(seed + 10, 4), (2, 2), (0,))
+        pushed = []
+        if math.isfinite(m):
+            pushed.append(_push(w, m + 1e-6))
+        if math.isfinite(n):
+            pushed.append(_push(w, -n - 1e-6, -1.0))
+        for wp in pushed:
+            eigs = np.linalg.eigvalsh(wp / _box_scale(wp, n, m))
+            assert eigs[-1] <= m + 1e-12
+            assert eigs[0] >= -n - 1e-12
+
+
+def test_trace_repair_is_exact():
+    for sign in (1.0, -1.0):
+        w = _psd(1, 6) + _pt_array(_psd(2, 6), (2, 3), (0,))
+        w = w * ((6.0 + sign * 1e-6) / np.trace(w).real)
+        assert np.trace(w / _trace_scale(w, 6)).real == pytest.approx(6.0, abs=1e-12)
+
+
+def test_rains_repair_meets_box_exactly():
+    d, dims = 2, (2, 2)
+    f = 0.8 * bell().mat + 0.2 * _psd(3, 4)
+    ft = _pt_array(f, dims, (0,))
+    pushed_ft = (_push(ft, 1.0 / d + 1e-6), _push(ft, -1.0 / d - 1e-6, -1.0))
+    for fp in (_push(f, 1.0 + 1e-6), *(_pt_array(x, dims, (0,)) for x in pushed_ft)):
+        fr = fp / _rains_scale(fp, dims, (0,), d)
+        frt = _pt_array(fr, dims, (0,))
+        assert np.linalg.eigvalsh(fr)[-1] <= 1.0 + 1e-12
+        assert np.linalg.eigvalsh(frt)[-1] <= 1.0 / d + 1e-12
+        assert np.linalg.eigvalsh(frt)[0] >= -1.0 / d - 1e-12
+
+
+def test_ssr_repair_keeps_diagonal_nonnegative():
+    s = _psd(4, 4)
+    s = s * ((1.0 + 1e-6) / np.diag(s).real.max())
+    g = np.eye(4) - s / _ssr_scale(s)
+    assert np.diag(g).real.min() >= -1e-12
+    assert _ssr_scale(0.5 * s) == 1.0
+
+
+def test_dps2_repair_makes_h0_psd():
+    for a, b in ((2, 2), (3, 3), (2, 3)):
+        ds = a * b * (b + 1) // 2
+        blocks = {"Sw": _psd(5, a * b), "M1": _psd(6, ds), "M2": _psd(7, a * b * b)}
+        lmap = np.eye(ds) - _dps2_h0(blocks, a, b)
+        t = (1.0 + 1e-6) / np.linalg.eigvalsh(lmap)[-1]
+        pushed = {k: t * v for k, v in blocks.items()}
+        assert np.linalg.eigvalsh(_dps2_h0(pushed, a, b))[0] == pytest.approx(-1e-6, abs=1e-12)
+        scale = _dps2_scale(pushed, a, b)
+        repaired = {k: v / scale for k, v in pushed.items()}
+        assert np.linalg.eigvalsh(_dps2_h0(repaired, a, b))[0] >= -1e-12

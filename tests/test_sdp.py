@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from entwit.sdp import (
     HermitianSdp,
     SdpProblem,
     SdpStatus,
+    SolverError,
     hermitian_basis,
     solve,
 )
@@ -205,6 +208,19 @@ def test_statuses():
     # starved iteration budget
     sol = solve(min_eig_problem(rand_sym(1, 6)), max_iter=2)
     assert sol.status is SdpStatus.ITERATION_LIMIT
+
+
+def test_builder_returns_only_optimal(monkeypatch):
+    hs = HermitianSdp()
+    hs.add_psd_var("x", 2)
+    hs.add_scalar_equality({"x": np.eye(2)}, 1.0)
+    hs.set_cost({"x": np.diag([1.0, 2.0])})
+    # a stall that ends within a tiny gap of the optimum is still no optimum
+    stalled = dataclasses.replace(hs.solve(), status=SdpStatus.ITERATION_LIMIT)
+    with monkeypatch.context() as mp:
+        mp.setattr(sdp, "solve", lambda prob, tol: stalled)
+        with pytest.raises(SolverError):
+            hs.solve()
 
 
 def test_history_records():
