@@ -101,25 +101,25 @@ def tensor(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
 
 
 def _pt_array(mat: np.ndarray, dims, parties) -> np.ndarray:
-    k = len(dims)
-    t = mat.reshape(tuple(dims) * 2)
+    """Partial transpose over the last two axes; leading axes are a stack."""
+    k, n = len(dims), mat.ndim - 2
+    t = mat.reshape(mat.shape[:n] + tuple(dims) * 2)
     for ax in parties:
-        t = np.swapaxes(t, ax, ax + k)
-    d = mat.shape[0]
-    return t.reshape(d, d)
+        t = np.swapaxes(t, n + ax, n + ax + k)
+    return t.reshape(mat.shape)
 
 
 def _ptrace_array(mat: np.ndarray, dims, keep) -> np.ndarray:
-    k = len(dims)
-    keep = sorted(keep)
-    t = mat.reshape(tuple(dims) * 2)
+    """Partial trace over the last two axes; leading axes are a stack."""
+    k, n = len(dims), mat.ndim - 2
+    t = mat.reshape(mat.shape[:n] + tuple(dims) * 2)
     traced = 0
     for ax in range(k):
         if ax not in keep:
-            t = np.trace(t, axis1=ax - traced, axis2=ax - traced + k - traced)
+            t = np.trace(t, axis1=n + ax - traced, axis2=n + ax - traced + k - traced)
             traced += 1
     d = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return t.reshape(d, d)
+    return t.reshape(mat.shape[:n] + (d, d))
 
 
 def partial_transpose(m: HermitianMatrix, cut: Cut) -> HermitianMatrix:

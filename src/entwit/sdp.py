@@ -9,9 +9,9 @@ with <A, X> = Re tr(AX), the real inner product on Hermitian matrices;
 real symmetric data is the special case with zero imaginary part. The
 search direction is the HKM/HRVW one with a Mehrotra predictor-corrector.
 
-Constraints are stored by coordinates, not as dense matrices: each A_ib is
-expanded once in the orthonormal Hermitian basis E_k of hermitian_basis,
-and only its nonzero coordinates are kept as (row, coordinate, value)
+Constraints are declared and stored by their coordinates in the
+orthonormal Hermitian basis E_k of hermitian_basis, never as dense
+matrices; only the nonzero ones are kept, as (row, coordinate, value)
 triplets. Every constraint the measures build has one to a few nonzero
 coordinates per row. A(X) and A^T(y) are then a gather and a scatter. The
 Schur matrix M_ij = Re tr(X A_i Z^-1 A_j) is assembled per block as
@@ -27,8 +27,9 @@ deterministic, so a rerun on the same inputs is bit-identical.
 solve reports OPTIMAL only when the residuals and the relative gap meet
 tol. A run whose barrier parameter stops shrinking at the double-precision
 floor ends ITERATION_LIMIT at its best point. The HermitianSdp builder
-assembles problems from matrix-valued equalities, returns only OPTIMAL
-solutions, and reads primal and dual matrices back from them.
+maps the basis of each equality's target space through every term's
+adjoint at once, returns only OPTIMAL solutions, and reads primal and dual
+matrices back from them.
 """
 
 from __future__ import annotations
@@ -130,6 +131,30 @@ def _smat(tab: _Basis, u: np.ndarray) -> np.ndarray:
     return mat.reshape(np.shape(u)[:-1] + (tab.nb, tab.nb))
 
 
+def _smat_rows(tab: _Basis, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows rows[i] of the Hermitian matrix sum_k u[i, k] E_k, for each i."""
+    f = rows[..., None] * tab.nb + np.arange(tab.nb)
+    i = np.arange(len(u))[:, None, None]
+    re, im = (u[i, tab.k_of[g]] * tab.coef[g] for g in (f, tab.n2 + f))
+    return re + 1j * im
+
+
+def _hermitian(mats, shape: tuple, what: str) -> np.ndarray:
+    """mats as a complex array; ValueError unless it has this shape and is Hermitian."""
+    mats = np.asarray(mats, dtype=complex)
+    if mats.shape != shape:
+        raise ValueError(f"{what} has shape {mats.shape}, not {shape}")
+    if mats.size and np.abs(mats - np.swapaxes(mats, -1, -2).conj()).max() > HERM_ATOL:
+        raise ValueError(f"{what} is not Hermitian")
+    return mats
+
+
+# add_schur forms its products for this many Schur columns at a time, so its
+# temporaries have one small size that the allocator reuses every iteration;
+# sized by the block they can be mapped from the OS and faulted in each time.
+SCHUR_SLICE = 64
+
+
 class _BlockRows:
     """One block's constraints as (row, coordinate, value) triplets.
 
@@ -154,8 +179,10 @@ class _BlockRows:
         rank = np.arange(rows.size) - np.searchsorted(rows, rows)
         order = np.lexsort((rows, rank))
         rows, cols, rank = rows[order], cols[order], rank[order]
-        mats = _smat(tab, block)
-        nonzero = mats.any(axis=2)
+        # the nonzero rows of A_i are the matrix rows its nonzero coordinates touch
+        nonzero = np.zeros((block.shape[0], tab.nb), dtype=bool)
+        i, k = np.nonzero(block)
+        nonzero[i[:, None], tab.at[:, k].T // (2 * tab.nb)] = True
         width = int(nonzero.sum(axis=1).max(initial=0))
         self.basis = tab
         self.lo = int(used[0]) if used.size else 0
@@ -163,7 +190,7 @@ class _BlockRows:
         self.rows, self.cols, self.vals = rows + self.lo, cols, block[rows, cols]
         self.later = [rows[rank == j] for j in range(1, int(rank.max(initial=0)) + 1)]
         self.nz_rows = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
-        self.row_vals = np.take_along_axis(mats, self.nz_rows[:, :, None], axis=1)
+        self.row_vals = _smat_rows(tab, block, self.nz_rows)
 
     def row_sums(self, t: np.ndarray) -> np.ndarray:
         """Sum the per-triplet rows of t into one row per constraint row.
@@ -186,13 +213,15 @@ class _BlockRows:
         """
         nb = self.basis.nb
         v = (self.row_vals.reshape(-1, nb) @ zi).reshape(self.row_vals.shape)
-        f = np.matmul(x[:, self.nz_rows].transpose(1, 0, 2), v)
-        # coordinates of X A_i Z^-1 at each triplet's coordinate, scaled in
-        # place: a fresh product array costs more
-        h = _svec(self.basis, f).T[self.cols]
-        h *= self.vals[:, None]
         span = slice(self.lo, self.lo + self.span)
-        out[span, span] += self.row_sums(h)
+        for j in range(0, self.span, SCHUR_SLICE):
+            cols = slice(j, min(j + SCHUR_SLICE, self.span))
+            f = np.matmul(x[:, self.nz_rows[cols]].transpose(1, 0, 2), v[cols])
+            # coordinates of X A_i Z^-1 at each triplet's coordinate, scaled
+            # in place: a fresh product array costs more
+            h = _svec(self.basis, f).T[self.cols]
+            h *= self.vals[:, None]
+            out[span, self.lo + cols.start : self.lo + cols.stop] += self.row_sums(h)
 
 
 class SdpProblem:
@@ -203,28 +232,29 @@ class SdpProblem:
     a_blocks: per block, an (m, nb, nb) array stacking the Hermitian
         constraint matrices; row i across all blocks forms one equality.
         It is kept only as the nonzero basis coordinates of each row
-        (a_rows, one _BlockRows per block).
+        (a_rows, one _BlockRows per block); HermitianSdp passes those
+        coordinates through _from_coords instead.
     b: right-hand side, length m.
     """
 
     def __init__(self, blocks, c_blocks, a_blocks, b):
+        coords = [_svec(_basis(nb), _hermitian(a, (np.size(b), nb, nb), "constraint block"))
+                  for nb, a in zip(map(int, blocks), a_blocks, strict=True)]
+        self._setup(blocks, c_blocks, coords, b)
+
+    @classmethod
+    def _from_coords(cls, blocks, c_blocks, coords, b) -> SdpProblem:
+        """The problem whose row i on block b has basis coordinates coords[b][i]."""
+        prob = cls.__new__(cls)
+        prob._setup(blocks, c_blocks, coords, b)
+        return prob
+
+    def _setup(self, blocks, c_blocks, coords, b):
         self.blocks = [int(n) for n in blocks]
         self.b = np.asarray(b, dtype=float).reshape(-1)
-        m = self.b.size
-        self.c_blocks = []
-        self.a_rows = []
-        for nb, c, a in zip(self.blocks, c_blocks, a_blocks, strict=True):
-            c = np.asarray(c, dtype=complex)
-            a = np.asarray(a, dtype=complex)
-            if c.shape != (nb, nb) or a.shape != (m, nb, nb):
-                raise ValueError("block data has inconsistent shapes")
-            if np.abs(c - c.conj().T).max(initial=0.0) > HERM_ATOL:
-                raise ValueError("cost block is not Hermitian")
-            if a.size and np.abs(a - a.conj().transpose(0, 2, 1)).max() > HERM_ATOL:
-                raise ValueError("constraint block is not Hermitian")
-            self.c_blocks.append(_herm(c))
-            tab = _basis(nb)
-            self.a_rows.append(_BlockRows(tab, _svec(tab, a)))
+        self.c_blocks = [_herm(_hermitian(c, (nb, nb), "cost block"))
+                         for nb, c in zip(self.blocks, c_blocks, strict=True)]
+        self.a_rows = [_BlockRows(_basis(nb), u) for nb, u in zip(self.blocks, coords, strict=True)]
         self._check_independence()
 
     def _check_independence(self):
@@ -283,9 +313,10 @@ def _adjoint(prob: SdpProblem, y: np.ndarray) -> list:
     ]
 
 
-def _schur(prob: SdpProblem, x, zi) -> np.ndarray:
-    """M_ij = sum_b Re tr(X_b A_ib Z_b^-1 A_jb); the Gram of A at X = Z = I."""
-    out = np.zeros((prob.m, prob.m))
+def _schur(prob: SdpProblem, x, zi, out=None) -> np.ndarray:
+    """M_ij = sum_b Re tr(X_b A_ib Z_b^-1 A_jb), in out if given; the Gram of A at X = Z = I."""
+    out = np.empty((prob.m, prob.m)) if out is None else out
+    out.fill(0.0)
     for blk, xb, zib in zip(prob.a_rows, x, zi):
         blk.add_schur(xb, zib, out)
     return out
@@ -332,6 +363,7 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
     x = [tau * np.eye(nb, dtype=complex) for nb in prob.blocks]
     z = [tau * np.eye(nb, dtype=complex) for nb in prob.blocks]
     y = np.zeros(m)
+    schur = np.empty((m, m))
 
     status = SdpStatus.ITERATION_LIMIT
     history = []
@@ -396,7 +428,7 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
             break
 
         zi = [_herm(np.linalg.inv(zb)) for zb in z]
-        schur = _schur(prob, x, zi)
+        _schur(prob, x, zi, schur)
 
         xrz = [xb @ r @ zib for xb, r, zib in zip(x, rd, zi)]
         rhs_aff = b + _apply(prob, xrz)
@@ -460,84 +492,67 @@ def hermitian_basis(d: int) -> list:
 class HermitianSdp:
     """Assembles complex Hermitian SDPs into the standard block form.
 
-    Variables are either PSD Hermitian matrices or nonnegative scalars;
-    each is one block, a scalar being a 1 x 1 block.
-    Matrix-valued equalities are expanded over an orthonormal Hermitian
-    basis of the target space; each expansion remembers its row range so
-    the matrix-shaped dual variable can be reassembled from y.
+    Every variable is one PSD Hermitian block, a nonnegative scalar a 1 x 1
+    block. Each equality is kept as the basis coordinates of its terms and
+    right-hand side; a matrix-valued one remembers its row range, so that
+    its matrix-shaped dual can be reassembled from y.
     """
 
     def __init__(self):
-        self._vars = {}
-        self._order = []
-        self._rows = []
-        self._rhs = []
+        self._blocks = {}  # variable -> block size, in declaration order
+        self._rows = []  # per equality: ({variable: coordinates of its rows}, rhs coordinates)
         self._cost = {}
         self._groups = {}
 
     def add_psd_var(self, name: str, dim: int):
-        if name in self._vars:
+        if name in self._blocks:
             raise ValueError(f"duplicate variable {name}")
-        self._vars[name] = ("herm", dim)
-        self._order.append(name)
+        self._blocks[name] = int(dim)
 
     def add_scalar_var(self, name: str):
-        if name in self._vars:
-            raise ValueError(f"duplicate variable {name}")
-        self._vars[name] = ("scalar", 1)
-        self._order.append(name)
+        """A nonnegative scalar: the same as add_psd_var(name, 1)."""
+        self.add_psd_var(name, 1)
+
+    def _size(self, name: str) -> int:
+        if name not in self._blocks:
+            raise ValueError(f"undeclared variable {name}")
+        return self._blocks[name]
+
+    def _coords(self, name: str, mats, rows: int) -> np.ndarray:
+        """Coordinates of a stack of rows Hermitian matrices on the block of name."""
+        nb = self._size(name)
+        return _svec(_basis(nb), _hermitian(mats, (rows, nb, nb), f"term of {name}"))
 
     def add_matrix_equality(self, group: str, terms: dict, rhs: np.ndarray):
         """sum_v L_v(X_v) = rhs over Hermitian matrices.
 
-        ``terms`` maps a matrix variable to the adjoint map e -> L_v*(e)
-        (a callable) and a scalar variable to its coefficient matrix G_v.
+        ``terms`` maps each variable to its adjoint map e -> L_v*(e), called
+        once on the stack of all basis matrices e of the target space.
         """
-        r = rhs.shape[0]
-        tab = _basis(r)
-        coords = {
-            name: _svec(tab, np.asarray(spec))
-            for name, spec in terms.items()
-            if self._vars[name][0] == "scalar"
-        }
-        start = len(self._rows)
-        for k, e in enumerate(tab.mats):
-            row = {}
-            for name, spec in terms.items():
-                row[name] = float(coords[name][k]) if name in coords else np.asarray(spec(e))
-            self._rows.append(row)
-        self._rhs.extend(_svec(tab, rhs).tolist())
-        self._groups[group] = (start, len(self._rows), r)
+        tab = _basis(np.shape(rhs)[0])
+        coords = {name: self._coords(name, adj(tab.mats), tab.n2) for name, adj in terms.items()}
+        start = sum(len(b) for _, b in self._rows)
+        self._rows.append((coords, _svec(tab, _hermitian(rhs, (tab.nb,) * 2, f"rhs of {group}"))))
+        self._groups[group] = (start, start + tab.n2, tab.nb)
 
     def add_scalar_equality(self, terms: dict, rhs: float):
-        """sum_v tr(G_v X_v) + sum scalars = rhs, one row."""
-        row = {}
-        for name, spec in terms.items():
-            kind, _ = self._vars[name]
-            if kind == "herm":
-                row[name] = np.asarray(spec)
-            else:
-                row[name] = float(spec)
-        self._rows.append(row)
-        self._rhs.append(float(rhs))
+        """sum_v tr(G_v X_v) = rhs, one row; G_v is a number for a 1 x 1 block."""
+        coords = {name: self._coords(name, np.atleast_2d(g)[None], 1) for name, g in terms.items()}
+        self._rows.append((coords, np.array([float(rhs)])))
 
     def set_cost(self, terms: dict):
-        self._cost = dict(terms)
+        self._cost = {name: np.reshape(c, (self._size(name),) * 2) for name, c in terms.items()}
 
     def build(self) -> SdpProblem:
-        m = len(self._rows)
-        blocks = [self._vars[name][1] for name in self._order]
-        c_blocks = []
-        a_blocks = []
-        for name, nb in zip(self._order, blocks):
-            cost = self._cost.get(name, np.zeros((nb, nb)))
-            c_blocks.append(np.reshape(cost, (nb, nb)))
-            a = np.zeros((m, nb, nb), dtype=complex)
-            for i, row in enumerate(self._rows):
-                if name in row:
-                    a[i] = np.reshape(row[name], (nb, nb))
-            a_blocks.append(a)
-        return SdpProblem(blocks, c_blocks, a_blocks, np.array(self._rhs))
+        b = np.concatenate([np.zeros(0)] + [rhs for _, rhs in self._rows])
+        coords = {name: np.zeros((b.size, nb * nb)) for name, nb in self._blocks.items()}
+        start = 0
+        for terms, rhs in self._rows:
+            for name, u in terms.items():
+                coords[name][start : start + rhs.size] = u
+            start += rhs.size
+        c_blocks = [self._cost.get(name, np.zeros((nb, nb))) for name, nb in self._blocks.items()]
+        return SdpProblem._from_coords(self._blocks.values(), c_blocks, coords.values(), b)
 
     def solve(self, tol: float = DEFAULT_TOL) -> SdpSolution:
         """Build and solve; return only an OPTIMAL solution.
@@ -550,18 +565,17 @@ class HermitianSdp:
             raise SolverError(f"solver ended with status {sol.status.value}")
         return sol
 
-    def _index(self, name: str) -> int:
-        return self._order.index(name)
+    def _block(self, blocks: list, name: str):
+        blk = blocks[list(self._blocks).index(name)]
+        return float(blk[0, 0].real) if blk.shape == (1, 1) else blk
 
     def value(self, sol: SdpSolution, name: str):
-        """Primal value of a variable: Hermitian matrix or scalar."""
-        xb = sol.x_blocks[self._index(name)]
-        return float(xb[0, 0].real) if self._vars[name][0] == "scalar" else xb
+        """Primal value of a variable: a float for a 1 x 1 block."""
+        return self._block(sol.x_blocks, name)
 
     def dual_slack(self, sol: SdpSolution, name: str):
-        """Hermitian dual slack of a matrix variable (or scalar slack)."""
-        zb = sol.z_blocks[self._index(name)]
-        return float(zb[0, 0].real) if self._vars[name][0] == "scalar" else zb
+        """Dual slack of a variable: a float for a 1 x 1 block."""
+        return self._block(sol.z_blocks, name)
 
     def dual_matrix(self, sol: SdpSolution, group: str) -> np.ndarray:
         """Matrix-shaped dual of an add_matrix_equality group."""

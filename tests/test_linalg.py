@@ -5,6 +5,8 @@ from entwit.linalg import (
     Cut,
     HermitianMatrix,
     SystemShape,
+    _pt_array,
+    _ptrace_array,
     eig_hermitian,
     hs_inner,
     identity,
@@ -108,6 +110,24 @@ def test_partial_trace_three_party():
     # tracing in two steps must agree with one step
     r0 = partial_trace(partial_trace(m, Cut([0, 2])), Cut([0]))
     assert np.allclose(r0.mat, partial_trace(m, Cut([0])).mat, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dims, parties, keep",
+    [((2, 3), (0,), (1,)), ((2, 2, 2), (0, 2), (1,)), ((2, 3, 3), (2,), (0, 1))],
+    ids=["2x3", "2x2x2", "dps2-ext"],
+)
+def test_stacked_partial_maps_match_per_matrix(dims, parties, keep):
+    # the SDP builder maps a whole stack of basis matrices at once; each
+    # slice must be bit for bit what the map gives the matrix on its own
+    rng = np.random.default_rng(17)
+    d = int(np.prod(dims))
+    stack = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
+    for fn, arg in ((_pt_array, parties), (_pt_array, (0,)), (_ptrace_array, keep)):
+        got = fn(stack, dims, arg)
+        want = np.array([[fn(m, dims, arg) for m in row] for row in stack])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_eig_hermitian_residuals():

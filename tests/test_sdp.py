@@ -5,7 +5,7 @@ import pytest
 
 from entwit import sdp
 from entwit.linalg import Cut, SystemShape, _pt_array
-from entwit.measures import e_nm_ppt
+from entwit.measures import e_nm_ppt, rains_fidelity, rg_dps2, rr_ppt, ssr_nonlocality
 from entwit.sdp import (
     HermitianSdp,
     SdpProblem,
@@ -113,30 +113,33 @@ def rand_pd(rng, d: int) -> np.ndarray:
     return g @ g.conj().T + 0.1 * np.eye(d)
 
 
-def reference_problem(seed: int):
-    """Dense stacks over blocks of sizes 4, 4, 3, 2, 1 with m = 27 rows.
+def reference_problem(seed: int, dims=(2, 2)):
+    """Dense stacks over blocks of sizes d, d, 3, 2, 1 with m = d^2 + 11 rows.
 
-    Rows 0-15 are +PT(E_k) on block 0 and -PT(E_k) on block 1 (one basis
-    coordinate each, as in e_nm_ppt); row 16 is the trace row on block 0;
-    rows 17-21 put four random basis coordinates on block 2 (as in DPS2);
-    rows 22-26 are dense random Hermitian on block 2 and random on the
-    1 x 1 block, except row 24 there. Block 3 has only zero rows.
+    For d = prod(dims) = 4: rows 0-15 are +PT(E_k) on block 0 and -PT(E_k)
+    on block 1 (one basis coordinate each, as in e_nm_ppt); row 16 is the
+    trace row on block 0; rows 17-21 put four random basis coordinates on
+    block 2 (as in DPS2); rows 22-26 are dense random Hermitian on block 2
+    and random on the 1 x 1 block, except row 24 there. Block 3 has only
+    zero rows. A larger d shifts the later rows down.
     """
     rng = np.random.default_rng(seed)
-    sizes = [4, 4, 3, 2, 1]
-    m = 27
+    d = int(np.prod(dims))
+    n2 = d * d
+    sizes = [d, d, 3, 2, 1]
+    m = n2 + 11
     a = [np.zeros((m, nb, nb), dtype=complex) for nb in sizes]
-    for k, e in enumerate(hermitian_basis(4)):
-        a[0][k] = _pt_array(e, (2, 2), (0,))
+    for k, e in enumerate(hermitian_basis(d)):
+        a[0][k] = _pt_array(e, dims, (0,))
         a[1][k] = -a[0][k]
-    a[0][16] = np.eye(4)
+    a[0][n2] = np.eye(d)
     basis3 = hermitian_basis(3)
-    for i in range(17, 22):
+    for i in range(n2 + 1, n2 + 6):
         for k in rng.choice(9, size=4, replace=False):
             a[2][i] += rng.standard_normal() * basis3[k]
-    for i in range(22, m):
+    for i in range(n2 + 6, m):
         a[2][i] = rand_herm(rng, 3)
-        a[4][i] = rng.standard_normal() if i != 24 else 0.0
+        a[4][i] = rng.standard_normal() if i != n2 + 8 else 0.0
     c = [rand_herm(rng, nb) for nb in sizes]
     return sizes, SdpProblem(sizes, c, a, rng.standard_normal(m)), a
 
@@ -145,11 +148,17 @@ def assert_close(got, want):
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sparse_operators_match_dense_formulas(seed):
-    sizes, prob, a = reference_problem(seed)
-    # each PT row is one basis coordinate +-1, the trace row four
-    assert [blk.rows.size for blk in prob.a_rows[:2]] == [20, 16]
+@pytest.mark.parametrize(
+    "seed, dims", [(0, (2, 2)), (1, (2, 2)), (2, (2, 2)), (3, (3, 3))],
+    ids=["0", "1", "2", "3x3"],
+)
+def test_sparse_operators_match_dense_formulas(seed, dims):
+    sizes, prob, a = reference_problem(seed, dims)
+    # each PT row is one basis coordinate +-1, the trace row d
+    d = sizes[0]
+    assert [blk.rows.size for blk in prob.a_rows[:2]] == [d * d + d, d * d]
+    # at 3x3 the Schur assembly of block 0 takes more than one slice
+    assert (prob.a_rows[0].span > sdp.SCHUR_SLICE) == (dims == (3, 3))
     assert np.allclose(np.abs(prob.a_rows[1].vals), 1.0, rtol=1e-15, atol=0)
     assert prob.a_rows[3].rows.size == 0
     rng = np.random.default_rng(100 + seed)
@@ -279,6 +288,99 @@ def test_builder_matrix_equality_and_duals():
     y_mat = hs.dual_matrix(sol, "pin")
     slack = hs.dual_slack(sol, "x")
     assert np.abs((np.eye(3) - y_mat) - slack).max() < 1e-6
+
+
+def test_builder_rejects_non_hermitian_data():
+    hs = HermitianSdp()
+    hs.add_psd_var("x", 2)
+    # pinning X to a non-Hermitian matrix has no solution; it must not be
+    # replaced by its Hermitian part
+    with pytest.raises(ValueError):
+        hs.add_matrix_equality("pin", {"x": lambda e: e}, np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        hs.add_matrix_equality("pin", {"x": lambda e: e @ np.diag([1.0, 2.0])}, np.eye(2))
+    with pytest.raises(ValueError):
+        hs.add_scalar_equality({"x": [[1.0, 1j], [1j, 1.0]]}, 1.0)
+
+
+def test_set_cost_rejects_undeclared_variable():
+    hs = HermitianSdp()
+    hs.add_psd_var("x", 1)
+    hs.add_scalar_equality({"x": 1.0}, 1.0)
+    with pytest.raises(ValueError):
+        hs.set_cost({"y": 1.0})
+
+
+class _Built(Exception):
+    """Stops a measure once its SDP is built."""
+
+
+def _bitwise(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _r23():
+    return random_density(6, 9, SystemShape((2, 3)))
+
+
+def _r22():
+    return random_density(4, 8, SystemShape((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda: e_nm_ppt(_r23(), [Cut([0])], 2.0, 1.0),
+        lambda: rr_ppt(_r23(), Cut([1])),
+        lambda: rains_fidelity(_r22(), Cut([0])),
+        lambda: ssr_nonlocality(_r22()),
+        lambda: rg_dps2(_r23(), Cut([1])),
+    ],
+    ids=["e_nm_ppt", "rr_ppt", "rains_fidelity", "ssr_nonlocality", "rg_dps2"],
+)
+def test_builder_rows_match_dense_adapter(monkeypatch, measure):
+    # the builder maps the stack of basis matrices once per term; the same
+    # maps applied one basis matrix at a time into dense constraint stacks
+    # must give bit for bit the same problem through SdpProblem
+    sizes, rows, built = {}, [], []
+    orig = {name: getattr(HermitianSdp, name)
+            for name in ("add_psd_var", "add_matrix_equality", "add_scalar_equality", "build")}
+
+    def add_psd_var(self, name, dim):
+        sizes[name] = dim
+        orig["add_psd_var"](self, name, dim)
+
+    def add_matrix_equality(self, group, terms, rhs):
+        rows.extend({name: adj(e) for name, adj in terms.items()}
+                    for e in hermitian_basis(rhs.shape[0]))
+        orig["add_matrix_equality"](self, group, terms, rhs)
+
+    def add_scalar_equality(self, terms, rhs):
+        rows.append({name: np.atleast_2d(g) for name, g in terms.items()})
+        orig["add_scalar_equality"](self, terms, rhs)
+
+    def build(self):
+        built.append(orig["build"](self))
+        raise _Built
+
+    for name, fn in (("add_psd_var", add_psd_var), ("add_matrix_equality", add_matrix_equality),
+                     ("add_scalar_equality", add_scalar_equality), ("build", build)):
+        monkeypatch.setattr(HermitianSdp, name, fn)
+    with pytest.raises(_Built):
+        measure()
+    prob = built[0]
+    a = []
+    for name, nb in sizes.items():
+        stack = np.zeros((len(rows), nb, nb), dtype=complex)
+        for i, row in enumerate(rows):
+            if name in row:
+                stack[i] = row[name]
+        a.append(stack)
+    dense = SdpProblem(list(sizes.values()), prob.c_blocks, a, prob.b)
+    assert prob.blocks == dense.blocks
+    for got, want in zip(prob.a_rows, dense.a_rows, strict=True):
+        for field_name in ("rows", "cols", "vals", "nz_rows", "row_vals"):
+            assert _bitwise(getattr(got, field_name), getattr(want, field_name)), field_name
 
 
 def test_builder_scalar_vars():
