@@ -50,22 +50,24 @@ from .witnesses import (
     DECOMPOSABLE_BIPARTITE,
     DECOMPOSABLE_MULTI,
     mc_product_check,
+    validate_bounds,
     validate_decomposable,
     witness_from_json,
     witness_to_json,
 )
 
-MEASURE_NAMES = (
-    "negativity",
-    "rg-ppt-closed",
-    "rg-ppt",
-    "e-nm-ppt",
-    "rr-ppt",
-    "rains",
-    "concurrence",
-    "ssr-nonlocality",
-    "rg-dps2",
-)
+# measure name -> fn(rho, cuts, n, m): the compute choices and their dispatch
+MEASURES = {
+    "negativity": lambda rho, cuts, n, m: negativity(rho, cuts[0]),
+    "rg-ppt-closed": lambda rho, cuts, n, m: rg_ppt_closed(rho, cuts[0]),
+    "rg-ppt": lambda rho, cuts, n, m: rg_ppt(rho, cuts[0]),
+    "e-nm-ppt": e_nm_ppt,
+    "rr-ppt": lambda rho, cuts, n, m: rr_ppt(rho, cuts[0]),
+    "rains": lambda rho, cuts, n, m: MeasureResult(rains_fidelity(rho, cuts[0]), SDP_TOL),
+    "concurrence": lambda rho, cuts, n, m: MeasureResult(concurrence_2q(rho), 1e-12),
+    "ssr-nonlocality": lambda rho, cuts, n, m: ssr_nonlocality(rho),
+    "rg-dps2": lambda rho, cuts, n, m: rg_dps2(rho, cuts[0]),
+}
 
 
 def _fmt(v) -> str:
@@ -120,32 +122,10 @@ def _load_state(path: str) -> DensityMatrix:
         return state_from_json(fh.read())
 
 
-def _run_measure(name: str, rho: DensityMatrix, cuts, n, m) -> MeasureResult:
-    if name == "negativity":
-        return negativity(rho, cuts[0])
-    if name == "rg-ppt-closed":
-        return rg_ppt_closed(rho, cuts[0])
-    if name == "rg-ppt":
-        return rg_ppt(rho, cuts[0])
-    if name == "e-nm-ppt":
-        return e_nm_ppt(rho, cuts, n, m)
-    if name == "rr-ppt":
-        return rr_ppt(rho, cuts[0])
-    if name == "rains":
-        return MeasureResult(rains_fidelity(rho, cuts[0]), SDP_TOL)
-    if name == "concurrence":
-        return MeasureResult(concurrence_2q(rho), 1e-12)
-    if name == "ssr-nonlocality":
-        return ssr_nonlocality(rho)
-    if name == "rg-dps2":
-        return rg_dps2(rho, cuts[0])
-    raise ValueError(f"unknown measure {name!r}")
-
-
 def cmd_compute(args) -> int:
     rho = _load_state(args.state)
     cuts = [_parse_cut(c) for c in (args.cut or ["0"])]
-    res = _run_measure(args.measure, rho, cuts, args.n, args.m)
+    res = MEASURES[args.measure](rho, cuts, args.n, args.m)
     doc = {"measure": args.measure, "value": res.value, "tolerance": res.tolerance}
     if args.witness_out:
         if res.witness is None:
@@ -193,22 +173,13 @@ def cmd_validate_witness(args) -> int:
         w = witness_from_json(fh.read())
     if w.kind in (DECOMPOSABLE_BIPARTITE, DECOMPOSABLE_MULTI) and w.parts:
         rep = validate_decomposable(w)
-        ok = rep.ok
-        violations = rep.violations
     else:
-        violations = []
-        n, m = w.bounds
-        eigs = np.linalg.eigvalsh(w.op.mat)
-        if math.isfinite(n):
-            violations.append(("lower bound", max(0.0, -float(eigs[0]) - n)))
-        if math.isfinite(m):
-            violations.append(("upper bound", max(0.0, float(eigs[-1]) - m)))
-        ok = all(v <= 1e-8 for _, v in violations)
+        rep = validate_bounds(w)
     doc = {
         "kind": w.kind,
-        "ok": bool(ok),
-        "worst": max((v for _, v in violations), default=0.0),
-        "violations": [[name, v] for name, v in violations],
+        "ok": bool(rep.ok),
+        "worst": rep.worst(),
+        "violations": [[name, v] for name, v in rep.violations],
         "product_min": None,
     }
     if args.mc_samples > 0:
@@ -344,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("compute", help="run one measure on a state file")
-    pc.add_argument("--measure", required=True, choices=MEASURE_NAMES)
+    pc.add_argument("--measure", required=True, choices=MEASURES)
     pc.add_argument("--state", required=True, help="state JSON file")
     pc.add_argument("--cut", action="append",
                     help="comma-separated party indices; repeatable")
@@ -432,7 +403,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, IndexError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,9 +11,10 @@ search direction is the HKM/HRVW one with a Mehrotra predictor-corrector.
 
 Constraints are declared and stored by their coordinates in the
 orthonormal Hermitian basis E_k of hermitian_basis, never as dense
-matrices; only the nonzero ones are kept, as (row, coordinate, value)
-triplets. Every constraint the measures build has one to a few nonzero
-coordinates per row. A(X) and A^T(y) are then a gather and a scatter. The
+matrices; only the nonzero ones are kept, per row as indices and values
+padded with zeros to the widest row of the block. Every constraint the
+measures build has one to a few nonzero coordinates per row. A(X) and
+A^T(y) are then a gather and a scatter. The
 Schur matrix M_ij = Re tr(X A_i Z^-1 A_j) is assembled per block as
 A_b H_b^T, where row i of H_b holds the coordinates of X A_i Z^-1; that
 product is formed from the few nonzero rows of A_i, first A_i Z^-1 and
@@ -149,6 +150,23 @@ def _hermitian(mats, shape: tuple, what: str) -> np.ndarray:
     return mats
 
 
+def _padded(mask: np.ndarray):
+    """Each row's True indices, ascending and zero-padded to the widest row
+    (one slot at least), and the mask of the slots that hold one."""
+    counts = mask.sum(axis=1)
+    real = np.arange(counts.max(initial=1)) < counts[:, None]
+    idx = np.zeros(real.shape, dtype=np.intp)
+    idx[real] = np.nonzero(mask)[1]
+    return idx, real
+
+
+def _slot_sum(t: np.ndarray) -> np.ndarray:
+    """t summed over its slot axis 1, slot by slot in place into t[:, 0]."""
+    for j in range(1, t.shape[1]):
+        t[:, 0] += t[:, j]
+    return t[:, 0]
+
+
 # add_schur forms its products for this many Schur columns at a time, so its
 # temporaries have one small size that the allocator reuses every iteration;
 # sized by the block they can be mapped from the OS and faulted in each time.
@@ -156,53 +174,33 @@ SCHUR_SLICE = 64
 
 
 class _BlockRows:
-    """One block's constraints as (row, coordinate, value) triplets.
+    """One block's constraints in a padded row layout.
 
-    Built from the (m, n2) basis coordinates of the block's rows. The block
-    covers the rows lo .. lo + span - 1. Its triplets come in layers: layer
-    0 holds the first triplet of every row in order, and layer j >= 1 the
-    (j + 1)-th triplet of the rows listed (relative to lo) in later[j - 1].
-    A row without a nonzero coordinate holds one zero triplet, so that a
-    row sum is layer 0 plus scattered adds.
-
-    For the Schur matrix each row i also keeps the nonzero rows of its
-    matrix A_i = sum_k a_ik E_k: their indices nz_rows[i] and entries
-    row_vals[i], padded with zero rows to the widest row.
+    Built from the (m, n2) basis coordinates of the block's rows; the block
+    covers the rows lo .. lo + span - 1. Row i (relative to lo) keeps its
+    nonzero coordinates as indices cols[i] and values vals[i], and the
+    nonzero rows of its matrix A_i = sum_k a_ik E_k, for the Schur matrix,
+    as indices nz_rows[i] and entries row_vals[i]. Both are padded with zero
+    indices and zero values to the widest row, so a row sum is a slot sum.
     """
 
     def __init__(self, tab: _Basis, coords: np.ndarray):
         used = np.flatnonzero(coords.any(axis=1))
         block = coords[used[0] : used[-1] + 1] if used.size else coords[:0]
         keep = block != 0
-        keep[~keep.any(axis=1), 0] = True
-        rows, cols = np.nonzero(keep)
-        rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-        order = np.lexsort((rows, rank))
-        rows, cols, rank = rows[order], cols[order], rank[order]
+        self.cols, real = _padded(keep)
+        self.vals = np.zeros(real.shape)
+        self.vals[real] = block[keep]
         # the nonzero rows of A_i are the matrix rows its nonzero coordinates touch
         nonzero = np.zeros((block.shape[0], tab.nb), dtype=bool)
-        i, k = np.nonzero(block)
+        i, k = np.nonzero(keep)
         nonzero[i[:, None], tab.at[:, k].T // (2 * tab.nb)] = True
-        width = int(nonzero.sum(axis=1).max(initial=0))
+        self.nz_rows, real = _padded(nonzero)
+        self.row_vals = _smat_rows(tab, block, self.nz_rows)
+        self.row_vals[~real] = 0.0
         self.basis = tab
         self.lo = int(used[0]) if used.size else 0
         self.span = block.shape[0]
-        self.rows, self.cols, self.vals = rows + self.lo, cols, block[rows, cols]
-        self.later = [rows[rank == j] for j in range(1, int(rank.max(initial=0)) + 1)]
-        self.nz_rows = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
-        self.row_vals = _smat_rows(tab, block, self.nz_rows)
-
-    def row_sums(self, t: np.ndarray) -> np.ndarray:
-        """Sum the per-triplet rows of t into one row per constraint row.
-
-        The result may share memory with t.
-        """
-        out = t[: self.span]
-        k = self.span
-        for pos in self.later:
-            out[pos] += t[k : k + pos.size]
-            k += pos.size
-        return out
 
     def add_schur(self, x: np.ndarray, zi: np.ndarray, out: np.ndarray) -> None:
         """out[i, j] += Re tr(X A_i Z^-1 A_j) over this block's rows.
@@ -217,11 +215,11 @@ class _BlockRows:
         for j in range(0, self.span, SCHUR_SLICE):
             cols = slice(j, min(j + SCHUR_SLICE, self.span))
             f = np.matmul(x[:, self.nz_rows[cols]].transpose(1, 0, 2), v[cols])
-            # coordinates of X A_i Z^-1 at each triplet's coordinate, scaled
-            # in place: a fresh product array costs more
+            # coordinates of X A_i Z^-1 at each slot's coordinate, scaled in
+            # place: a fresh product array costs more
             h = _svec(self.basis, f).T[self.cols]
-            h *= self.vals[:, None]
-            out[span, self.lo + cols.start : self.lo + cols.stop] += self.row_sums(h)
+            h *= self.vals[..., None]
+            out[span, self.lo + cols.start : self.lo + cols.stop] += _slot_sum(h)
 
 
 class SdpProblem:
@@ -300,17 +298,19 @@ def _apply(prob: SdpProblem, mats) -> np.ndarray:
     """A(X)_i = sum_b <A_ib, X_b>."""
     out = np.zeros(prob.m)
     for blk, w in zip(prob.a_rows, mats):
-        u = _svec(blk.basis, w)
-        out += np.bincount(blk.rows, blk.vals * u[blk.cols], minlength=prob.m)
+        t = blk.vals * _svec(blk.basis, w)[blk.cols]
+        out[blk.lo : blk.lo + blk.span] += _slot_sum(t)
     return out
 
 
 def _adjoint(prob: SdpProblem, y: np.ndarray) -> list:
-    """A^T(y)_b = sum_i y_i A_ib."""
-    return [
-        _smat(blk.basis, np.bincount(blk.cols, blk.vals * y[blk.rows], minlength=blk.basis.n2))
-        for blk in prob.a_rows
-    ]
+    """A^T(y)_b = sum_i y_i A_ib, summed slot layer by slot layer."""
+    out = []
+    for blk in prob.a_rows:
+        t = blk.vals.T * y[blk.lo : blk.lo + blk.span]
+        u = np.bincount(blk.cols.T.ravel(), t.ravel(), minlength=blk.basis.n2)
+        out.append(_smat(blk.basis, u))
+    return out
 
 
 def _schur(prob: SdpProblem, x, zi, out=None) -> np.ndarray:
@@ -326,13 +326,16 @@ def _herm(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def _max_step(s_blocks, ds_blocks) -> float:
-    """Largest t with S + t dS psd, via lambda_min(S^-1/2 dS S^-1/2)."""
+def _isqrt(s: np.ndarray) -> np.ndarray:
+    """A factor F with F F^H = S^-1 (S^-1/2 up to a unitary), eigenvalues floored."""
+    w, v = np.linalg.eigh(s)
+    return v / np.sqrt(np.maximum(w, w[-1] * 1e-15))
+
+
+def _max_step(isqrts, ds_blocks) -> float:
+    """Largest t with S + t dS psd, via lambda_min(S^-1/2 dS S^-1/2), given _isqrt(S)."""
     t = np.inf
-    for s, ds in zip(s_blocks, ds_blocks):
-        w, v = np.linalg.eigh(s)
-        w = np.maximum(w, w[-1] * 1e-15)
-        isqrt = v / np.sqrt(w)
+    for isqrt, ds in zip(isqrts, ds_blocks):
         lam = float(np.linalg.eigvalsh(_herm(isqrt.conj().T @ ds @ isqrt))[0])
         if lam < -1e-14:
             t = min(t, -1.0 / lam)
@@ -430,16 +433,17 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
         zi = [_herm(np.linalg.inv(zb)) for zb in z]
         _schur(prob, x, zi, schur)
 
-        xrz = [xb @ r @ zib for xb, r, zib in zip(x, rd, zi)]
-        rhs_aff = b + _apply(prob, xrz)
+        a_xrz = _apply(prob, [xb @ r @ zib for xb, r, zib in zip(x, rd, zi)])
+        x_isqrt, z_isqrt = [_isqrt(xb) for xb in x], [_isqrt(zb) for zb in z]
+        rhs_aff = b + a_xrz
         dy_aff = _solve_schur(schur, rhs_aff)
         ady_aff = _adjoint(prob, dy_aff)
         dz_aff = [r - a for r, a in zip(rd, ady_aff)]
         dx_aff = [
             _herm(-xb - xb @ dzb @ zib) for xb, dzb, zib in zip(x, dz_aff, zi)
         ]
-        ap_aff = min(1.0, _max_step(x, dx_aff))
-        ad_aff = min(1.0, _max_step(z, dz_aff))
+        ap_aff = min(1.0, _max_step(x_isqrt, dx_aff))
+        ad_aff = min(1.0, _max_step(z_isqrt, dz_aff))
         mu_aff = sum(
             _inner(xb + ap_aff * dxb, zb + ad_aff * dzb)
             for xb, dxb, zb, dzb in zip(x, dx_aff, z, dz_aff)
@@ -447,12 +451,7 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
         sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
 
         cross = [dxb @ dzb @ zib for dxb, dzb, zib in zip(dx_aff, dz_aff, zi)]
-        rhs = (
-            b
-            - sigma * mu * _apply(prob, zi)
-            + _apply(prob, xrz)
-            + _apply(prob, cross)
-        )
+        rhs = b - sigma * mu * _apply(prob, zi) + a_xrz + _apply(prob, cross)
         dy = _solve_schur(schur, rhs)
         ady2 = _adjoint(prob, dy)
         dz = [r - a for r, a in zip(rd, ady2)]
@@ -460,8 +459,8 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
             _herm(sigma * mu * zib - xb - xb @ dzb @ zib - cr)
             for zib, xb, dzb, cr in zip(zi, x, dz, cross)
         ]
-        ap = min(1.0, 0.98 * _max_step(x, dx))
-        ad = min(1.0, 0.98 * _max_step(z, dz))
+        ap = min(1.0, 0.98 * _max_step(x_isqrt, dx))
+        ad = min(1.0, 0.98 * _max_step(z_isqrt, dz))
         x = [xb + ap * dxb for xb, dxb in zip(x, dx)]
         y = y + ad * dy
         z = [zb + ad * dzb for zb, dzb in zip(z, dz)]

@@ -86,6 +86,16 @@ def validate_decomposable(w: Witness) -> ValidationReport:
         violations.append((f"Q[{i}] psd", max(0.0, -lo)))
         total += partial_transpose(q, cut).mat
     violations.append(("recomposition", float(np.abs(total - w.op.mat).max())))
+    return validate_bounds(w, violations)
+
+
+def validate_bounds(w: Witness, violations=()) -> ValidationReport:
+    """Check the spectrum of op against the bounds (n, m): -n <= eig <= m.
+
+    The report also carries the earlier violations given; it is ok when
+    none of them exceeds PART_ATOL.
+    """
+    violations = list(violations)
     n, m = w.bounds
     eigs = np.linalg.eigvalsh(w.op.mat)
     if math.isfinite(n):

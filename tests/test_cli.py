@@ -248,3 +248,11 @@ def test_exit_codes(tmp_path, capsys):
                "--state", str(tmp_path / "missing.json")])
     assert rc == 1
     capsys.readouterr()
+
+
+def test_compute_cut_out_of_range_is_bad_input(tmp_path, capsys):
+    st = tmp_path / "bell.json"
+    assert main(["gen-state", "--kind", "bell", "--d", "2", "--out", str(st)]) == 0
+    rc = main(["compute", "--measure", "negativity", "--state", str(st), "--cut", "5"])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == "error: cut index out of range"

@@ -156,11 +156,13 @@ def test_sparse_operators_match_dense_formulas(seed, dims):
     sizes, prob, a = reference_problem(seed, dims)
     # each PT row is one basis coordinate +-1, the trace row d
     d = sizes[0]
-    assert [blk.rows.size for blk in prob.a_rows[:2]] == [d * d + d, d * d]
+    assert [np.count_nonzero(blk.vals) for blk in prob.a_rows[:2]] == [d * d + d, d * d]
+    # the trace row makes block 0 d slots wide, so its row sums add slots
+    assert prob.a_rows[0].vals.shape[1] == d
     # at 3x3 the Schur assembly of block 0 takes more than one slice
     assert (prob.a_rows[0].span > sdp.SCHUR_SLICE) == (dims == (3, 3))
     assert np.allclose(np.abs(prob.a_rows[1].vals), 1.0, rtol=1e-15, atol=0)
-    assert prob.a_rows[3].rows.size == 0
+    assert not prob.a_rows[3].vals.any()
     rng = np.random.default_rng(100 + seed)
     x = [rand_pd(rng, nb) for nb in sizes]
     zi = [rand_pd(rng, nb) for nb in sizes]
@@ -379,7 +381,8 @@ def test_builder_rows_match_dense_adapter(monkeypatch, measure):
     dense = SdpProblem(list(sizes.values()), prob.c_blocks, a, prob.b)
     assert prob.blocks == dense.blocks
     for got, want in zip(prob.a_rows, dense.a_rows, strict=True):
-        for field_name in ("rows", "cols", "vals", "nz_rows", "row_vals"):
+        assert (got.lo, got.span) == (want.lo, want.span)
+        for field_name in ("cols", "vals", "nz_rows", "row_vals"):
             assert _bitwise(getattr(got, field_name), getattr(want, field_name)), field_name
 
 
