@@ -27,6 +27,7 @@ from .measures import (
     negativity,
     rains_fidelity,
     rg_dps2,
+    rg_from_negativity,
     rg_ppt,
     rg_ppt_closed,
     rr_ppt,
@@ -56,17 +57,18 @@ from .witnesses import (
     witness_to_json,
 )
 
-# measure name -> fn(rho, cuts, n, m): the compute choices and their dispatch
+# measure name -> (number of cuts it takes, None for one or more;
+#                  fn(rho, cuts, n, m)): the compute choices and their dispatch
 MEASURES = {
-    "negativity": lambda rho, cuts, n, m: negativity(rho, cuts[0]),
-    "rg-ppt-closed": lambda rho, cuts, n, m: rg_ppt_closed(rho, cuts[0]),
-    "rg-ppt": lambda rho, cuts, n, m: rg_ppt(rho, cuts[0]),
-    "e-nm-ppt": e_nm_ppt,
-    "rr-ppt": lambda rho, cuts, n, m: rr_ppt(rho, cuts[0]),
-    "rains": lambda rho, cuts, n, m: MeasureResult(rains_fidelity(rho, cuts[0]), SDP_TOL),
-    "concurrence": lambda rho, cuts, n, m: MeasureResult(concurrence_2q(rho), 1e-12),
-    "ssr-nonlocality": lambda rho, cuts, n, m: ssr_nonlocality(rho),
-    "rg-dps2": lambda rho, cuts, n, m: rg_dps2(rho, cuts[0]),
+    "negativity": (1, lambda rho, cuts, n, m: negativity(rho, cuts[0])),
+    "rg-ppt-closed": (1, lambda rho, cuts, n, m: rg_ppt_closed(rho, cuts[0])),
+    "rg-ppt": (1, lambda rho, cuts, n, m: rg_ppt(rho, cuts[0])),
+    "e-nm-ppt": (None, e_nm_ppt),
+    "rr-ppt": (1, lambda rho, cuts, n, m: rr_ppt(rho, cuts[0])),
+    "rains": (1, lambda rho, cuts, n, m: MeasureResult(rains_fidelity(rho, cuts[0]), SDP_TOL)),
+    "concurrence": (0, lambda rho, cuts, n, m: MeasureResult(concurrence_2q(rho), 1e-12)),
+    "ssr-nonlocality": (0, lambda rho, cuts, n, m: ssr_nonlocality(rho)),
+    "rg-dps2": (1, lambda rho, cuts, n, m: rg_dps2(rho, cuts[0])),
 }
 
 
@@ -123,9 +125,12 @@ def _load_state(path: str) -> DensityMatrix:
 
 
 def cmd_compute(args) -> int:
+    count, fn = MEASURES[args.measure]
+    texts = args.cut or (["0"] if count != 0 else [])
+    if count is not None and len(texts) != count:
+        raise ValueError(f"measure {args.measure!r} takes {count} --cut, got {len(texts)}")
     rho = _load_state(args.state)
-    cuts = [_parse_cut(c) for c in (args.cut or ["0"])]
-    res = MEASURES[args.measure](rho, cuts, args.n, args.m)
+    res = fn(rho, [_parse_cut(c) for c in texts], args.n, args.m)
     doc = {"measure": args.measure, "value": res.value, "tolerance": res.tolerance}
     if args.witness_out:
         if res.witness is None:
@@ -206,7 +211,8 @@ def cmd_fig56(args) -> int:
     rows = []
     for i in range(args.samples):
         rho = random_density(d1 * d2, np.random.SeedSequence((args.seed, i)), shape)
-        rows.append((negativity(rho, cut).value, rg_ppt_closed(rho, cut).value))
+        neg = negativity(rho, cut)
+        rows.append((neg.value, rg_from_negativity(neg).value))
     frac = float(np.mean([r <= 2.0 * n + 1e-12 for n, r in rows]))
     _emit_csv(args.out, config, ["negativity", "rg_ppt"], rows,
               trailing={"fraction_rg_le_2n": frac})

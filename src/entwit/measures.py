@@ -58,25 +58,18 @@ def _to_density(mat: np.ndarray, shape: SystemShape) -> DensityMatrix:
     return DensityMatrix((v * (w / tr)) @ v.conj().T, shape)
 
 
-def _neg_decomposition(rho: DensityMatrix, cut: Cut):
-    shape = rho.require_shape()
-    cut.validate(shape)
-    rt = partial_transpose(rho, cut)
-    w, v = eig_hermitian(rt)
-    neg = w < NEG_EIG_CUT
-    value = float(-w[neg].sum())
-    vn = v[:, neg]
-    proj = vn @ vn.conj().T
-    return value, HermitianMatrix(proj, shape)
-
-
 def negativity(rho: DensityMatrix, cut: Cut) -> MeasureResult:
     """Sum of |negative eigenvalues| of the partial transpose.
 
     The witness is the partially transposed projector onto the negative
     eigenspace; it reproduces the value exactly.
     """
-    value, proj = _neg_decomposition(rho, cut)
+    shape = rho.require_shape()
+    cut.validate(shape)
+    w, v = eig_hermitian(partial_transpose(rho, cut))
+    neg = w < NEG_EIG_CUT
+    vn = v[:, neg]
+    proj = HermitianMatrix(vn @ vn.conj().T, shape)
     witness = Witness(
         op=partial_transpose(proj, cut),
         kind=DECOMPOSABLE_BIPARTITE,
@@ -84,35 +77,38 @@ def negativity(rho: DensityMatrix, cut: Cut) -> MeasureResult:
         parts={"P": None, "Q": [proj]},
         cuts=[cut],
     )
-    return MeasureResult(value=value, tolerance=1e-12, witness=witness)
+    return MeasureResult(value=float(-w[neg].sum()), tolerance=1e-12, witness=witness)
+
+
+def rg_from_negativity(neg: MeasureResult) -> MeasureResult:
+    """The negativity witness scaled to lambda_max = 1, so that W <= I.
+
+    value = negativity / lambda_max(proj^{T_cut}), a certified robustness
+    lower bound. A state with no negative eigenvalue has the zero witness
+    and the value 0.
+    """
+    w = neg.witness
+    lam = float(np.linalg.eigvalsh(w.op.mat)[-1]) if neg.value else 1.0
+    shape = w.op.shape
+    witness = Witness(
+        op=HermitianMatrix(w.op.mat / lam, shape),
+        kind=DECOMPOSABLE_BIPARTITE,
+        bounds=(math.inf, 1.0),
+        parts={"P": None, "Q": [HermitianMatrix(q.mat / lam, shape) for q in w.parts["Q"]]},
+        cuts=list(w.cuts),
+        trace_norm_choice=OP_LEQ_I,
+    )
+    # abs: the negativity of a state with no negative eigenvalue is -0.0
+    return MeasureResult(value=abs(neg.value) / lam, tolerance=1e-12, witness=witness)
 
 
 def rg_ppt_closed(rho: DensityMatrix, cut: Cut) -> MeasureResult:
     """Certified robustness lower bound from the negative-eigenspace witness.
 
-    Scales that projector witness to satisfy W <= I and evaluates it:
-    value = negativity / lambda_max(proj^{T_cut}). Two eigendecompositions,
-    no SDP.
+    rg_from_negativity(negativity(rho, cut)): one eigh of rho^{T_cut} and
+    one eigvalsh of the witness, no SDP.
     """
-    nval, proj = _neg_decomposition(rho, cut)
-    shape = rho.require_shape()
-    if nval == 0.0:
-        zero = HermitianMatrix(np.zeros_like(rho.mat), shape)
-        w = Witness(op=zero, kind=DECOMPOSABLE_BIPARTITE, bounds=(math.inf, 1.0),
-                    parts={"P": None, "Q": [zero]}, cuts=[cut],
-                    trace_norm_choice=OP_LEQ_I)
-        return MeasureResult(value=0.0, tolerance=1e-12, witness=w)
-    op = partial_transpose(proj, cut)
-    lam = float(np.linalg.eigvalsh(op.mat)[-1])
-    witness = Witness(
-        op=HermitianMatrix(op.mat / lam, shape),
-        kind=DECOMPOSABLE_BIPARTITE,
-        bounds=(math.inf, 1.0),
-        parts={"P": None, "Q": [HermitianMatrix(proj.mat / lam, shape)]},
-        cuts=[cut],
-        trace_norm_choice=OP_LEQ_I,
-    )
-    return MeasureResult(value=nval / lam, tolerance=1e-12, witness=witness)
+    return rg_from_negativity(negativity(rho, cut))
 
 
 def _check_schmidt(cs) -> np.ndarray:

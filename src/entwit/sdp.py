@@ -25,12 +25,13 @@ cancels in A_i Z^-1, while forming the basis Gram of X (x) Z^-1 first would
 carry it into every entry. The Schur system itself is dense. Every step is
 deterministic, so a rerun on the same inputs is bit-identical.
 
-solve reports OPTIMAL only when the residuals and the relative gap meet
-tol. A run whose barrier parameter stops shrinking at the double-precision
-floor ends ITERATION_LIMIT at its best point. The HermitianSdp builder
-maps the basis of each equality's target space through every term's
-adjoint at once, returns only OPTIMAL solutions, and reads primal and dual
-matrices back from them.
+solve returns the iterate it stopped at. It reports OPTIMAL only when the
+residuals and the relative gap meet tol; the first iterate that meets tol
+is also the one with the smallest merit. A run whose barrier parameter
+stops shrinking at the double-precision floor ends ITERATION_LIMIT. The
+HermitianSdp builder maps the basis of each equality's target space
+through every term's adjoint at once, returns only OPTIMAL solutions, and
+reads primal and dual matrices back from them.
 """
 
 from __future__ import annotations
@@ -373,7 +374,6 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
     iterations = 0
     prev_mu = np.inf
     stall_count = 0
-    best = None
     best_merit = np.inf
     for k in range(max_iter + 1):
         conic = sum(_inner(xb, zb) for xb, zb in zip(x, z))
@@ -401,15 +401,13 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
         merit = max(
             rp_norm / (1.0 + norm_b), rd_norm / (1.0 + norm_c), rel_gap
         )
-        if merit < best_merit:
-            best_merit = merit
-            best = ([xb.copy() for xb in x], y.copy(), [zb.copy() for zb in z])
+        best_merit = min(best_merit, merit)
         res_ok = rp_norm <= tol * (1.0 + norm_b) and rd_norm <= tol * (1.0 + norm_c)
         if res_ok and rel_gap <= tol:
             status = SdpStatus.OPTIMAL
             break
         # Past the double-precision floor mu stops shrinking; further steps
-        # drift off the central path, so cut the run and keep the best point.
+        # drift off the central path, so cut the run.
         stall_count = stall_count + 1 if mu > 0.5 * prev_mu else 0
         prev_mu = mu
         if stall_count >= 3 and best_merit <= 1e-3:
@@ -465,11 +463,6 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
         y = y + ad * dy
         z = [zb + ad * dzb for zb, dzb in zip(z, dz)]
 
-    if status not in (SdpStatus.PRIMAL_INFEASIBLE, SdpStatus.DUAL_INFEASIBLE) and best:
-        x, y, z = best
-    conic = sum(_inner(xb, zb) for xb, zb in zip(x, z))
-    pobj = sum(_inner(c, xb) for c, xb in zip(prob.c_blocks, x))
-    dobj = float(b @ y)
     return SdpSolution(
         status=status,
         x_blocks=x,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from entwit import measures
 from entwit.cli import main
 from entwit.linalg import HermitianMatrix, SystemShape
 from entwit.states import state_from_json
@@ -120,6 +121,21 @@ def test_fig56_deterministic_across_workers(tmp_path):
     for neg, rg in rows:
         assert 0.0 <= float(rg) <= 2.0 * float(neg) + 1e-10
     assert float(trailing["fraction_rg_le_2n"]) == 1.0
+
+
+def test_fig56_decomposes_each_sample_once(tmp_path, monkeypatch):
+    calls = []
+    eig_hermitian = measures.eig_hermitian
+
+    def counting(m):
+        calls.append(m.dim)
+        return eig_hermitian(m)
+
+    monkeypatch.setattr(measures, "eig_hermitian", counting)
+    out = tmp_path / "f.csv"
+    argv = ["reproduce", "fig56", "--samples", "50", "--seed", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(calls) == 50
 
 
 def test_isotropic_reproduction_matches_closed_form(tmp_path):
@@ -256,3 +272,42 @@ def test_compute_cut_out_of_range_is_bad_input(tmp_path, capsys):
     rc = main(["compute", "--measure", "negativity", "--state", str(st), "--cut", "5"])
     assert rc == 1
     assert capsys.readouterr().err.strip() == "error: cut index out of range"
+
+
+def random_3q_state(tmp_path):
+    st = tmp_path / "r3.json"
+    assert main(["gen-state", "--kind", "random", "--dims", "2x2x2", "--seed", "4",
+                 "--out", str(st)]) == 0
+    return str(st)
+
+
+@pytest.mark.parametrize("measure,cuts", [
+    ("negativity", ["0", "1"]),
+    ("negativity", ["1", "0"]),
+    ("rg-ppt-closed", ["0", "1"]),
+    ("concurrence", ["0"]),
+    ("ssr-nonlocality", ["0"]),
+])
+def test_compute_rejects_wrong_cut_count(tmp_path, capsys, measure, cuts):
+    st = random_3q_state(tmp_path)
+    argv = ["compute", "--measure", measure, "--state", st]
+    for c in cuts:
+        argv += ["--cut", c]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: measure {measure!r} takes ")
+
+
+def test_compute_cut_count_defaults(tmp_path, capsys):
+    st = random_3q_state(tmp_path)
+    rc, out = run(capsys, "compute", "--measure", "negativity", "--state", st)
+    assert rc == 0
+    rc, out0 = run(capsys, "compute", "--measure", "negativity", "--state", st, "--cut", "0")
+    assert rc == 0
+    assert json.loads(out)["value"] == json.loads(out0)["value"]
+    # e-nm-ppt takes one or more cuts
+    rc, out = run(capsys, "compute", "--measure", "e-nm-ppt", "--state", st,
+                  "--cut", "0", "--cut", "1", "--n", "inf")
+    assert rc == 0
+    assert json.loads(out)["value"] >= 0.0

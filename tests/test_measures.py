@@ -36,7 +36,7 @@ from entwit.states import (
     schmidt,
     vc_ssr_state,
 )
-from entwit.witnesses import evaluate, validate_decomposable
+from entwit.witnesses import OP_LEQ_I, evaluate, validate_decomposable
 
 CUT_A = Cut([0])
 Q22 = SystemShape([2, 2])
@@ -68,7 +68,32 @@ def test_negativity_witness_reproduces_value():
 def test_negativity_zero_on_ppt():
     rho = isotropic(2, 1.0 / 3.0)
     assert negativity(rho, CUT_A).value == pytest.approx(0.0, abs=1e-12)
-    assert rg_ppt_closed(rho, CUT_A).value == 0.0
+    res = rg_ppt_closed(rho, CUT_A)
+    # +0.0, even though the negativity of this state is -0.0
+    assert res.value == 0.0 and math.copysign(1.0, res.value) == 1.0
+    w = res.witness
+    assert not np.any(w.op.mat)
+    assert [np.any(q.mat) for q in w.parts["Q"]] == [False]
+    assert w.bounds == (math.inf, 1.0) and w.trace_norm_choice == OP_LEQ_I
+
+
+def test_rg_ppt_closed_rescales_negativity():
+    seen = 0
+    for dims in ((2, 2), (2, 3), (3, 3)):
+        shape = SystemShape(dims)
+        for seed in range(8):
+            rho = random_density(shape.total_dim, seed, shape)
+            for cut in (CUT_A, Cut([1])):
+                neg = negativity(rho, cut)
+                if neg.value <= 0.0:
+                    continue
+                seen += 1
+                lam = np.linalg.eigvalsh(neg.witness.op.mat)[-1]
+                res = rg_ppt_closed(rho, cut)
+                assert res.value == neg.value / lam
+                assert np.linalg.eigvalsh(res.witness.op.mat)[-1] == pytest.approx(1.0, abs=1e-12)
+                assert res.witness.cuts == [cut]
+    assert seen >= 10
 
 
 def test_pure_coefficient_forms():

@@ -234,6 +234,14 @@ def test_builder_returns_only_optimal(monkeypatch):
             hs.solve()
 
 
+@pytest.mark.parametrize("max_iter", [sdp.MAX_ITER, 2])
+def test_solution_is_last_iterate(max_iter):
+    sol = solve(min_eig_problem(rand_sym(9, 4)), max_iter=max_iter)
+    last = sol.history[-1]
+    assert sol.status is (SdpStatus.OPTIMAL if max_iter > 2 else SdpStatus.ITERATION_LIMIT)
+    assert (sol.pobj, sol.dobj, sol.gap) == (last["pobj"], last["dobj"], last["conic"])
+
+
 def test_history_records():
     sol = solve(min_eig_problem(rand_sym(9, 4)))
     assert sol.history[0]["iter"] == 0
