@@ -56,21 +56,34 @@ class Cut:
             raise ValueError("cut must be a proper subset of the subsystems")
 
 
+def _herm_array(m: np.ndarray) -> np.ndarray:
+    """(m + m†)/2 over the last two axes; leading axes are a stack.
+
+    Rejects non-square input and a stack with any member whose
+    anti-Hermitian part exceeds ``HERM_ATOL`` in an entry.
+    """
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("entries must form a square matrix")
+    mh = m.conj().swapaxes(-1, -2)
+    asym = np.abs(m - mh).max() if m.size else 0.0
+    if asym > HERM_ATOL:
+        raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
+    return (m + mh) / 2
+
+
 class HermitianMatrix:
     """Dense complex Hermitian operator with optional subsystem shape.
 
     The constructor symmetrizes (m + m†)/2 and rejects inputs whose
-    anti-Hermitian part exceeds ``HERM_ATOL`` in any entry.
+    anti-Hermitian part exceeds ``HERM_ATOL`` in any entry: ``_herm_array``
+    on a single matrix.
     """
 
     def __init__(self, entries, shape: SystemShape | None = None):
         m = np.array(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim != 2:
             raise ValueError("entries must form a square matrix")
-        asym = np.abs(m - m.conj().T).max() if m.size else 0.0
-        if asym > HERM_ATOL:
-            raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
-        self.mat = (m + m.conj().T) / 2
+        self.mat = _herm_array(m)
         if shape is not None and shape.total_dim != m.shape[0]:
             raise ValueError("shape does not match matrix dimension")
         self.shape = shape
@@ -140,10 +153,16 @@ def partial_trace(m: HermitianMatrix, keep: Cut) -> HermitianMatrix:
     return HermitianMatrix(out, kept)
 
 
+def _eigh_array(mat: np.ndarray):
+    """Eigenvalues (descending) and matching eigenvector columns over the
+    last two axes; leading axes are a stack."""
+    w, v = np.linalg.eigh(mat)
+    return w[..., ::-1], v[..., ::-1]
+
+
 def eig_hermitian(m: HermitianMatrix):
     """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
-    w, v = np.linalg.eigh(m.mat)
-    return w[::-1].copy(), v[:, ::-1].copy()
+    return _eigh_array(m.mat)
 
 
 def trace_norm(m: HermitianMatrix) -> float:

@@ -16,11 +16,11 @@ from .linalg import (
     Cut,
     HermitianMatrix,
     SystemShape,
+    _eigh_array,
+    _herm_array,
     _pt_array,
     _ptrace_array,
-    eig_hermitian,
     hs_inner,
-    partial_transpose,
 )
 from .sdp import HermitianSdp
 from .states import DensityMatrix
@@ -58,26 +58,58 @@ def _to_density(mat: np.ndarray, shape: SystemShape) -> DensityMatrix:
     return DensityMatrix((v * (w / tr)) @ v.conj().T, shape)
 
 
+def negativity_stack(rhos: np.ndarray, dims, parties):
+    """The negative-eigenspace witness of each state of a stack (last two axes).
+
+    Returns per state the negativity N (the sum of |negative eigenvalues|
+    of rho^{T_parties}), the projector P onto that eigenspace, P^{T_parties}
+    and its lambda_max (1 for a state with no negative eigenvalue). N is
+    -0.0 for such a state. States with k negative eigenvalues are handled
+    as one group: their eigenvectors are the last k columns, so each P is
+    a (d, k) @ (k, d) product, as for a single state.
+    """
+    w, v = _eigh_array(_pt_array(rhos, dims, parties))
+    count, d = w.shape
+    ks = (w < NEG_EIG_CUT).sum(axis=1)
+    value = np.empty(count)
+    proj = np.empty((count, d, d), dtype=complex)
+    for k in set(ks.tolist()):
+        group = np.flatnonzero(ks == k)
+        value[group] = -w[group, d - k:].sum(axis=1)
+        vn = v[group, :, d - k:]
+        proj[group] = vn @ vn.conj().swapaxes(-1, -2)
+    proj = _herm_array(proj)
+    proj_pt = _pt_array(proj, dims, parties)
+    return value, proj, proj_pt, _lambda_max(proj_pt, value)
+
+
+def _lambda_max(ops: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """lambda_max of each op of a stack, and 1 where value is 0 (zero op)."""
+    lam = np.ones(len(ops))
+    nonzero = value != 0
+    if nonzero.any():
+        lam[nonzero] = np.linalg.eigvalsh(ops[nonzero])[:, -1]
+    return lam
+
+
 def negativity(rho: DensityMatrix, cut: Cut) -> MeasureResult:
     """Sum of |negative eigenvalues| of the partial transpose.
 
     The witness is the partially transposed projector onto the negative
-    eigenspace; it reproduces the value exactly.
+    eigenspace; it reproduces the value exactly. ``negativity_stack`` on
+    a stack of one.
     """
     shape = rho.require_shape()
     cut.validate(shape)
-    w, v = eig_hermitian(partial_transpose(rho, cut))
-    neg = w < NEG_EIG_CUT
-    vn = v[:, neg]
-    proj = HermitianMatrix(vn @ vn.conj().T, shape)
+    value, proj, proj_pt, _ = negativity_stack(rho.mat[None], shape.local_dims, cut.party_set)
     witness = Witness(
-        op=partial_transpose(proj, cut),
+        op=HermitianMatrix(proj_pt[0], shape),
         kind=DECOMPOSABLE_BIPARTITE,
         bounds=(math.inf, math.inf),
-        parts={"P": None, "Q": [proj]},
+        parts={"P": None, "Q": [HermitianMatrix(proj[0], shape)]},
         cuts=[cut],
     )
-    return MeasureResult(value=float(-w[neg].sum()), tolerance=1e-12, witness=witness)
+    return MeasureResult(value=float(value[0]), tolerance=1e-12, witness=witness)
 
 
 def rg_from_negativity(neg: MeasureResult) -> MeasureResult:
@@ -88,7 +120,7 @@ def rg_from_negativity(neg: MeasureResult) -> MeasureResult:
     and the value 0.
     """
     w = neg.witness
-    lam = float(np.linalg.eigvalsh(w.op.mat)[-1]) if neg.value else 1.0
+    lam = float(_lambda_max(w.op.mat[None], np.array([neg.value]))[0])
     shape = w.op.shape
     witness = Witness(
         op=HermitianMatrix(w.op.mat / lam, shape),
@@ -140,7 +172,7 @@ def isotropic_e_n1(d: int, p: float, n: float) -> float:
     max{0, min(n/(d-1), 1) * (d p + (1-p)/d - 1)}: linear growth in n up
     to n = d-1, constant beyond.
     """
-    if d < 2 or not 0.0 <= p <= 1.0 or n < 0:
+    if d < 2 or not 0.0 <= p <= 1.0 or not n >= 0:
         raise ValueError("need d >= 2, p in [0,1], n >= 0")
     slope = min(n / (d - 1), 1.0)
     return max(0.0, slope * (d * p + (1.0 - p) / d - 1.0))
@@ -151,7 +183,7 @@ def _nm_box(n, m) -> tuple:
     n, m = float(n), float(m)
     if math.isinf(n) and math.isinf(m):
         raise ValueError("n and m cannot both be infinite")
-    if n < 0 or m <= 0:
+    if not (n >= 0 and m > 0):
         raise ValueError("need n >= 0 and m > 0")
     return n, m, OP_LEQ_I if (math.isinf(n) and m == 1.0) else None
 

@@ -194,8 +194,10 @@ def thermal_table(c, m, coupling: float, field: float, betas) -> ThermalTable:
     max-shift as ``states.thermal``.
     """
     betas = np.asarray(betas, dtype=float)
-    if np.any(betas < 0):
-        raise ValueError("beta must be nonnegative")
+    if not np.all(np.isfinite(betas) & (betas >= 0)):
+        raise ValueError("beta must be finite and nonnegative")
+    if not (np.isfinite(coupling) and np.isfinite(field)):
+        raise ValueError("J and B must be finite")
     e = coupling * c + field * m
     w = np.exp(-np.outer(betas, e - e.min()))
     w /= w.sum(axis=1, keepdims=True)

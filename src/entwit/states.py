@@ -6,10 +6,23 @@ import json
 
 import numpy as np
 
-from .linalg import Cut, HermitianMatrix, SystemShape, partial_trace
+from .linalg import Cut, HermitianMatrix, SystemShape, _herm_array, partial_trace
 
 EIG_ATOL = 1e-10
 TRACE_ATOL = 1e-10
+
+
+def _check_density(m: np.ndarray) -> None:
+    """Reject a stack of Hermitian matrices (last two axes) with any member
+    whose trace is off 1 or whose spectrum dips below zero, each beyond
+    its tolerance."""
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0) > TRACE_ATOL
+    if off.any():
+        raise ValueError(f"trace {tr[off].flat[0]!r} is not 1")
+    lo = np.linalg.eigvalsh(m)[..., 0].min()
+    if lo < -EIG_ATOL:
+        raise ValueError(f"negative eigenvalue {lo:.3e}")
 
 
 class DensityMatrix(HermitianMatrix):
@@ -17,12 +30,7 @@ class DensityMatrix(HermitianMatrix):
 
     def __init__(self, entries, shape: SystemShape | None = None):
         super().__init__(entries, shape)
-        tr = np.trace(self.mat).real
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace {tr!r} is not 1")
-        lo = np.linalg.eigvalsh(self.mat)[0]
-        if lo < -EIG_ATOL:
-            raise ValueError(f"negative eigenvalue {lo:.3e}")
+        _check_density(self.mat)
 
 
 class PureState:
@@ -107,15 +115,26 @@ def vc_ssr_state() -> DensityMatrix:
     return DensityMatrix(m, SystemShape([2, 2]))
 
 
-def random_density(d: int, seed, shape: SystemShape | None = None) -> DensityMatrix:
-    """Hilbert-Schmidt random state: G G† / tr for a d x d Ginibre G.
+def random_densities(d: int, seeds) -> np.ndarray:
+    """Stack of Hilbert-Schmidt random states G G† / tr, one per seed.
 
-    ``seed`` is anything ``default_rng`` accepts (int or SeedSequence).
+    Each d x d Ginibre G draws from its own ``default_rng(seed)``; a seed
+    is anything ``default_rng`` accepts (int or SeedSequence). The stack
+    passes the checks of ``DensityMatrix``.
     """
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real, shape or SystemShape([d]))
+    g = np.empty((len(seeds), d, d), dtype=complex)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        g[i] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = g @ g.conj().swapaxes(-1, -2)
+    m = _herm_array(m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None])
+    _check_density(m)
+    return m
+
+
+def random_density(d: int, seed, shape: SystemShape | None = None) -> DensityMatrix:
+    """Hilbert-Schmidt random state: ``random_densities`` for one seed."""
+    return DensityMatrix(random_densities(d, [seed])[0], shape or SystemShape([d]))
 
 
 def random_pure(d: int, seed, shape: SystemShape | None = None) -> PureState:

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from entwit import measures
+from entwit import __version__, cli, measures
 from entwit.cli import main
-from entwit.linalg import HermitianMatrix, SystemShape
-from entwit.states import state_from_json
+from entwit.linalg import Cut, HermitianMatrix, SystemShape
+from entwit.measures import negativity, rg_from_negativity
+from entwit.states import random_density, state_from_json
 from entwit.witnesses import SSR_DIAGONAL, Witness, witness_to_json
 
 
@@ -124,18 +125,76 @@ def test_fig56_deterministic_across_workers(tmp_path):
 
 
 def test_fig56_decomposes_each_sample_once(tmp_path, monkeypatch):
-    calls = []
-    eig_hermitian = measures.eig_hermitian
+    sizes = []
+    eigh_array = measures._eigh_array
 
-    def counting(m):
-        calls.append(m.dim)
-        return eig_hermitian(m)
+    def counting(mat):
+        sizes.append(len(mat))
+        return eigh_array(mat)
 
-    monkeypatch.setattr(measures, "eig_hermitian", counting)
+    monkeypatch.setattr(measures, "_eigh_array", counting)
     out = tmp_path / "f.csv"
     argv = ["reproduce", "fig56", "--samples", "50", "--seed", "2", "--out", str(out)]
     assert main(argv) == 0
-    assert len(calls) == 50
+    assert sum(sizes) == 50
+
+
+def fig56_per_sample_csv(d1, d2, samples, seed):
+    """The fig56 CSV composed state by state from the single-state API."""
+    shape = SystemShape((d1, d2))
+    rows, ranks = [], set()
+    for i in range(samples):
+        rho = random_density(d1 * d2, np.random.SeedSequence((seed, i)), shape)
+        neg = negativity(rho, Cut([0]))
+        rows.append((neg.value, rg_from_negativity(neg).value))
+        ranks.add(round(np.trace(neg.witness.parts["Q"][0].mat).real))
+    frac = float(np.mean([r <= 2.0 * n + 1e-12 for n, r in rows]))
+    config = {"command": "fig56", "dim": d1, "dim2": d2, "samples": samples, "seed": seed}
+    lines = [f"# version={__version__} seed={seed} config={cli._config_hash(config)}",
+             "negativity,rg_ppt",
+             *(f"{cli._fmt(n)},{cli._fmt(r)}" for n, r in rows),
+             f"# fraction_rg_le_2n={cli._fmt(frac)}"]
+    return ("\n".join(lines) + "\n").encode(), ranks
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_fig56_chunks_match_per_sample_composition(tmp_path, dims, extra):
+    samples, seed = cli.FIG56_CHUNK + extra, 5
+    out = tmp_path / "f.csv"
+    assert main(["reproduce", "fig56", "--dim", str(dims[0]), "--dim2", str(dims[1]),
+                 "--samples", str(samples), "--seed", str(seed), "--out", str(out)]) == 0
+    want, ranks = fig56_per_sample_csv(*dims, samples, seed)
+    assert out.read_bytes() == want
+    # each run mixes negative-eigenspace ranks k; 3x3 reaches k >= 2
+    assert len(ranks) > 1
+    assert max(ranks) >= (2 if dims == (3, 3) else 1)
+
+
+def test_fig56_zero_dim2_is_bad_input(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert main(["reproduce", "fig56", "--dim", "2", "--dim2", "0", "--seed", "1",
+                 "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "example1", "--q-count", "2", "--n-list", "nan"],
+    ["reproduce", "example1", "--q-count", "2", "--n-list", "1,nan"],
+    ["compute", "--measure", "e-nm-ppt", "--n", "nan"],
+    ["compute", "--measure", "e-nm-ppt", "--m", "nan"],
+])
+def test_nan_box_is_bad_input(tmp_path, capsys, argv):
+    st = tmp_path / "bell.json"
+    assert main(["gen-state", "--kind", "bell", "--d", "2", "--out", str(st)]) == 0
+    out = tmp_path / "o.csv"
+    extra = ["--state", str(st)] if argv[0] == "compute" else ["--out", str(out)]
+    assert main(argv + extra) == 1
+    captured = capsys.readouterr()
+    assert "error: need n >= 0 and m > 0" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_isotropic_reproduction_matches_closed_form(tmp_path):
@@ -197,7 +256,8 @@ def test_heisenberg_rows_pinned(tmp_path, flags):
             assert abs(float(g) - float(r)) <= 1e-12 * (1 + abs(float(r))), (beta, g, r)
 
 
-@pytest.mark.parametrize("flags", [("--J", "0"), ("--beta-grid", "-1:1:3")])
+@pytest.mark.parametrize("flags", [("--J", "0"), ("--beta-grid", "-1:1:3"), ("--B", "nan"),
+                                   ("--J", "inf"), ("--beta-grid", "0:inf:3")])
 def test_heisenberg_bad_input_writes_nothing(tmp_path, capsys, flags):
     out = tmp_path / "h.csv"
     assert main(["reproduce", "heisenberg", *flags, "--out", str(out)]) == 1

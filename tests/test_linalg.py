@@ -5,6 +5,7 @@ from entwit.linalg import (
     Cut,
     HermitianMatrix,
     SystemShape,
+    _herm_array,
     _pt_array,
     _ptrace_array,
     eig_hermitian,
@@ -49,6 +50,20 @@ def test_hermitian_reject():
     assert np.allclose(m.mat, m.mat.conj().T)
     with pytest.raises(ValueError):
         HermitianMatrix(np.eye(3), SystemShape([2, 2]))
+
+
+def test_stacked_hermitian_check_rejects_one_bad_member():
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    stack = g + g.conj().swapaxes(-1, -2) + 1e-12 * g
+    got = _herm_array(stack)
+    want = np.array([HermitianMatrix(m).mat for m in stack])
+    assert got.tobytes() == want.tobytes()
+    stack[3, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        _herm_array(stack)
+    with pytest.raises(ValueError, match="square"):
+        _herm_array(np.zeros((5, 3, 2)))
 
 
 def test_tensor_and_identity():

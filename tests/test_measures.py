@@ -146,6 +146,8 @@ def test_isotropic_closed_form_pins():
         isotropic_e_n1(1, 0.5, 1.0)
     with pytest.raises(ValueError):
         isotropic_e_n1(3, 1.5, 1.0)
+    with pytest.raises(ValueError):
+        isotropic_e_n1(2, 0.5, math.nan)
 
 
 def test_isotropic_sdp_matches_closed_form():
@@ -165,6 +167,9 @@ def test_e_nm_input_validation():
         e_nm_ppt(rho, [CUT_A], -1.0, 1.0)
     with pytest.raises(ValueError):
         e_nm_ppt(rho, [CUT_A], 1.0, 0.0)
+    for n, m in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.inf)):
+        with pytest.raises(ValueError):
+            e_nm_ppt(rho, [CUT_A], n, m)
 
 
 def test_e_nm_zero_n_short_circuit():

@@ -235,6 +235,10 @@ def test_spectrum_and_table_reject_bad_input():
     c, m = chain_spectrum(4, True)
     with pytest.raises(ValueError):
         thermal_table(c, m, 1.0, 0.0, [0.0, -0.5])
+    for coupling, field, beta in ((1.0, 0.0, np.inf), (1.0, 0.0, np.nan), (np.nan, 0.0, 1.0),
+                                  (1.0, np.nan, 1.0), (np.inf, 0.0, 1.0), (1.0, -np.inf, 1.0)):
+        with pytest.raises(ValueError):
+            thermal_table(c, m, coupling, field, [0.0, beta])
     with pytest.raises(ValueError):
         thermal_table(c, m, 0.0, 0.0, [1.0]).estimate
     with pytest.raises(ValueError):

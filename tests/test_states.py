@@ -4,10 +4,12 @@ import pytest
 from entwit.linalg import Cut, SystemShape, partial_transpose, trace_norm
 from entwit.states import (
     DensityMatrix,
+    _check_density,
     PureState,
     horodecki_3x3,
     isotropic,
     max_entangled,
+    random_densities,
     random_density,
     random_pure,
     rng_stream,
@@ -27,6 +29,13 @@ def test_density_validation():
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]))
     DensityMatrix(np.diag([0.5, 0.5]))
+    good = np.array([np.diag([0.5, 0.5]), np.diag([1.0, 0.0]), np.eye(2) / 2])
+    _check_density(good)
+    for bad in (np.eye(2), np.diag([1.5, -0.5])):
+        stack = good.copy()
+        stack[1] = bad
+        with pytest.raises(ValueError):
+            _check_density(stack)
 
 
 def test_pure_state_validation():
@@ -89,6 +98,15 @@ def test_random_density_determinism():
     c = random_density(4, 8, SystemShape([2, 2]))
     assert np.array_equal(a.mat, b.mat)
     assert not np.allclose(a.mat, c.mat)
+
+
+def test_random_densities_stack_the_single_draws():
+    seeds = [np.random.SeedSequence((3, i)) for i in range(7)] + [11, 12]
+    for shape in (SystemShape([2, 2]), SystemShape([2, 3]), SystemShape([3, 3])):
+        d = shape.total_dim
+        stack = random_densities(d, seeds)
+        singles = [random_density(d, s, shape).mat for s in seeds]
+        assert stack.tobytes() == np.array(singles).tobytes()
 
 
 def test_random_density_hs_purity():

@@ -102,3 +102,6 @@ def test_lp_input_validation():
         symmetric_witness_opt(3, 0.5, math.inf, math.inf)
     with pytest.raises(ValueError):
         symmetric_witness_opt(3, 0.5, -1.0, 1.0)
+    for n, m in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            symmetric_witness_opt(3, 0.5, n, m)
