@@ -112,8 +112,15 @@ def _parse_cut(text: str) -> Cut:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    start, stop, count = text.split(":")
-    return np.linspace(float(start), float(stop), int(count))
+    """start:stop:count, evenly spaced; finite bounds and count >= 1."""
+    try:
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise ValueError(f"grid {text!r} is not start:stop:count") from None
+    if not (math.isfinite(start) and math.isfinite(stop) and count >= 1):
+        raise ValueError(f"grid {text!r} needs finite bounds and a count of at least 1")
+    return np.linspace(start, stop, count)
 
 
 def _parse_floats(text: str) -> list:

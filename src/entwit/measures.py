@@ -2,7 +2,10 @@
 
 Every SDP-backed value comes from one skeleton, _fit_witness, which scales
 the solved witness until it is exactly feasible, so values never exceed the
-true optimum.
+true optimum. One rule repairs every measure: each equality reads
+slack + (other terms) = c I, c > 0, and the other terms are divided by
+s = max(1, lambda_max(their image) / c) (Jansson, Chaykin and Keil, SIAM J.
+Numer. Anal. 46, 180, 2007); a lone scalar row with no slack gets image / rhs.
 """
 
 from __future__ import annotations
@@ -198,28 +201,44 @@ class _Fit:
     scale: float
 
 
+def _identity_multiple(rhs) -> float:
+    """c for rhs = c I (a scalar rhs: c itself) with c > 0, else ValueError."""
+    mat = np.atleast_2d(rhs)
+    c = float(mat[0, 0].real)
+    if not (c > 0 and np.array_equal(mat, c * np.eye(len(mat)))):
+        raise ValueError("an equality's rhs must be c I with c > 0")
+    return c
+
+
 def _fit_witness(rho: DensityMatrix, variables: dict, cost: dict, equalities: list,
-                 linear, repair, offset=None, **fields) -> _Fit:
+                 linear, offset=None, **fields) -> _Fit:
     """Build, solve, repair and report one witness SDP.
 
     variables maps names to block sizes (1 x 1: a nonnegative scalar). Each
-    (terms, rhs) is a matrix equality for a matrix rhs, else a scalar row.
-    linear maps the solved blocks to the variable part of W; repair maps
-    them to the scale that makes W exactly feasible (>= 1 for a bound). The
-    result reports max{0, -Tr(W rho)}, with Witness(W, **fields) if given.
+    (terms, rhs, slack) is a matrix equality for a matrix rhs, else a scalar
+    row; slack names the term that enters as the identity (rhs = c I, c > 0),
+    or is None for a lone scalar row that must hold exactly. linear maps the
+    solved blocks to the variable part of W, which is divided by the repair
+    scale. The result reports max{0, -Tr(W rho)}, with Witness(W, **fields).
     """
     hs = HermitianSdp()
     for name, dim in variables.items():
         hs.add_psd_var(name, dim)
     hs.set_cost(cost)
-    for k, (terms, rhs) in enumerate(equalities):
+    for k, (terms, rhs, _) in enumerate(equalities):
         if np.ndim(rhs):
             hs.add_matrix_equality(f"eq{k}", terms, rhs)
         else:
             hs.add_scalar_equality(terms, rhs)
+    slacks = [slack for _, _, slack in equalities]
+    if None in slacks and (len(slacks) > 1 or np.ndim(equalities[0][1])):
+        raise ValueError("an equality without a slack must be a lone scalar row")
+    cs = [_identity_multiple(rhs) for _, rhs, _ in equalities]
     sol = hs.solve()
+    ratios = [(np.linalg.eigvalsh(img)[-1] if np.ndim(img) else img) / c
+              for img, c in zip(hs.images(sol, slacks), cs)]
+    scale = ratios[0] if slacks == [None] else max(1.0, *ratios)
     blocks = {name: hs.value(sol, name) for name in variables}
-    scale = repair(blocks)
     w = linear(blocks) / scale
     op = HermitianMatrix(w if offset is None else offset + w, rho.require_shape())
     result = MeasureResult(max(0.0, -hs_inner(op, rho)), SDP_TOL,
@@ -234,35 +253,8 @@ def _pt_map(dims, parties=(), negate=False):
     return lambda e: _pt_array(e, dims, parties)
 
 
-def _box_scale(w: np.ndarray, n: float, m: float) -> float:
-    """Smallest scale >= 1 that puts W / scale in -nI <= W <= mI, n > 0."""
-    eigs = np.linalg.eigvalsh((w + w.conj().T) / 2)
-    return max(1.0, eigs[-1] / m, -eigs[0] / n)
-
-
-def _trace_scale(w: np.ndarray, dd: int) -> float:
-    """The scale that makes Tr(W / scale) = D exactly."""
-    return float(np.trace(w).real) / dd
-
-
-def _rains_scale(f: np.ndarray, dims, parties, d: int) -> float:
-    """Smallest scale >= 1 that puts F / scale in F <= I, |F^T| <= I/d."""
-    ft = _pt_array(f, dims, parties)
-    eig_f = np.linalg.eigvalsh((f + f.conj().T) / 2)
-    eig_ft = np.linalg.eigvalsh((ft + ft.conj().T) / 2)
-    return max(1.0, eig_f[-1], d * eig_ft[-1], -d * eig_ft[0])
-
-
-def _ssr_scale(s: np.ndarray) -> float:
-    """Smallest scale >= 1 that keeps the diagonal of I - S / scale nonnegative."""
-    return max(1.0, float(np.diag(s).real.max()))
-
-
-def _decomposable(rho, cut_list, pts, variables, equalities, repair, **fields) -> _Fit:
-    """Fit W = P + sum_c Q_c^{T_c}; pts maps "P" to () and each Q_c to cut c.
-
-    repair maps W, before scaling, to its scale.
-    """
+def _decomposable(rho, cut_list, pts, variables, equalities, **fields) -> _Fit:
+    """Fit W = P + sum_c Q_c^{T_c}; pts maps "P" to () and each Q_c to cut c."""
     shape = rho.require_shape()
     dims = shape.local_dims
 
@@ -274,8 +266,7 @@ def _decomposable(rho, cut_list, pts, variables, equalities, repair, **fields) -
 
     fit = _fit_witness(rho, variables,
                        {name: _pt_array(rho.mat, dims, ps) for name, ps in pts.items()},
-                       equalities, linear, lambda blocks: repair(linear(blocks)),
-                       kind=_decomp_kind(cut_list), cuts=cut_list, **fields)
+                       equalities, linear, kind=_decomp_kind(cut_list), cuts=cut_list, **fields)
     parts = {name: HermitianMatrix(_psd_clip(fit.blocks[name] / fit.scale), shape)
              for name in pts}
     p_part = parts.pop("P", HermitianMatrix(np.zeros_like(rho.mat), shape))
@@ -322,14 +313,13 @@ def e_nm_ppt(rho: DensityMatrix, cuts, n: float, m: float) -> MeasureResult:
     def bound(slack, negate, rhs):  # slack + W = rhs, or slack - W = rhs
         variables[slack] = dd
         terms = {name: _pt_map(dims, ps, negate) for name, ps in pts.items()}
-        equalities.append(({slack: _pt_map(dims), **terms}, rhs))
+        equalities.append(({slack: _pt_map(dims), **terms}, rhs, slack))
 
     if math.isfinite(m):
         bound("S", False, m * eye)
     if has_p:
         bound("T", True, n * eye)
-    fit = _decomposable(rho, cut_list, pts, variables, equalities,
-                        lambda w: _box_scale(w, n, m), bounds=(n, m),
+    fit = _decomposable(rho, cut_list, pts, variables, equalities, bounds=(n, m),
                         trace_norm_choice=choice)
     zero = np.zeros((dd, dd))
     u, v = fit.duals.get("S", zero), fit.duals.get("T", zero)
@@ -365,7 +355,7 @@ def rr_ppt(rho: DensityMatrix, cut: Cut) -> MeasureResult:
     dd = shape.total_dim
     return _decomposable(
         rho, [cut], {"P": (), "Q": cut.party_set}, {"P": dd, "Q": dd},
-        [({"P": np.eye(dd), "Q": np.eye(dd)}, float(dd))], lambda w: _trace_scale(w, dd),
+        [({"P": np.eye(dd), "Q": np.eye(dd)}, float(dd), None)],
         bounds=(math.inf, math.inf), trace_norm_choice=TRACE_EQUALS_D).result
 
 
@@ -386,11 +376,10 @@ def rains_fidelity(rho: DensityMatrix, cut: Cut) -> float:
     ident, pt = _pt_map(dims), _pt_map(dims, cut.party_set)
     fit = _fit_witness(
         rho, dict.fromkeys(("F", "S", "G1", "G2"), shape.total_dim), {"F": -rho.mat},
-        [({"F": ident, "S": ident}, eye),
-         ({"F": pt, "G1": ident}, eye / d),
-         ({"F": _pt_map(dims, cut.party_set, True), "G2": ident}, eye / d)],
-        lambda blocks: -blocks["F"],
-        lambda blocks: _rains_scale(blocks["F"], dims, cut.party_set, d))
+        [({"F": ident, "S": ident}, eye, "S"),
+         ({"F": pt, "G1": ident}, eye / d, "G1"),
+         ({"F": _pt_map(dims, cut.party_set, True), "G2": ident}, eye / d, "G2")],
+        lambda blocks: -blocks["F"])
     return max(fit.result.value, 1.0 / d)
 
 
@@ -427,10 +416,9 @@ def ssr_nonlocality(rho: DensityMatrix) -> MeasureResult:
     shape = rho.require_shape()
     dd = shape.total_dim
     variables = {"S": dd, **{f"t{i}": 1 for i in range(dd)}}
-    rows = [({"S": np.diag(np.eye(dd)[i]), f"t{i}": 1.0}, 1.0) for i in range(dd)]
+    rows = [({"S": np.diag(np.eye(dd)[i]), f"t{i}": 1.0}, 1.0, f"t{i}") for i in range(dd)]
     return _fit_witness(rho, variables, {"S": -rho.mat}, rows,
-                        lambda blocks: -blocks["S"],
-                        lambda blocks: _ssr_scale(blocks["S"]), offset=np.eye(dd),
+                        lambda blocks: -blocks["S"], offset=np.eye(dd),
                         kind=SSR_DIAGONAL, bounds=(math.inf, 1.0)).result
 
 
@@ -445,22 +433,6 @@ def _sym_isometry(b: int) -> np.ndarray:
                 v[i * b + j] = v[j * b + i] = 1.0 / np.sqrt(2.0)
             cols.append(v)
     return np.array(cols).T
-
-
-def _dps2_h0(blocks: dict, a: int, b: int) -> np.ndarray:
-    """H0 = I - iso^H (Sw (x) I_B2 + (iso M1 iso^H)^{T_A} + M2^{T_B2}) iso."""
-    iso = np.kron(np.eye(a), _sym_isometry(b))
-    ext = (a, b, b)
-    full = (np.kron(blocks["Sw"], np.eye(b))
-            + _pt_array(iso @ blocks["M1"] @ iso.conj().T, ext, (0,))
-            + _pt_array(blocks["M2"], ext, (2,)))
-    return np.eye(iso.shape[1]) - iso.conj().T @ full @ iso
-
-
-def _dps2_scale(blocks: dict, a: int, b: int) -> float:
-    """1 + max(0, -lambda_min(H0)): scaling Sw, M1, M2 by its inverse makes H0 psd."""
-    h0 = _dps2_h0(blocks, a, b)
-    return 1.0 + max(0.0, -float(np.linalg.eigvalsh((h0 + h0.conj().T) / 2)[0]))
 
 
 def rg_dps2(rho: DensityMatrix, cut: Cut) -> MeasureResult:
@@ -504,7 +476,6 @@ def rg_dps2(rho: DensityMatrix, cut: Cut) -> MeasureResult:
     return _fit_witness(
         rho, {"Sw": dd, "H0": ds, "M1": ds, "M2": a * b * b},
         {"Sw": -to_cut(rho.mat, shape.local_dims)},
-        [(terms, np.eye(ds, dtype=complex))],
-        lambda blocks: -to_cut(blocks["Sw"], dims),
-        lambda blocks: _dps2_scale(blocks, a, b), offset=np.eye(dd),
+        [(terms, np.eye(ds, dtype=complex), "H0")],
+        lambda blocks: -to_cut(blocks["Sw"], dims), offset=np.eye(dd),
         kind=DPS2_CERTIFIED, bounds=(math.inf, 1.0), trace_norm_choice=OP_LEQ_I).result

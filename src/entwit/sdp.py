@@ -31,7 +31,8 @@ is also the one with the smallest merit. A run whose barrier parameter
 stops shrinking at the double-precision floor ends ITERATION_LIMIT. The
 HermitianSdp builder maps the basis of each equality's target space
 through every term's adjoint at once, returns only OPTIMAL solutions, and
-reads primal and dual matrices back from them.
+reads primal and dual matrices back from them, and each equality's image
+sum_v L_v(X_v) from the same basis coordinates.
 """
 
 from __future__ import annotations
@@ -486,13 +487,13 @@ class HermitianSdp:
 
     Every variable is one PSD Hermitian block, a nonnegative scalar a 1 x 1
     block. Each equality is kept as the basis coordinates of its terms and
-    right-hand side; a matrix-valued one remembers its row range, so that
-    its matrix-shaped dual can be reassembled from y.
+    right-hand side, with its target size; a matrix-valued one remembers its
+    row range, so that its matrix-shaped dual can be reassembled from y.
     """
 
     def __init__(self):
         self._blocks = {}  # variable -> block size, in declaration order
-        self._rows = []  # per equality: ({variable: coordinates of its rows}, rhs coordinates)
+        self._rows = []  # per equality: ({var: row coordinates}, rhs coordinates, size or None)
         self._cost = {}
         self._groups = {}
 
@@ -523,23 +524,24 @@ class HermitianSdp:
         """
         tab = _basis(np.shape(rhs)[0])
         coords = {name: self._coords(name, adj(tab.mats), tab.n2) for name, adj in terms.items()}
-        start = sum(len(b) for _, b in self._rows)
-        self._rows.append((coords, _svec(tab, _hermitian(rhs, (tab.nb,) * 2, f"rhs of {group}"))))
+        start = sum(len(b) for _, b, _ in self._rows)
+        rhs = _svec(tab, _hermitian(rhs, (tab.nb,) * 2, f"rhs of {group}"))
+        self._rows.append((coords, rhs, tab.nb))
         self._groups[group] = (start, start + tab.n2, tab.nb)
 
     def add_scalar_equality(self, terms: dict, rhs: float):
         """sum_v tr(G_v X_v) = rhs, one row; G_v is a number for a 1 x 1 block."""
         coords = {name: self._coords(name, np.atleast_2d(g)[None], 1) for name, g in terms.items()}
-        self._rows.append((coords, np.array([float(rhs)])))
+        self._rows.append((coords, np.array([float(rhs)]), None))
 
     def set_cost(self, terms: dict):
         self._cost = {name: np.reshape(c, (self._size(name),) * 2) for name, c in terms.items()}
 
     def build(self) -> SdpProblem:
-        b = np.concatenate([np.zeros(0)] + [rhs for _, rhs in self._rows])
+        b = np.concatenate([np.zeros(0)] + [rhs for _, rhs, _ in self._rows])
         coords = {name: np.zeros((b.size, nb * nb)) for name, nb in self._blocks.items()}
         start = 0
-        for terms, rhs in self._rows:
+        for terms, rhs, _ in self._rows:
             for name, u in terms.items():
                 coords[name][start : start + rhs.size] = u
             start += rhs.size
@@ -568,6 +570,19 @@ class HermitianSdp:
     def dual_slack(self, sol: SdpSolution, name: str):
         """Dual slack of a variable: a float for a 1 x 1 block."""
         return self._block(sol.z_blocks, name)
+
+    def images(self, sol: SdpSolution, skip: list) -> list:
+        """Per equality k, sum_v L_v(X_v) at sol over every v but skip[k] (a name or None).
+
+        A matrix for a matrix equality, a float for a scalar row; coordinate
+        <E_i, L_v(X_v)> = <L_v*(E_i), X_v> is a stored row times svec(X_v).
+        """
+        x = {v: _svec(_basis(nb), xb) for (v, nb), xb in zip(self._blocks.items(), sol.x_blocks)}
+        out = []
+        for (terms, rhs, size), drop in zip(self._rows, skip, strict=True):
+            u = sum((a @ x[v] for v, a in terms.items() if v != drop), np.zeros(rhs.size))
+            out.append(float(u[0]) if size is None else _smat(_basis(size), u))
+        return out
 
     def dual_matrix(self, sol: SdpSolution, group: str) -> np.ndarray:
         """Matrix-shaped dual of an add_matrix_equality group."""

@@ -37,10 +37,7 @@ class ChainSpec:
     periodic: bool = False
 
     def __post_init__(self):
-        if self.n_sites < 2:
-            raise ValueError("chain needs at least 2 sites")
-        if self.n_sites > N_CAP:
-            raise ValueError(f"chain length {self.n_sites} exceeds cap {N_CAP}")
+        _check_length(self.n_sites)
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
 
@@ -55,7 +52,7 @@ def bonds(n_sites: int, periodic: bool) -> list:
 
 def _check_length(n_sites: int) -> None:
     if n_sites < 2 or n_sites > N_CAP:
-        raise ValueError("unsupported chain length")
+        raise ValueError(f"chain length {n_sites} is outside 2..{N_CAP}")
 
 
 def _swap_sites(states: np.ndarray, i: int, j: int, n: int) -> np.ndarray:

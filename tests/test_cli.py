@@ -257,11 +257,17 @@ def test_heisenberg_rows_pinned(tmp_path, flags):
 
 
 @pytest.mark.parametrize("flags", [("--J", "0"), ("--beta-grid", "-1:1:3"), ("--B", "nan"),
-                                   ("--J", "inf"), ("--beta-grid", "0:inf:3")])
+                                   ("--J", "inf"), ("--beta-grid", "0:inf:3"),
+                                   ("--beta-grid", "0:1"), ("--beta-grid", "0.1:0.9:-1")])
 def test_heisenberg_bad_input_writes_nothing(tmp_path, capsys, flags):
     out = tmp_path / "h.csv"
     assert main(["reproduce", "heisenberg", *flags, "--out", str(out)]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Warning" not in err
+    if flags[0] == "--beta-grid":
+        # the grid parser's own message, not one from numpy or unpacking
+        assert "grid" in err.splitlines()[-1]
     assert not out.exists()
 
 
@@ -279,11 +285,14 @@ def test_fig56_empty_run_writes_nothing(tmp_path, capsys, samples):
     ["example1", "--q-count", "0"],
     ["fig7q", "--a-grid", "0.1:0.9:0"],
     ["heisenberg", "--beta-grid", "0:20:0"],
+    ["fig7q", "--e-grid", "0.1:0.9:-1"],
 ])
 def test_empty_grid_writes_nothing(tmp_path, capsys, argv):
     out = tmp_path / "g.csv"
     assert main(["reproduce", *argv, "--out", str(out)]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "grid" in err
+    assert "Warning" not in err
     assert not out.exists()
     assert main(["reproduce", *argv]) == 1
     captured = capsys.readouterr()

@@ -1,17 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from entwit import sdp
+from entwit import measures, sdp
 from entwit.linalg import Cut, SystemShape, _pt_array
 from entwit.measures import (
-    _box_scale,
-    _dps2_h0,
-    _dps2_scale,
-    _rains_scale,
-    _ssr_scale,
-    _trace_scale,
+    _sym_isometry,
     concurrence_2q,
     e_nm_ppt,
     isotropic_e_n1,
@@ -353,70 +349,70 @@ def test_dps2_fig7q_states_reach_optimal(monkeypatch):
     assert values[0.3, 1.0] == pytest.approx(0.0135987, abs=1e-6)
 
 
-def _push(w, target, sign=1.0):
-    """Rescale w by a positive factor so that its extreme eigenvalue on the
-    sign side becomes target."""
-    eigs = np.linalg.eigvalsh(w)
-    factor = target / (eigs[-1] if sign > 0 else eigs[0])
-    assert factor > 0
-    return w * factor
+def _dps2_h0(blocks: dict, a: int, b: int) -> np.ndarray:
+    """H0 = I - iso^H (Sw (x) I_B2 + (iso M1 iso^H)^{T_A} + M2^{T_B2}) iso, the DPS2 slack."""
+    iso = np.kron(np.eye(a), _sym_isometry(b))
+    ext = (a, b, b)
+    full = (np.kron(blocks["Sw"], np.eye(b))
+            + _pt_array(iso @ blocks["M1"] @ iso.conj().T, ext, (0,))
+            + _pt_array(blocks["M2"], ext, (2,)))
+    return np.eye(iso.shape[1]) - iso.conj().T @ full @ iso
 
 
-def _psd(seed, d):
-    return random_density(d, seed).mat
+def _box_slacks(fit):
+    n, m = fit.result.witness.bounds
+    eigs = np.linalg.eigvalsh(fit.result.witness.op.mat)
+    return [m - eigs[-1], eigs[0] + n]  # -nI <= W <= mI
 
 
-@pytest.mark.parametrize("n, m", [(1.0, 1.0), (math.inf, 1.0), (2.0, math.inf)])
-def test_box_repair_meets_bounds_exactly(n, m):
-    for seed in range(3):
-        w = _psd(seed, 4) - 2.0 * _pt_array(_psd(seed + 10, 4), (2, 2), (0,))
-        pushed = []
-        if math.isfinite(m):
-            pushed.append(_push(w, m + 1e-6))
-        if math.isfinite(n):
-            pushed.append(_push(w, -n - 1e-6, -1.0))
-        for wp in pushed:
-            eigs = np.linalg.eigvalsh(wp / _box_scale(wp, n, m))
-            assert eigs[-1] <= m + 1e-12
-            assert eigs[0] >= -n - 1e-12
+def _trace_slacks(fit):
+    # the exact row has no slack: Tr W = D must hold to rounding
+    assert np.trace(fit.result.witness.op.mat).real == pytest.approx(4.0, abs=1e-12)
+    return [0.0]
 
 
-def test_trace_repair_is_exact():
-    for sign in (1.0, -1.0):
-        w = _psd(1, 6) + _pt_array(_psd(2, 6), (2, 3), (0,))
-        w = w * ((6.0 + sign * 1e-6) / np.trace(w).real)
-        assert np.trace(w / _trace_scale(w, 6)).real == pytest.approx(6.0, abs=1e-12)
+def _rains_slacks(fit):
+    f = fit.blocks["F"] / fit.scale
+    ft = np.linalg.eigvalsh(_pt_array(f, (2, 2), (0,)))
+    return [1.0 - np.linalg.eigvalsh(f)[-1], 0.5 - ft[-1], ft[0] + 0.5]  # F <= I, |F^T| <= I/2
 
 
-def test_rains_repair_meets_box_exactly():
-    d, dims = 2, (2, 2)
-    f = 0.8 * bell().mat + 0.2 * _psd(3, 4)
-    ft = _pt_array(f, dims, (0,))
-    pushed_ft = (_push(ft, 1.0 / d + 1e-6), _push(ft, -1.0 / d - 1e-6, -1.0))
-    for fp in (_push(f, 1.0 + 1e-6), *(_pt_array(x, dims, (0,)) for x in pushed_ft)):
-        fr = fp / _rains_scale(fp, dims, (0,), d)
-        frt = _pt_array(fr, dims, (0,))
-        assert np.linalg.eigvalsh(fr)[-1] <= 1.0 + 1e-12
-        assert np.linalg.eigvalsh(frt)[-1] <= 1.0 / d + 1e-12
-        assert np.linalg.eigvalsh(frt)[0] >= -1.0 / d - 1e-12
+def _ssr_slacks(fit):
+    return list(np.diag(fit.result.witness.op.mat).real)  # t_i = G_ii >= 0
 
 
-def test_ssr_repair_keeps_diagonal_nonnegative():
-    s = _psd(4, 4)
-    s = s * ((1.0 + 1e-6) / np.diag(s).real.max())
-    g = np.eye(4) - s / _ssr_scale(s)
-    assert np.diag(g).real.min() >= -1e-12
-    assert _ssr_scale(0.5 * s) == 1.0
+def _dps2_slacks(fit):
+    repaired = {k: v / fit.scale for k, v in fit.blocks.items()}
+    return [np.linalg.eigvalsh(_dps2_h0(repaired, 2, 2))[0]]
 
 
-def test_dps2_repair_makes_h0_psd():
-    for a, b in ((2, 2), (3, 3), (2, 3)):
-        ds = a * b * (b + 1) // 2
-        blocks = {"Sw": _psd(5, a * b), "M1": _psd(6, ds), "M2": _psd(7, a * b * b)}
-        lmap = np.eye(ds) - _dps2_h0(blocks, a, b)
-        t = (1.0 + 1e-6) / np.linalg.eigvalsh(lmap)[-1]
-        pushed = {k: t * v for k, v in blocks.items()}
-        assert np.linalg.eigvalsh(_dps2_h0(pushed, a, b))[0] == pytest.approx(-1e-6, abs=1e-12)
-        scale = _dps2_scale(pushed, a, b)
-        repaired = {k: v / scale for k, v in pushed.items()}
-        assert np.linalg.eigvalsh(_dps2_h0(repaired, a, b))[0] >= -1e-12
+@pytest.mark.parametrize("measure, slacks", [
+    (lambda rho: e_nm_ppt(rho, [CUT_A], 1.0, 1.0), _box_slacks),
+    (lambda rho: e_nm_ppt(rho, [CUT_A], 1.0, math.inf), _box_slacks),
+    (lambda rho: rr_ppt(rho, CUT_A), _trace_slacks),
+    (lambda rho: rains_fidelity(rho, CUT_A), _rains_slacks),
+    (ssr_nonlocality, _ssr_slacks),
+    (lambda rho: rg_dps2(rho, CUT_A), _dps2_slacks),
+], ids=["e_nm_ppt", "e_nm_ppt_lower_bound", "rr_ppt", "rains_fidelity", "ssr_nonlocality", "rg_dps2"])
+def test_forced_repair_restores_every_slack(monkeypatch, measure, slacks):
+    # inflate every solved block by 1 + 1e-6, so the active bound is broken;
+    # the one slack rule must scale back onto it, checked by the measure's
+    # own bound formulas rather than the builder's images
+    real_solve, real_fit, fits = sdp.solve, measures._fit_witness, []
+
+    def inflated(prob, **kw):
+        sol = real_solve(prob, **kw)
+        return dataclasses.replace(sol, x_blocks=[(1.0 + 1e-6) * x for x in sol.x_blocks])
+
+    def recorded(*args, **kw):
+        fits.append(real_fit(*args, **kw))
+        return fits[-1]
+
+    monkeypatch.setattr(sdp, "solve", inflated)
+    monkeypatch.setattr(measures, "_fit_witness", recorded)
+    measure(isotropic(2, 0.8))
+    fit = fits[0]
+    assert fit.scale > 1.0
+    got = slacks(fit)
+    assert min(got) >= -1e-12
+    assert min(got) <= 1e-9  # the repair lands on the active bound

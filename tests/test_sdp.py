@@ -5,7 +5,14 @@ import pytest
 
 from entwit import sdp
 from entwit.linalg import Cut, SystemShape, _pt_array
-from entwit.measures import e_nm_ppt, rains_fidelity, rg_dps2, rr_ppt, ssr_nonlocality
+from entwit.measures import (
+    _fit_witness,
+    e_nm_ppt,
+    rains_fidelity,
+    rg_dps2,
+    rr_ppt,
+    ssr_nonlocality,
+)
 from entwit.sdp import (
     HermitianSdp,
     SdpProblem,
@@ -298,6 +305,45 @@ def test_builder_matrix_equality_and_duals():
     y_mat = hs.dual_matrix(sol, "pin")
     slack = hs.dual_slack(sol, "x")
     assert np.abs((np.eye(3) - y_mat) - slack).max() < 1e-6
+
+
+def test_builder_images_read_equalities_back():
+    # x -> D x D plus a slack s pinned to R, and one scalar row tr(x) + v = 2;
+    # the images give the rhs, and rhs minus the slack with the slack skipped
+    rng = np.random.default_rng(21)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    r = g @ g.conj().T / 10 + np.eye(3)
+    dm = np.diag([1.0, 2.0, 0.5])
+    hs = HermitianSdp()
+    hs.add_psd_var("x", 3)
+    hs.add_psd_var("s", 3)
+    hs.add_scalar_var("v")
+    hs.add_matrix_equality("pin", {"x": lambda e: dm @ e @ dm, "s": lambda e: e}, r)
+    hs.add_scalar_equality({"x": np.eye(3), "v": 1.0}, 2.0)
+    hs.set_cost({"x": -np.eye(3), "v": 1.0})
+    sol = hs.solve()
+    x, s, v = (hs.value(sol, name) for name in ("x", "s", "v"))
+    full = hs.images(sol, [None, None])
+    assert np.abs(full[0] - r).max() < 1e-6
+    assert full[1] == pytest.approx(2.0, abs=1e-6)
+    pin, row = hs.images(sol, ["s", "v"])
+    assert np.abs(pin - (r - s)).max() < 1e-6
+    assert np.abs(pin - dm @ x @ dm).max() < 1e-12
+    assert row == pytest.approx(2.0 - v, abs=1e-6)
+    assert row == pytest.approx(np.trace(x).real, abs=1e-12)
+
+
+@pytest.mark.parametrize("rhs, slack", [
+    (np.diag([1.0, 2.0]), "s"),  # not a multiple of I
+    (-np.eye(2), "s"),  # not positive
+    (np.eye(2), None),  # an exact row must be a lone scalar row
+])
+def test_fit_witness_rejects_unrepairable_equalities(rhs, slack):
+    rho = random_density(2, 3)
+    with pytest.raises(ValueError):
+        _fit_witness(rho, {"x": 2, "s": 2}, {"x": rho.mat},
+                     [({"x": lambda e: e, "s": lambda e: e}, rhs, slack)],
+                     lambda blocks: blocks["x"])
 
 
 def test_builder_rejects_non_hermitian_data():
