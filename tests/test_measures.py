@@ -386,15 +386,7 @@ def _dps2_slacks(fit):
     return [np.linalg.eigvalsh(_dps2_h0(repaired, 2, 2))[0]]
 
 
-@pytest.mark.parametrize("measure, slacks", [
-    (lambda rho: e_nm_ppt(rho, [CUT_A], 1.0, 1.0), _box_slacks),
-    (lambda rho: e_nm_ppt(rho, [CUT_A], 1.0, math.inf), _box_slacks),
-    (lambda rho: rr_ppt(rho, CUT_A), _trace_slacks),
-    (lambda rho: rains_fidelity(rho, CUT_A), _rains_slacks),
-    (ssr_nonlocality, _ssr_slacks),
-    (lambda rho: rg_dps2(rho, CUT_A), _dps2_slacks),
-], ids=["e_nm_ppt", "e_nm_ppt_lower_bound", "rr_ppt", "rains_fidelity", "ssr_nonlocality", "rg_dps2"])
-def test_forced_repair_restores_every_slack(monkeypatch, measure, slacks):
+def _assert_forced_repair(monkeypatch, measure, slacks):
     # inflate every solved block by 1 + 1e-6, so the active bound is broken;
     # the one slack rule must scale back onto it, checked by the measure's
     # own bound formulas rather than the builder's images
@@ -416,3 +408,24 @@ def test_forced_repair_restores_every_slack(monkeypatch, measure, slacks):
     got = slacks(fit)
     assert min(got) >= -1e-12
     assert min(got) <= 1e-9  # the repair lands on the active bound
+
+
+@pytest.mark.parametrize("n, m", [(1.0, 1.0), (math.inf, 1.0), (2.0, math.inf)])
+def test_box_repair_meets_bounds_exactly(monkeypatch, n, m):
+    _assert_forced_repair(monkeypatch, lambda rho: e_nm_ppt(rho, [CUT_A], n, m), _box_slacks)
+
+
+def test_trace_repair_is_exact(monkeypatch):
+    _assert_forced_repair(monkeypatch, lambda rho: rr_ppt(rho, CUT_A), _trace_slacks)
+
+
+def test_rains_repair_meets_box_exactly(monkeypatch):
+    _assert_forced_repair(monkeypatch, lambda rho: rains_fidelity(rho, CUT_A), _rains_slacks)
+
+
+def test_ssr_repair_keeps_diagonal_nonnegative(monkeypatch):
+    _assert_forced_repair(monkeypatch, ssr_nonlocality, _ssr_slacks)
+
+
+def test_dps2_repair_makes_h0_psd(monkeypatch):
+    _assert_forced_repair(monkeypatch, lambda rho: rg_dps2(rho, CUT_A), _dps2_slacks)
