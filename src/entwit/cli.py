@@ -4,7 +4,9 @@ Subcommands: compute (measures on a state file), reproduce (the canned
 experiments as CSV), gen-state, validate-witness. Exit codes: 0 success,
 1 bad input, 2 solver failure. Every CSV starts with a comment recording
 version, seed and a hash of the generating configuration, so identical
-invocations are byte-identical.
+invocations are byte-identical at a fixed BLAS thread count (threaded BLAS
+rounds the SDP iterates differently: `reproduce example1` with one and with
+two threads differs in 59 of 99 rows, by at most 2.3e-10).
 """
 
 import argparse

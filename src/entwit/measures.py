@@ -5,7 +5,7 @@ the solved witness until it is exactly feasible, so values never exceed the
 true optimum. One rule repairs every measure: each equality reads
 slack + (other terms) = c I, c > 0, and the other terms are divided by
 s = max(1, lambda_max(their image) / c) (Jansson, Chaykin and Keil, SIAM J.
-Numer. Anal. 46, 180, 2007); a lone scalar row with no slack gets image / rhs.
+Numer. Anal. 46, 180, 2007); a lone 1 x 1 row with no slack gets image / rhs.
 """
 
 from __future__ import annotations
@@ -202,8 +202,8 @@ class _Fit:
 
 
 def _identity_multiple(rhs) -> float:
-    """c for rhs = c I (a scalar rhs: c itself) with c > 0, else ValueError."""
-    mat = np.atleast_2d(rhs)
+    """c for rhs = c I with c > 0, else ValueError."""
+    mat = np.asarray(rhs)
     c = float(mat[0, 0].real)
     if not (c > 0 and np.array_equal(mat, c * np.eye(len(mat)))):
         raise ValueError("an equality's rhs must be c I with c > 0")
@@ -214,36 +214,41 @@ def _fit_witness(rho: DensityMatrix, variables: dict, cost: dict, equalities: li
                  linear, offset=None, **fields) -> _Fit:
     """Build, solve, repair and report one witness SDP.
 
-    variables maps names to block sizes (1 x 1: a nonnegative scalar). Each
-    (terms, rhs, slack) is a matrix equality for a matrix rhs, else a scalar
-    row; slack names the term that enters as the identity (rhs = c I, c > 0),
-    or is None for a lone scalar row that must hold exactly. linear maps the
-    solved blocks to the variable part of W, which is divided by the repair
-    scale. The result reports max{0, -Tr(W rho)}, with Witness(W, **fields).
+    variables maps names to block sizes (1 x 1: a nonnegative scalar), and
+    cost maps names to their cost matrices. Each (terms, rhs, slack) is a
+    matrix equality for HermitianSdp.add_matrix_equality; a scalar row is
+    the 1 x 1 case (_scalar_row). slack names the term that enters as the
+    identity (rhs = c I, c > 0), or is None for a lone 1 x 1 row that must
+    hold exactly; both are checked before anything is built. linear maps
+    the solved blocks to the variable part of W, which is divided by the
+    repair scale. The result reports max{0, -Tr(W rho)}, with
+    Witness(W, **fields).
     """
-    hs = HermitianSdp()
-    for name, dim in variables.items():
-        hs.add_psd_var(name, dim)
-    hs.set_cost(cost)
-    for k, (terms, rhs, _) in enumerate(equalities):
-        if np.ndim(rhs):
-            hs.add_matrix_equality(f"eq{k}", terms, rhs)
-        else:
-            hs.add_scalar_equality(terms, rhs)
     slacks = [slack for _, _, slack in equalities]
-    if None in slacks and (len(slacks) > 1 or np.ndim(equalities[0][1])):
-        raise ValueError("an equality without a slack must be a lone scalar row")
+    if None in slacks and (len(slacks) > 1 or np.shape(equalities[0][1]) != (1, 1)):
+        raise ValueError("an equality without a slack must be a lone 1 x 1 row")
     cs = [_identity_multiple(rhs) for _, rhs, _ in equalities]
-    sol = hs.solve()
-    ratios = [(np.linalg.eigvalsh(img)[-1] if np.ndim(img) else img) / c
-              for img, c in zip(hs.images(sol, slacks), cs)]
+    hs = HermitianSdp(variables)
+    for terms, rhs, _ in equalities:
+        hs.add_matrix_equality(terms, rhs)
+    sol = hs.solve(cost)
+    ratios = [np.linalg.eigvalsh(img)[-1] / c for img, c in zip(hs.images(sol, slacks), cs)]
     scale = ratios[0] if slacks == [None] else max(1.0, *ratios)
-    blocks = {name: hs.value(sol, name) for name in variables}
+    blocks, duals = hs.blocks(sol)
     w = linear(blocks) / scale
     op = HermitianMatrix(w if offset is None else offset + w, rho.require_shape())
     result = MeasureResult(max(0.0, -hs_inner(op, rho)), SDP_TOL,
                            Witness(op=op, **fields) if fields else None)
-    return _Fit(result, blocks, {name: hs.dual_slack(sol, name) for name in variables}, scale)
+    return _Fit(result, blocks, duals, scale)
+
+
+def _scalar_row(coeffs: dict, rhs: float, slack=None) -> tuple:
+    """The row sum_v tr(G_v X_v) = rhs as a 1 x 1 equality of _fit_witness.
+
+    G_v is a matrix, or a number for a 1 x 1 block; its adjoint map is
+    e -> e * G_v.
+    """
+    return {name: (lambda e, g=g: e * g) for name, g in coeffs.items()}, [[rhs]], slack
 
 
 def _pt_map(dims, parties=(), negate=False):
@@ -355,7 +360,7 @@ def rr_ppt(rho: DensityMatrix, cut: Cut) -> MeasureResult:
     dd = shape.total_dim
     return _decomposable(
         rho, [cut], {"P": (), "Q": cut.party_set}, {"P": dd, "Q": dd},
-        [({"P": np.eye(dd), "Q": np.eye(dd)}, float(dd), None)],
+        [_scalar_row({"P": np.eye(dd), "Q": np.eye(dd)}, dd)],
         bounds=(math.inf, math.inf), trace_norm_choice=TRACE_EQUALS_D).result
 
 
@@ -416,7 +421,8 @@ def ssr_nonlocality(rho: DensityMatrix) -> MeasureResult:
     shape = rho.require_shape()
     dd = shape.total_dim
     variables = {"S": dd, **{f"t{i}": 1 for i in range(dd)}}
-    rows = [({"S": np.diag(np.eye(dd)[i]), f"t{i}": 1.0}, 1.0, f"t{i}") for i in range(dd)]
+    rows = [_scalar_row({"S": np.diag(np.eye(dd)[i]), f"t{i}": 1.0}, 1.0, f"t{i}")
+            for i in range(dd)]
     return _fit_witness(rho, variables, {"S": -rho.mat}, rows,
                         lambda blocks: -blocks["S"], offset=np.eye(dd),
                         kind=SSR_DIAGONAL, bounds=(math.inf, 1.0)).result

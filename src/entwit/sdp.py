@@ -29,10 +29,13 @@ solve returns the iterate it stopped at. It reports OPTIMAL only when the
 residuals and the relative gap meet tol; the first iterate that meets tol
 is also the one with the smallest merit. A run whose barrier parameter
 stops shrinking at the double-precision floor ends ITERATION_LIMIT. The
-HermitianSdp builder maps the basis of each equality's target space
-through every term's adjoint at once, returns only OPTIMAL solutions, and
-reads primal and dual matrices back from them, and each equality's image
-sum_v L_v(X_v) from the same basis coordinates.
+HermitianSdp builder holds only the constraints: the variables, declared
+once as a dict of block sizes, and the equalities. Every equality is a
+matrix equality, whose target-space basis the builder maps through each
+term's adjoint at once; a scalar row is the 1 x 1 case. The cost enters at
+build and solve, and solve returns only OPTIMAL solutions. The builder
+reads the primal and dual-slack blocks back from a solution, and each
+equality's image sum_v L_v(X_v) from the same basis coordinates.
 """
 
 from __future__ import annotations
@@ -483,61 +486,45 @@ def hermitian_basis(d: int) -> list:
 
 
 class HermitianSdp:
-    """Assembles complex Hermitian SDPs into the standard block form.
+    """The constraints of a complex Hermitian SDP in standard block form.
 
-    Every variable is one PSD Hermitian block, a nonnegative scalar a 1 x 1
+    variables maps each name to its block size, in declaration order; every
+    variable is one PSD Hermitian block, and a nonnegative scalar is a 1 x 1
     block. Each equality is kept as the basis coordinates of its terms and
-    right-hand side, with its target size; a matrix-valued one remembers its
-    row range, so that its matrix-shaped dual can be reassembled from y.
+    right-hand side, with its target size; a scalar row is the 1 x 1 case.
+    The cost is not held: build and solve take it, so one builder serves
+    every cost over the same constraints.
     """
 
-    def __init__(self):
-        self._blocks = {}  # variable -> block size, in declaration order
-        self._rows = []  # per equality: ({var: row coordinates}, rhs coordinates, size or None)
-        self._cost = {}
-        self._groups = {}
-
-    def add_psd_var(self, name: str, dim: int):
-        if name in self._blocks:
-            raise ValueError(f"duplicate variable {name}")
-        self._blocks[name] = int(dim)
-
-    def add_scalar_var(self, name: str):
-        """A nonnegative scalar: the same as add_psd_var(name, 1)."""
-        self.add_psd_var(name, 1)
+    def __init__(self, variables: dict):
+        self._blocks = {name: int(nb) for name, nb in variables.items()}
+        self._rows = []  # per equality: ({var: row coordinates}, rhs coordinates, size)
 
     def _size(self, name: str) -> int:
         if name not in self._blocks:
             raise ValueError(f"undeclared variable {name}")
         return self._blocks[name]
 
-    def _coords(self, name: str, mats, rows: int) -> np.ndarray:
-        """Coordinates of a stack of rows Hermitian matrices on the block of name."""
-        nb = self._size(name)
-        return _svec(_basis(nb), _hermitian(mats, (rows, nb, nb), f"term of {name}"))
-
-    def add_matrix_equality(self, group: str, terms: dict, rhs: np.ndarray):
+    def add_matrix_equality(self, terms: dict, rhs: np.ndarray):
         """sum_v L_v(X_v) = rhs over Hermitian matrices.
 
         ``terms`` maps each variable to its adjoint map e -> L_v*(e), called
-        once on the stack of all basis matrices e of the target space.
+        once on the stack of all basis matrices e of the target space. A
+        scalar row sum_v tr(G_v X_v) = c is the 1 x 1 case: rhs [[c]], and
+        adjoint maps e -> e * G_v on the (1, 1, 1) stack.
         """
         tab = _basis(np.shape(rhs)[0])
-        coords = {name: self._coords(name, adj(tab.mats), tab.n2) for name, adj in terms.items()}
-        start = sum(len(b) for _, b, _ in self._rows)
-        rhs = _svec(tab, _hermitian(rhs, (tab.nb,) * 2, f"rhs of {group}"))
+        coords = {}
+        for name, adj in terms.items():
+            nb = self._size(name)
+            coords[name] = _svec(_basis(nb), _hermitian(adj(tab.mats), (tab.n2, nb, nb),
+                                                        f"term of {name}"))
+        rhs = _svec(tab, _hermitian(rhs, (tab.nb,) * 2, "equality rhs"))
         self._rows.append((coords, rhs, tab.nb))
-        self._groups[group] = (start, start + tab.n2, tab.nb)
 
-    def add_scalar_equality(self, terms: dict, rhs: float):
-        """sum_v tr(G_v X_v) = rhs, one row; G_v is a number for a 1 x 1 block."""
-        coords = {name: self._coords(name, np.atleast_2d(g)[None], 1) for name, g in terms.items()}
-        self._rows.append((coords, np.array([float(rhs)]), None))
-
-    def set_cost(self, terms: dict):
-        self._cost = {name: np.reshape(c, (self._size(name),) * 2) for name, c in terms.items()}
-
-    def build(self) -> SdpProblem:
+    def build(self, cost: dict) -> SdpProblem:
+        """The problem min sum_v <C_v, X_v>; cost maps variables to C_v, zero if absent."""
+        cost = {name: np.reshape(c, (self._size(name),) * 2) for name, c in cost.items()}
         b = np.concatenate([np.zeros(0)] + [rhs for _, rhs, _ in self._rows])
         coords = {name: np.zeros((b.size, nb * nb)) for name, nb in self._blocks.items()}
         start = 0
@@ -545,46 +532,33 @@ class HermitianSdp:
             for name, u in terms.items():
                 coords[name][start : start + rhs.size] = u
             start += rhs.size
-        c_blocks = [self._cost.get(name, np.zeros((nb, nb))) for name, nb in self._blocks.items()]
+        c_blocks = [cost.get(name, np.zeros((nb, nb))) for name, nb in self._blocks.items()]
         return SdpProblem._from_coords(self._blocks.values(), c_blocks, coords.values(), b)
 
-    def solve(self, tol: float = DEFAULT_TOL) -> SdpSolution:
-        """Build and solve; return only an OPTIMAL solution.
+    def solve(self, cost: dict, tol: float = DEFAULT_TOL) -> SdpSolution:
+        """Build with this cost and solve; return only an OPTIMAL solution.
 
         Any other status, a stall at the numerical floor included, raises
         SolverError.
         """
-        sol = solve(self.build(), tol=tol)
+        sol = solve(self.build(cost), tol=tol)
         if sol.status is not SdpStatus.OPTIMAL:
             raise SolverError(f"solver ended with status {sol.status.value}")
         return sol
 
-    def _block(self, blocks: list, name: str):
-        blk = blocks[list(self._blocks).index(name)]
-        return float(blk[0, 0].real) if blk.shape == (1, 1) else blk
-
-    def value(self, sol: SdpSolution, name: str):
-        """Primal value of a variable: a float for a 1 x 1 block."""
-        return self._block(sol.x_blocks, name)
-
-    def dual_slack(self, sol: SdpSolution, name: str):
-        """Dual slack of a variable: a float for a 1 x 1 block."""
-        return self._block(sol.z_blocks, name)
+    def blocks(self, sol: SdpSolution) -> tuple:
+        """The primal blocks X_v and the dual slacks Z_v of sol, each a dict by variable."""
+        return dict(zip(self._blocks, sol.x_blocks)), dict(zip(self._blocks, sol.z_blocks))
 
     def images(self, sol: SdpSolution, skip: list) -> list:
         """Per equality k, sum_v L_v(X_v) at sol over every v but skip[k] (a name or None).
 
-        A matrix for a matrix equality, a float for a scalar row; coordinate
-        <E_i, L_v(X_v)> = <L_v*(E_i), X_v> is a stored row times svec(X_v).
+        Coordinate <E_i, L_v(X_v)> = <L_v*(E_i), X_v> is a stored row times
+        svec(X_v).
         """
         x = {v: _svec(_basis(nb), xb) for (v, nb), xb in zip(self._blocks.items(), sol.x_blocks)}
         out = []
         for (terms, rhs, size), drop in zip(self._rows, skip, strict=True):
             u = sum((a @ x[v] for v, a in terms.items() if v != drop), np.zeros(rhs.size))
-            out.append(float(u[0]) if size is None else _smat(_basis(size), u))
+            out.append(_smat(_basis(size), u))
         return out
-
-    def dual_matrix(self, sol: SdpSolution, group: str) -> np.ndarray:
-        """Matrix-shaped dual of an add_matrix_equality group."""
-        start, stop, r = self._groups[group]
-        return _smat(_basis(r), sol.y[start:stop])

@@ -163,17 +163,21 @@ def schmidt(psi: PureState, cut: Cut):
     return np.sqrt(np.clip(w, 0.0, None))
 
 
+def _mat_doc(m: HermitianMatrix) -> dict:
+    """The JSON document {"dims", "re", "im"} of a matrix, shared by states and witnesses."""
+    dims = list(m.shape.local_dims) if m.shape else [m.dim]
+    return {"dims": dims, "re": m.mat.real.tolist(), "im": m.mat.imag.tolist()}
+
+
+def _mat_from_doc(doc: dict, cls=HermitianMatrix):
+    """The matrix of a _mat_doc document, as cls (HermitianMatrix or DensityMatrix)."""
+    m = np.array(doc["re"], dtype=float) + 1j * np.array(doc["im"], dtype=float)
+    return cls(m, SystemShape(doc["dims"]))
+
+
 def state_to_json(rho: HermitianMatrix) -> str:
-    dims = list(rho.shape.local_dims) if rho.shape else [rho.dim]
-    doc = {
-        "dims": dims,
-        "re": rho.mat.real.tolist(),
-        "im": rho.mat.imag.tolist(),
-    }
-    return json.dumps(doc, indent=2)
+    return json.dumps(_mat_doc(rho), indent=2)
 
 
 def state_from_json(text: str) -> DensityMatrix:
-    doc = json.loads(text)
-    m = np.array(doc["re"], dtype=float) + 1j * np.array(doc["im"], dtype=float)
-    return DensityMatrix(m, SystemShape(doc["dims"]))
+    return _mat_from_doc(json.loads(text), DensityMatrix)

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Cut, HermitianMatrix, SystemShape, hs_inner, partial_transpose
-from .states import DensityMatrix
+from .linalg import Cut, HermitianMatrix, hs_inner, partial_transpose
+from .states import DensityMatrix, _mat_doc, _mat_from_doc
 
 DECOMPOSABLE_BIPARTITE = "decomposable-bipartite"
 DECOMPOSABLE_MULTI = "decomposable-multi"
@@ -149,16 +149,6 @@ def mc_product_check(w: Witness, samples: int, seed: int) -> float:
     m0 = _effective_site_op(wt, vs, 0)
     vals = np.real(np.einsum("Za,Zab,Zb->Z", vs[0].conj(), m0, vs[0]))
     return min(best, float(vals.min()))
-
-
-def _mat_doc(m: HermitianMatrix) -> dict:
-    dims = list(m.shape.local_dims) if m.shape else [m.dim]
-    return {"dims": dims, "re": m.mat.real.tolist(), "im": m.mat.imag.tolist()}
-
-
-def _mat_from_doc(doc: dict) -> HermitianMatrix:
-    m = np.array(doc["re"], dtype=float) + 1j * np.array(doc["im"], dtype=float)
-    return HermitianMatrix(m, SystemShape(doc["dims"]))
 
 
 def witness_to_json(w: Witness) -> str:

@@ -256,7 +256,9 @@ def test_heisenberg_rows_pinned(tmp_path, flags):
             assert abs(float(g) - float(r)) <= 1e-12 * (1 + abs(float(r))), (beta, g, r)
 
 
-@pytest.mark.parametrize("flags", [("--J", "0"), ("--beta-grid", "-1:1:3"), ("--B", "nan"),
+# a grid that starts with "-" needs the --flag=value form, or argparse
+# reads it as an option and rejects the flag before any check runs
+@pytest.mark.parametrize("flags", [("--J", "0"), ("--beta-grid=-1:1:3",), ("--B", "nan"),
                                    ("--J", "inf"), ("--beta-grid", "0:inf:3"),
                                    ("--beta-grid", "0:1"), ("--beta-grid", "0.1:0.9:-1")])
 def test_heisenberg_bad_input_writes_nothing(tmp_path, capsys, flags):
@@ -268,6 +270,9 @@ def test_heisenberg_bad_input_writes_nothing(tmp_path, capsys, flags):
     if flags[0] == "--beta-grid":
         # the grid parser's own message, not one from numpy or unpacking
         assert "grid" in err.splitlines()[-1]
+    elif flags[0].startswith("--beta-grid="):
+        # the grid parses; the negative beta is what is rejected
+        assert err.splitlines()[-1] == "error: beta must be finite and nonnegative"
     assert not out.exists()
 
 

@@ -85,8 +85,8 @@ def built_e_nm_ppt_problem() -> SdpProblem:
     built = []
     build = HermitianSdp.build
 
-    def spy(self):
-        built.append(build(self))
+    def spy(self, cost):
+        built.append(build(self, cost))
         return built[-1]
 
     rho = random_density(6, 5, SystemShape((2, 3)))
@@ -228,17 +228,22 @@ def test_statuses():
     assert sol.status is SdpStatus.ITERATION_LIMIT
 
 
+def trace_one(d: int) -> HermitianSdp:
+    """The builder of one d x d variable x with the 1 x 1 row tr(x) = 1."""
+    hs = HermitianSdp({"x": d})
+    hs.add_matrix_equality({"x": lambda e: e * np.eye(d)}, [[1.0]])
+    return hs
+
+
 def test_builder_returns_only_optimal(monkeypatch):
-    hs = HermitianSdp()
-    hs.add_psd_var("x", 2)
-    hs.add_scalar_equality({"x": np.eye(2)}, 1.0)
-    hs.set_cost({"x": np.diag([1.0, 2.0])})
+    hs = trace_one(2)
+    cost = {"x": np.diag([1.0, 2.0])}
     # a stall that ends within a tiny gap of the optimum is still no optimum
-    stalled = dataclasses.replace(hs.solve(), status=SdpStatus.ITERATION_LIMIT)
+    stalled = dataclasses.replace(hs.solve(cost), status=SdpStatus.ITERATION_LIMIT)
     with monkeypatch.context() as mp:
         mp.setattr(sdp, "solve", lambda prob, tol: stalled)
         with pytest.raises(SolverError):
-            hs.solve()
+            hs.solve(cost)
 
 
 @pytest.mark.parametrize("max_iter", [sdp.MAX_ITER, 2])
@@ -277,13 +282,10 @@ def test_builder_hermitian_min_eig():
         d = int(rng.integers(2, 6))
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = (g + g.conj().T) / 2
-        hs = HermitianSdp()
-        hs.add_psd_var("x", d)
-        hs.add_scalar_equality({"x": np.eye(d)}, 1.0)
-        hs.set_cost({"x": h})
-        sol = hs.solve()
+        hs = trace_one(d)
+        sol = hs.solve({"x": h})
         assert sol.pobj == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-6)
-        x = hs.value(sol, "x")
+        x = hs.blocks(sol)[0]["x"]
         assert np.abs(x - x.conj().T).max() < 1e-12
         assert np.trace(x).real == pytest.approx(1.0, abs=1e-6)
         assert np.linalg.eigvalsh(x)[0] >= -1e-9
@@ -294,43 +296,39 @@ def test_builder_matrix_equality_and_duals():
     rng = np.random.default_rng(21)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     r = g @ g.conj().T / 10
-    hs = HermitianSdp()
-    hs.add_psd_var("x", 3)
-    hs.add_matrix_equality("pin", {"x": lambda e: e}, r)
-    hs.set_cost({"x": np.eye(3)})
-    sol = hs.solve()
-    assert np.abs(hs.value(sol, "x") - r).max() < 1e-6
+    hs = HermitianSdp({"x": 3})
+    hs.add_matrix_equality({"x": lambda e: e}, r)
+    sol = hs.solve({"x": np.eye(3)})
+    x, slack = (blocks["x"] for blocks in hs.blocks(sol))
+    assert np.abs(x - r).max() < 1e-6
     assert sol.pobj == pytest.approx(np.trace(r).real, abs=1e-6)
-    # dual of the pin group satisfies the dual equality C - A*(y) = Z
-    y_mat = hs.dual_matrix(sol, "pin")
-    slack = hs.dual_slack(sol, "x")
+    # the pin's rows are the basis coordinates, so its dual is sum_k y_k E_k,
+    # and it satisfies the dual equality C - A*(y) = Z
+    y_mat = sum(yk * e for yk, e in zip(sol.y, hermitian_basis(3), strict=True))
     assert np.abs((np.eye(3) - y_mat) - slack).max() < 1e-6
 
 
 def test_builder_images_read_equalities_back():
-    # x -> D x D plus a slack s pinned to R, and one scalar row tr(x) + v = 2;
+    # x -> D x D plus a slack s pinned to R, and one 1 x 1 row tr(x) + v = 2;
     # the images give the rhs, and rhs minus the slack with the slack skipped
     rng = np.random.default_rng(21)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     r = g @ g.conj().T / 10 + np.eye(3)
     dm = np.diag([1.0, 2.0, 0.5])
-    hs = HermitianSdp()
-    hs.add_psd_var("x", 3)
-    hs.add_psd_var("s", 3)
-    hs.add_scalar_var("v")
-    hs.add_matrix_equality("pin", {"x": lambda e: dm @ e @ dm, "s": lambda e: e}, r)
-    hs.add_scalar_equality({"x": np.eye(3), "v": 1.0}, 2.0)
-    hs.set_cost({"x": -np.eye(3), "v": 1.0})
-    sol = hs.solve()
-    x, s, v = (hs.value(sol, name) for name in ("x", "s", "v"))
+    hs = HermitianSdp({"x": 3, "s": 3, "v": 1})
+    hs.add_matrix_equality({"x": lambda e: dm @ e @ dm, "s": lambda e: e}, r)
+    hs.add_matrix_equality({"x": lambda e: e * np.eye(3), "v": lambda e: e}, [[2.0]])
+    sol = hs.solve({"x": -np.eye(3), "v": 1.0})
+    x, s, v = (hs.blocks(sol)[0][name] for name in ("x", "s", "v"))
     full = hs.images(sol, [None, None])
     assert np.abs(full[0] - r).max() < 1e-6
-    assert full[1] == pytest.approx(2.0, abs=1e-6)
+    assert np.abs(full[1] - 2.0).max() < 1e-6
     pin, row = hs.images(sol, ["s", "v"])
     assert np.abs(pin - (r - s)).max() < 1e-6
     assert np.abs(pin - dm @ x @ dm).max() < 1e-12
-    assert row == pytest.approx(2.0 - v, abs=1e-6)
-    assert row == pytest.approx(np.trace(x).real, abs=1e-12)
+    assert row.shape == v.shape == (1, 1)
+    assert np.abs(row - (2.0 - v)).max() < 1e-6
+    assert np.abs(row - np.trace(x)).max() < 1e-12
 
 
 @pytest.mark.parametrize("rhs, slack", [
@@ -347,24 +345,29 @@ def test_fit_witness_rejects_unrepairable_equalities(rhs, slack):
 
 
 def test_builder_rejects_non_hermitian_data():
-    hs = HermitianSdp()
-    hs.add_psd_var("x", 2)
+    hs = HermitianSdp({"x": 2})
     # pinning X to a non-Hermitian matrix has no solution; it must not be
     # replaced by its Hermitian part
     with pytest.raises(ValueError):
-        hs.add_matrix_equality("pin", {"x": lambda e: e}, np.array([[1.0, 1.0], [0.0, 1.0]]))
+        hs.add_matrix_equality({"x": lambda e: e}, np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        hs.add_matrix_equality("pin", {"x": lambda e: e @ np.diag([1.0, 2.0])}, np.eye(2))
+        hs.add_matrix_equality({"x": lambda e: e @ np.diag([1.0, 2.0])}, np.eye(2))
+    # a 1 x 1 row with a non-Hermitian coefficient or a complex rhs
     with pytest.raises(ValueError):
-        hs.add_scalar_equality({"x": [[1.0, 1j], [1j, 1.0]]}, 1.0)
+        hs.add_matrix_equality({"x": lambda e: e * np.array([[1.0, 1j], [1j, 1.0]])}, [[1.0]])
+    with pytest.raises(ValueError):
+        hs.add_matrix_equality({"x": lambda e: e * np.eye(2)}, [[1j]])
 
 
-def test_set_cost_rejects_undeclared_variable():
-    hs = HermitianSdp()
-    hs.add_psd_var("x", 1)
-    hs.add_scalar_equality({"x": 1.0}, 1.0)
+def test_builder_rejects_undeclared_variable():
+    hs = HermitianSdp({"x": 1})
     with pytest.raises(ValueError):
-        hs.set_cost({"y": 1.0})
+        hs.add_matrix_equality({"x": lambda e: e, "y": lambda e: e}, [[1.0]])
+    hs.add_matrix_equality({"x": lambda e: e}, [[1.0]])
+    with pytest.raises(ValueError):
+        hs.build({"y": 1.0})
+    with pytest.raises(ValueError):
+        hs.solve({"y": 1.0})
 
 
 class _Built(Exception):
@@ -400,27 +403,23 @@ def test_builder_rows_match_dense_adapter(monkeypatch, measure):
     # must give bit for bit the same problem through SdpProblem
     sizes, rows, built = {}, [], []
     orig = {name: getattr(HermitianSdp, name)
-            for name in ("add_psd_var", "add_matrix_equality", "add_scalar_equality", "build")}
+            for name in ("__init__", "add_matrix_equality", "build")}
 
-    def add_psd_var(self, name, dim):
-        sizes[name] = dim
-        orig["add_psd_var"](self, name, dim)
+    def init(self, variables):
+        sizes.update(variables)
+        orig["__init__"](self, variables)
 
-    def add_matrix_equality(self, group, terms, rhs):
+    def add_matrix_equality(self, terms, rhs):
         rows.extend({name: adj(e) for name, adj in terms.items()}
-                    for e in hermitian_basis(rhs.shape[0]))
-        orig["add_matrix_equality"](self, group, terms, rhs)
+                    for e in hermitian_basis(np.shape(rhs)[0]))
+        orig["add_matrix_equality"](self, terms, rhs)
 
-    def add_scalar_equality(self, terms, rhs):
-        rows.append({name: np.atleast_2d(g) for name, g in terms.items()})
-        orig["add_scalar_equality"](self, terms, rhs)
-
-    def build(self):
-        built.append(orig["build"](self))
+    def build(self, cost):
+        built.append(orig["build"](self, cost))
         raise _Built
 
-    for name, fn in (("add_psd_var", add_psd_var), ("add_matrix_equality", add_matrix_equality),
-                     ("add_scalar_equality", add_scalar_equality), ("build", build)):
+    for name, fn in (("__init__", init), ("add_matrix_equality", add_matrix_equality),
+                     ("build", build)):
         monkeypatch.setattr(HermitianSdp, name, fn)
     with pytest.raises(_Built):
         measure()
@@ -441,19 +440,15 @@ def test_builder_rows_match_dense_adapter(monkeypatch, measure):
 
 
 def test_builder_scalar_vars():
-    # min 3 u + v s.t. u + v = 2, u, v >= 0
-    hs = HermitianSdp()
-    hs.add_scalar_var("u")
-    hs.add_scalar_var("v")
-    hs.add_scalar_equality({"u": 1.0, "v": 1.0}, 2.0)
-    hs.set_cost({"u": 3.0, "v": 1.0})
-    sol = hs.solve()
+    # min 3 u + v s.t. u + v = 2, u, v >= 0: two 1 x 1 blocks and a 1 x 1 row
+    hs = HermitianSdp({"u": 1, "v": 1})
+    hs.add_matrix_equality({"u": lambda e: e, "v": lambda e: e}, [[2.0]])
+    sol = hs.solve({"u": 3.0, "v": 1.0})
     assert sol.pobj == pytest.approx(2.0, abs=1e-6)
-    assert hs.value(sol, "u") == pytest.approx(0.0, abs=1e-6)
-    assert hs.value(sol, "v") == pytest.approx(2.0, abs=1e-6)
-    with pytest.raises(ValueError):
-        hs.add_scalar_var("u")
-
+    x, _ = hs.blocks(sol)
+    assert x["u"].shape == x["v"].shape == (1, 1)
+    assert np.abs(x["u"] - 0.0).max() < 1e-6
+    assert np.abs(x["v"] - 2.0).max() < 1e-6
 
 
 def test_schur_cancels_z_inverse_off_the_constraint_support():
