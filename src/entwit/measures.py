@@ -1,11 +1,13 @@
 """Witness-based entanglement measures: closed forms and SDP optimizations.
 
-Every SDP-backed value comes from one skeleton, _fit_witness, which scales
-the solved witness until it is exactly feasible, so values never exceed the
-true optimum. One rule repairs every measure: each equality reads
-slack + (other terms) = c I, c > 0, and the other terms are divided by
-s = max(1, lambda_max(their image) / c) (Jansson, Chaykin and Keil, SIAM J.
-Numer. Anal. 46, 180, 2007); a lone 1 x 1 row with no slack gets image / rhs.
+Every SDP-backed value comes from one skeleton, _fit_witness, which builds
+the SDP once for a stack of states (their costs differ, the constraints do
+not), solves them in one run and scales each solved witness until it is
+exactly feasible, so values never exceed the true optimum. One rule repairs
+every measure: each equality reads slack + (other terms) = c I, c > 0, and
+the other terms are divided by s = max(1, lambda_max(their image) / c)
+(Jansson, Chaykin and Keil, SIAM J. Numer. Anal. 46, 180, 2007); a lone
+1 x 1 row with no slack gets image / rhs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .linalg import (
     _herm_array,
     _pt_array,
     _ptrace_array,
-    hs_inner,
 )
 from .sdp import HermitianSdp
 from .states import DensityMatrix
@@ -210,19 +211,20 @@ def _identity_multiple(rhs) -> float:
     return c
 
 
-def _fit_witness(rho: DensityMatrix, variables: dict, cost: dict, equalities: list,
-                 linear, offset=None, **fields) -> _Fit:
-    """Build, solve, repair and report one witness SDP.
+def _fit_witness(rhos: np.ndarray, shape: SystemShape, variables: dict, costs: dict,
+                 equalities: list, linear, offset=None, **fields) -> list:
+    """Build once, solve, then repair and report one witness SDP per state of a stack.
 
-    variables maps names to block sizes (1 x 1: a nonnegative scalar), and
-    cost maps names to their cost matrices. Each (terms, rhs, slack) is a
-    matrix equality for HermitianSdp.add_matrix_equality; a scalar row is
-    the 1 x 1 case (_scalar_row). slack names the term that enters as the
-    identity (rhs = c I, c > 0), or is None for a lone 1 x 1 row that must
-    hold exactly; both are checked before anything is built. linear maps
-    the solved blocks to the variable part of W, which is divided by the
-    repair scale. The result reports max{0, -Tr(W rho)}, with
-    Witness(W, **fields).
+    rhos is a (K, D, D) stack of states of this shape. variables maps names
+    to block sizes (1 x 1: a nonnegative scalar), and costs maps names to
+    their (K, nb, nb) cost stacks, entry k for state k. Each (terms, rhs,
+    slack) is a matrix equality for HermitianSdp.add_matrix_equality; a
+    scalar row is the 1 x 1 case (_scalar_row). slack names the term that
+    enters as the identity (rhs = c I, c > 0), or is None for a lone 1 x 1
+    row that must hold exactly; both are checked before anything is built.
+    linear maps the solved blocks to the variable part of W, which is
+    divided by the repair scale of its own problem. Each result reports
+    max{0, -Tr(W rho)}, with Witness(W, **fields). Returns one _Fit per state.
     """
     slacks = [slack for _, _, slack in equalities]
     if None in slacks and (len(slacks) > 1 or np.shape(equalities[0][1]) != (1, 1)):
@@ -231,15 +233,18 @@ def _fit_witness(rho: DensityMatrix, variables: dict, cost: dict, equalities: li
     hs = HermitianSdp(variables)
     for terms, rhs, _ in equalities:
         hs.add_matrix_equality(terms, rhs)
-    sol = hs.solve(cost)
-    ratios = [np.linalg.eigvalsh(img)[-1] / c for img, c in zip(hs.images(sol, slacks), cs)]
-    scale = ratios[0] if slacks == [None] else max(1.0, *ratios)
-    blocks, duals = hs.blocks(sol)
-    w = linear(blocks) / scale
-    op = HermitianMatrix(w if offset is None else offset + w, rho.require_shape())
-    result = MeasureResult(max(0.0, -hs_inner(op, rho)), SDP_TOL,
-                           Witness(op=op, **fields) if fields else None)
-    return _Fit(result, blocks, duals, scale)
+    fits = []
+    for rho, sol in zip(rhos, hs.solve(costs), strict=True):
+        ratios = [np.linalg.eigvalsh(img)[-1] / c for img, c in zip(hs.images(sol, slacks), cs)]
+        scale = ratios[0] if slacks == [None] else max(1.0, *ratios)
+        blocks, duals = hs.blocks(sol)
+        w = linear(blocks) / scale
+        op = HermitianMatrix(w if offset is None else offset + w, shape)
+        tr_w_rho = float(np.real(np.einsum("ij,ji->", op.mat, rho)))  # hs_inner on arrays
+        result = MeasureResult(max(0.0, -tr_w_rho), SDP_TOL,
+                               Witness(op=op, **fields) if fields else None)
+        fits.append(_Fit(result, blocks, duals, scale))
+    return fits
 
 
 def _scalar_row(coeffs: dict, rhs: float, slack=None) -> tuple:
@@ -258,9 +263,8 @@ def _pt_map(dims, parties=(), negate=False):
     return lambda e: _pt_array(e, dims, parties)
 
 
-def _decomposable(rho, cut_list, pts, variables, equalities, **fields) -> _Fit:
-    """Fit W = P + sum_c Q_c^{T_c}; pts maps "P" to () and each Q_c to cut c."""
-    shape = rho.require_shape()
+def _decomposable(rhos, shape, cut_list, pts, variables, equalities, **fields) -> list:
+    """Fit W = P + sum_c Q_c^{T_c} per state; pts maps "P" to () and each Q_c to cut c."""
     dims = shape.local_dims
 
     def linear(blocks):
@@ -269,26 +273,30 @@ def _decomposable(rho, cut_list, pts, variables, equalities, **fields) -> _Fit:
             w = w + _pt_array(blocks[name], dims, parties)
         return w
 
-    fit = _fit_witness(rho, variables,
-                       {name: _pt_array(rho.mat, dims, ps) for name, ps in pts.items()},
-                       equalities, linear, kind=_decomp_kind(cut_list), cuts=cut_list, **fields)
-    parts = {name: HermitianMatrix(_psd_clip(fit.blocks[name] / fit.scale), shape)
-             for name in pts}
-    p_part = parts.pop("P", HermitianMatrix(np.zeros_like(rho.mat), shape))
-    fit.result.witness.parts = {"P": p_part, "Q": list(parts.values())}
-    return fit
+    fits = _fit_witness(rhos, shape, variables,
+                        {name: _pt_array(rhos, dims, ps) for name, ps in pts.items()},
+                        equalities, linear, kind=_decomp_kind(cut_list), cuts=cut_list, **fields)
+    for fit in fits:
+        parts = {name: HermitianMatrix(_psd_clip(fit.blocks[name] / fit.scale), shape)
+                 for name in pts}
+        p_part = parts.pop("P", HermitianMatrix(np.zeros((shape.total_dim,) * 2), shape))
+        fit.result.witness.parts = {"P": p_part, "Q": list(parts.values())}
+    return fits
 
 
-def e_nm_ppt(rho: DensityMatrix, cuts, n: float, m: float) -> MeasureResult:
-    """Optimal decomposable witness with bound box -nI <= W <= mI.
+def e_nm_ppt_stack(rhos: np.ndarray, shape: SystemShape, cuts, n: float,
+                   m: float) -> list:
+    """Optimal decomposable witness with bound box -nI <= W <= mI, per state.
 
-    value = max{0, -min Tr(W rho)} over W = P + sum_c Q_c^{T_c}, all
-    parts psd. An infinite bound drops its constraint (and P, which no
-    longer helps, when n is infinite). n=inf, m=1 is the PPT generalized
-    robustness; m=inf gives n times the PPT best-separable-approximation
-    weight. The mixing certificate comes from the SDP duals.
+    rhos is a (K, D, D) stack of states of this shape; returns one
+    MeasureResult per state. value = max{0, -min Tr(W rho)} over W = P +
+    sum_c Q_c^{T_c}, all parts psd. An infinite bound drops its constraint
+    (and P, which no longer helps, when n is infinite). n=inf, m=1 is the PPT
+    generalized robustness; m=inf gives n times the PPT
+    best-separable-approximation weight. The mixing certificate comes from
+    the SDP duals. The constraints do not depend on rho, so the SDP is built
+    once and its K costs run through one solver loop.
     """
-    shape = rho.require_shape()
     cut_list = [cuts] if isinstance(cuts, Cut) else list(cuts)
     if not cut_list:
         raise ValueError("need at least one cut")
@@ -297,17 +305,21 @@ def e_nm_ppt(rho: DensityMatrix, cuts, n: float, m: float) -> MeasureResult:
     n, m, choice = _nm_box(n, m)
     dims = shape.local_dims
     dd = shape.total_dim
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.ndim != 3 or rhos.shape[1:] != (dd, dd):
+        raise ValueError(f"need a stack of {dd} x {dd} states, got shape {rhos.shape}")
     eye = np.eye(dd)
 
     if n == 0.0:
         # nonnegative operators detect nothing
         zero = HermitianMatrix(np.zeros((dd, dd)), shape)
-        w = Witness(op=zero, kind=_decomp_kind(cut_list), bounds=(n, m),
-                    parts={"P": zero, "Q": [zero] * len(cut_list)}, cuts=cut_list)
-        cert = MixingCertificate(
-            0.0, 0.0, _to_density(rho.mat, shape),
-            _to_density(eye, shape), _to_density(eye, shape))
-        return MeasureResult(0.0, SDP_TOL, w, cert)
+        return [MeasureResult(0.0, SDP_TOL,
+                              Witness(op=zero, kind=_decomp_kind(cut_list), bounds=(n, m),
+                                      parts={"P": zero, "Q": [zero] * len(cut_list)},
+                                      cuts=cut_list),
+                              MixingCertificate(0.0, 0.0, _to_density(rho, shape),
+                                                _to_density(eye, shape), _to_density(eye, shape)))
+                for rho in rhos]
 
     has_p = math.isfinite(n)
     pts = {"P": ()} if has_p else {}
@@ -324,19 +336,25 @@ def e_nm_ppt(rho: DensityMatrix, cuts, n: float, m: float) -> MeasureResult:
         bound("S", False, m * eye)
     if has_p:
         bound("T", True, n * eye)
-    fit = _decomposable(rho, cut_list, pts, variables, equalities, bounds=(n, m),
-                        trace_norm_choice=choice)
+    fits = _decomposable(rhos, shape, cut_list, pts, variables, equalities, bounds=(n, m),
+                         trace_norm_choice=choice)
     zero = np.zeros((dd, dd))
-    u, v = fit.duals.get("S", zero), fit.duals.get("T", zero)
-    s = max(0.0, float(np.trace(u).real))
-    t = max(0.0, float(np.trace(v).real))
-    fit.result.certificate = MixingCertificate(
-        s=s, t=t,
-        sigma=_to_density(fit.duals["P"] if has_p else rho.mat + u, shape),
-        pi1=_to_density(u if s > 1e-9 else eye, shape),
-        pi2=_to_density(v if t > 1e-9 else eye, shape),
-    )
-    return fit.result
+    for rho, fit in zip(rhos, fits):
+        u, v = fit.duals.get("S", zero), fit.duals.get("T", zero)
+        s = max(0.0, float(np.trace(u).real))
+        t = max(0.0, float(np.trace(v).real))
+        fit.result.certificate = MixingCertificate(
+            s=s, t=t,
+            sigma=_to_density(fit.duals["P"] if has_p else rho + u, shape),
+            pi1=_to_density(u if s > 1e-9 else eye, shape),
+            pi2=_to_density(v if t > 1e-9 else eye, shape),
+        )
+    return [fit.result for fit in fits]
+
+
+def e_nm_ppt(rho: DensityMatrix, cuts, n: float, m: float) -> MeasureResult:
+    """e_nm_ppt_stack on a stack of one state."""
+    return e_nm_ppt_stack(rho.mat[None], rho.require_shape(), cuts, n, m)[0]
 
 
 def _decomp_kind(cut_list) -> str:
@@ -359,9 +377,9 @@ def rr_ppt(rho: DensityMatrix, cut: Cut) -> MeasureResult:
     cut.validate(shape)
     dd = shape.total_dim
     return _decomposable(
-        rho, [cut], {"P": (), "Q": cut.party_set}, {"P": dd, "Q": dd},
+        rho.mat[None], shape, [cut], {"P": (), "Q": cut.party_set}, {"P": dd, "Q": dd},
         [_scalar_row({"P": np.eye(dd), "Q": np.eye(dd)}, dd)],
-        bounds=(math.inf, math.inf), trace_norm_choice=TRACE_EQUALS_D).result
+        bounds=(math.inf, math.inf), trace_norm_choice=TRACE_EQUALS_D)[0].result
 
 
 def rains_fidelity(rho: DensityMatrix, cut: Cut) -> float:
@@ -379,8 +397,9 @@ def rains_fidelity(rho: DensityMatrix, cut: Cut) -> float:
     d = dims[0]
     eye = np.eye(shape.total_dim)
     ident, pt = _pt_map(dims), _pt_map(dims, cut.party_set)
-    fit = _fit_witness(
-        rho, dict.fromkeys(("F", "S", "G1", "G2"), shape.total_dim), {"F": -rho.mat},
+    fit, = _fit_witness(
+        rho.mat[None], shape, dict.fromkeys(("F", "S", "G1", "G2"), shape.total_dim),
+        {"F": -rho.mat[None]},
         [({"F": ident, "S": ident}, eye, "S"),
          ({"F": pt, "G1": ident}, eye / d, "G1"),
          ({"F": _pt_map(dims, cut.party_set, True), "G2": ident}, eye / d, "G2")],
@@ -423,9 +442,9 @@ def ssr_nonlocality(rho: DensityMatrix) -> MeasureResult:
     variables = {"S": dd, **{f"t{i}": 1 for i in range(dd)}}
     rows = [_scalar_row({"S": np.diag(np.eye(dd)[i]), f"t{i}": 1.0}, 1.0, f"t{i}")
             for i in range(dd)]
-    return _fit_witness(rho, variables, {"S": -rho.mat}, rows,
+    return _fit_witness(rho.mat[None], shape, variables, {"S": -rho.mat[None]}, rows,
                         lambda blocks: -blocks["S"], offset=np.eye(dd),
-                        kind=SSR_DIAGONAL, bounds=(math.inf, 1.0)).result
+                        kind=SSR_DIAGONAL, bounds=(math.inf, 1.0))[0].result
 
 
 def _sym_isometry(b: int) -> np.ndarray:
@@ -480,8 +499,8 @@ def rg_dps2(rho: DensityMatrix, cut: Cut) -> MeasureResult:
         "M2": lambda e: _pt_array(lift(e), ext, (2,)),
     }
     return _fit_witness(
-        rho, {"Sw": dd, "H0": ds, "M1": ds, "M2": a * b * b},
-        {"Sw": -to_cut(rho.mat, shape.local_dims)},
+        rho.mat[None], shape, {"Sw": dd, "H0": ds, "M1": ds, "M2": a * b * b},
+        {"Sw": -to_cut(rho.mat, shape.local_dims)[None]},
         [(terms, np.eye(ds, dtype=complex), "H0")],
         lambda blocks: -to_cut(blocks["Sw"], dims), offset=np.eye(dd),
-        kind=DPS2_CERTIFIED, bounds=(math.inf, 1.0), trace_norm_choice=OP_LEQ_I).result
+        kind=DPS2_CERTIFIED, bounds=(math.inf, 1.0), trace_norm_choice=OP_LEQ_I)[0].result

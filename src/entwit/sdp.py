@@ -25,17 +25,22 @@ cancels in A_i Z^-1, while forming the basis Gram of X (x) Z^-1 first would
 carry it into every entry. The Schur system itself is dense. Every step is
 deterministic, so a rerun on the same inputs is bit-identical.
 
-solve returns the iterate it stopped at. It reports OPTIMAL only when the
-residuals and the relative gap meet tol; the first iterate that meets tol
-is also the one with the smallest merit. A run whose barrier parameter
-stops shrinking at the double-precision floor ends ITERATION_LIMIT. The
-HermitianSdp builder holds only the constraints: the variables, declared
-once as a dict of block sizes, and the equalities. Every equality is a
-matrix equality, whose target-space basis the builder maps through each
-term's adjoint at once; a scalar row is the 1 x 1 case. The cost enters at
-build and solve, and solve returns only OPTIMAL solutions. The builder
-reads the primal and dual-slack blocks back from a solution, and each
-equality's image sum_v L_v(X_v) from the same basis coordinates.
+solve runs one predictor-corrector loop over a stack of K problems that
+share their constraints and differ in the cost, with a leading problem axis
+on every iterate; each problem gets the arithmetic of a solve on its own, so
+a problem's solution does not depend on the rest of the stack. A problem
+leaves the stack when it ends, and solve returns the iterate it stopped at.
+It reports OPTIMAL only when the residuals and the relative gap meet tol;
+the first iterate that meets tol is also the one with the smallest merit. A
+run whose barrier parameter stops shrinking at the double-precision floor
+ends ITERATION_LIMIT. The HermitianSdp builder holds only the constraints:
+the variables, declared once as a dict of block sizes, and the equalities.
+Every equality is a matrix equality, whose target-space basis the builder
+maps through each term's adjoint at once; a scalar row is the 1 x 1 case.
+The costs enter at solve, one stack per variable, and solve returns only
+OPTIMAL solutions. The builder reads the primal and dual-slack blocks back
+from a solution, and each equality's image sum_v L_v(X_v) from the same
+basis coordinates.
 """
 
 from __future__ import annotations
@@ -166,16 +171,20 @@ def _padded(mask: np.ndarray):
 
 
 def _slot_sum(t: np.ndarray) -> np.ndarray:
-    """t summed over its slot axis 1, slot by slot in place into t[:, 0]."""
-    for j in range(1, t.shape[1]):
-        t[:, 0] += t[:, j]
-    return t[:, 0]
+    """t summed over its slot axis 2, slot by slot in place into t[:, :, 0]."""
+    for j in range(1, t.shape[2]):
+        t[:, :, 0] += t[:, :, j]
+    return t[:, :, 0]
 
 
-# add_schur forms its products for this many Schur columns at a time, so its
-# temporaries have one small size that the allocator reuses every iteration;
-# sized by the block they can be mapped from the OS and faulted in each time.
-SCHUR_SLICE = 64
+# add_schur forms its products for a slice of Schur columns whose temporaries
+# hold about SCHUR_SLICE matrix entries over the whole stack (64 columns of
+# one 16 x 16 problem), so they have one small size that the allocator reuses
+# every iteration; sized by the block or the stack they can be mapped from the
+# OS and faulted in each time. A slice has at least SCHUR_MIN_COLUMNS columns:
+# narrower ones scatter into the Schur stack in short strided runs.
+SCHUR_SLICE = 64 * 16 * 16
+SCHUR_MIN_COLUMNS = 16
 
 
 class _BlockRows:
@@ -208,55 +217,57 @@ class _BlockRows:
         self.span = block.shape[0]
 
     def add_schur(self, x: np.ndarray, zi: np.ndarray, out: np.ndarray) -> None:
-        """out[i, j] += Re tr(X A_i Z^-1 A_j) over this block's rows.
+        """out[k, i, j] += Re tr(X_k A_i Z_k^-1 A_j) over this block's rows.
 
-        A_i Z^-1 is formed first from the nonzero rows of A_i; Z^-1 can be
-        huge on a subspace no A_i reaches (a dual slack without an interior
-        point), and that part cancels in this product before X scales it.
+        x, zi and out carry a leading problem axis k. A_i Z^-1 is formed
+        first from the nonzero rows of A_i; Z^-1 can be huge on a subspace no
+        A_i reaches (a dual slack without an interior point), and that part
+        cancels in this product before X scales it.
         """
         nb = self.basis.nb
-        v = (self.row_vals.reshape(-1, nb) @ zi).reshape(self.row_vals.shape)
+        v = (self.row_vals.reshape(-1, nb) @ zi).reshape(zi.shape[:1] + self.row_vals.shape)
         span = slice(self.lo, self.lo + self.span)
-        for j in range(0, self.span, SCHUR_SLICE):
-            cols = slice(j, min(j + SCHUR_SLICE, self.span))
-            f = np.matmul(x[:, self.nz_rows[cols]].transpose(1, 0, 2), v[cols])
+        step = max(SCHUR_MIN_COLUMNS, SCHUR_SLICE // (len(zi) * nb * nb))
+        for j in range(0, self.span, step):
+            cols = slice(j, min(j + step, self.span))
+            f = np.matmul(x[:, :, self.nz_rows[cols]].transpose(0, 2, 1, 3), v[:, cols])
             # coordinates of X A_i Z^-1 at each slot's coordinate, scaled in
             # place: a fresh product array costs more
-            h = _svec(self.basis, f).T[self.cols]
+            h = np.moveaxis(_svec(self.basis, f), -1, 1)[:, self.cols]
             h *= self.vals[..., None]
-            out[span, self.lo + cols.start : self.lo + cols.stop] += _slot_sum(h)
+            out[:, span, self.lo + cols.start : self.lo + cols.stop] += _slot_sum(h)
 
 
 class SdpProblem:
-    """Validated problem data.
+    """The validated constraint part of a stack of problems; the costs go to solve.
 
     blocks: sizes of the diagonal blocks.
-    c_blocks: Hermitian cost matrix per block.
     a_blocks: per block, an (m, nb, nb) array stacking the Hermitian
         constraint matrices; row i across all blocks forms one equality.
         It is kept only as the nonzero basis coordinates of each row
         (a_rows, one _BlockRows per block); HermitianSdp passes those
         coordinates through _from_coords instead.
     b: right-hand side, length m.
+
+    The rows are checked for linear independence once, here, whatever the
+    number of costs later solved over them.
     """
 
-    def __init__(self, blocks, c_blocks, a_blocks, b):
+    def __init__(self, blocks, a_blocks, b):
         coords = [_svec(_basis(nb), _hermitian(a, (np.size(b), nb, nb), "constraint block"))
                   for nb, a in zip(map(int, blocks), a_blocks, strict=True)]
-        self._setup(blocks, c_blocks, coords, b)
+        self._setup(blocks, coords, b)
 
     @classmethod
-    def _from_coords(cls, blocks, c_blocks, coords, b) -> SdpProblem:
+    def _from_coords(cls, blocks, coords, b) -> SdpProblem:
         """The problem whose row i on block b has basis coordinates coords[b][i]."""
         prob = cls.__new__(cls)
-        prob._setup(blocks, c_blocks, coords, b)
+        prob._setup(blocks, coords, b)
         return prob
 
-    def _setup(self, blocks, c_blocks, coords, b):
+    def _setup(self, blocks, coords, b):
         self.blocks = [int(n) for n in blocks]
         self.b = np.asarray(b, dtype=float).reshape(-1)
-        self.c_blocks = [_herm(_hermitian(c, (nb, nb), "cost block"))
-                         for nb, c in zip(self.blocks, c_blocks, strict=True)]
         self.a_rows = [_BlockRows(_basis(nb), u) for nb, u in zip(self.blocks, coords, strict=True)]
         self._check_independence()
 
@@ -264,8 +275,8 @@ class SdpProblem:
         m = self.b.size
         if m == 0:
             return
-        eye = [np.eye(nb) for nb in self.blocks]
-        w = np.linalg.eigvalsh(_schur(self, eye, eye))
+        eye = [np.eye(nb)[None] for nb in self.blocks]
+        w = np.linalg.eigvalsh(_schur(self, eye, eye)[0])
         if w[0] <= 1e-10 * max(1.0, w[-1]):
             raise ValueError(
                 "equality constraints are linearly dependent "
@@ -299,28 +310,39 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
+# The operators below act on a stack of problems: every X_b, Z_b and the
+# Schur matrices carry a leading problem axis, y and A(X) are (K, m).
+
+
 def _apply(prob: SdpProblem, mats) -> np.ndarray:
-    """A(X)_i = sum_b <A_ib, X_b>."""
-    out = np.zeros(prob.m)
+    """A(X)_i = sum_b <A_ib, X_b>, per problem."""
+    out = np.zeros((len(mats[0]), prob.m))
     for blk, w in zip(prob.a_rows, mats):
-        t = blk.vals * _svec(blk.basis, w)[blk.cols]
-        out[blk.lo : blk.lo + blk.span] += _slot_sum(t)
+        t = blk.vals * _svec(blk.basis, w)[:, blk.cols]
+        out[:, blk.lo : blk.lo + blk.span] += _slot_sum(t)
     return out
 
 
 def _adjoint(prob: SdpProblem, y: np.ndarray) -> list:
-    """A^T(y)_b = sum_i y_i A_ib, summed slot layer by slot layer."""
+    """A^T(y)_b = sum_i y_i A_ib per problem, summed slot layer by slot layer.
+
+    np.bincount adds each coordinate's terms in order, one problem at a time.
+    """
     out = []
     for blk in prob.a_rows:
-        t = blk.vals.T * y[blk.lo : blk.lo + blk.span]
-        u = np.bincount(blk.cols.T.ravel(), t.ravel(), minlength=blk.basis.n2)
+        t = blk.vals.T * y[:, None, blk.lo : blk.lo + blk.span]
+        idx = blk.cols.T.ravel()
+        u = np.stack([np.bincount(idx, tk.ravel(), minlength=blk.basis.n2) for tk in t])
         out.append(_smat(blk.basis, u))
     return out
 
 
 def _schur(prob: SdpProblem, x, zi, out=None) -> np.ndarray:
-    """M_ij = sum_b Re tr(X_b A_ib Z_b^-1 A_jb), in out if given; the Gram of A at X = Z = I."""
-    out = np.empty((prob.m, prob.m)) if out is None else out
+    """M_ij = sum_b Re tr(X_b A_ib Z_b^-1 A_jb) per problem, in out if given.
+
+    At X = Z = I it is the Gram matrix of the rows.
+    """
+    out = np.empty((len(x[0]), prob.m, prob.m)) if out is None else out
     out.fill(0.0)
     for blk, xb, zib in zip(prob.a_rows, x, zi):
         blk.add_schur(xb, zib, out)
@@ -328,26 +350,35 @@ def _schur(prob: SdpProblem, x, zi, out=None) -> np.ndarray:
 
 
 def _herm(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def _isqrt(s: np.ndarray) -> np.ndarray:
     """A factor F with F F^H = S^-1 (S^-1/2 up to a unitary), eigenvalues floored."""
     w, v = np.linalg.eigh(s)
-    return v / np.sqrt(np.maximum(w, w[-1] * 1e-15))
+    return v / np.sqrt(np.maximum(w, w[:, -1:] * 1e-15))[:, None, :]
 
 
-def _max_step(isqrts, ds_blocks) -> float:
+def _max_step(isqrts, ds_blocks) -> np.ndarray:
     """Largest t with S + t dS psd, via lambda_min(S^-1/2 dS S^-1/2), given _isqrt(S)."""
-    t = np.inf
+    t = np.full(len(isqrts[0]), np.inf)
     for isqrt, ds in zip(isqrts, ds_blocks):
-        lam = float(np.linalg.eigvalsh(_herm(isqrt.conj().T @ ds @ isqrt))[0])
-        if lam < -1e-14:
-            t = min(t, -1.0 / lam)
+        lam = np.linalg.eigvalsh(_herm(isqrt.conj().swapaxes(-1, -2) @ ds @ isqrt))[:, 0]
+        neg = lam < -1e-14
+        t[neg] = np.minimum(t[neg], -1.0 / lam[neg])
     return t
 
 
-def _solve_schur(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_schur(ms: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The Schur system of each problem, factored one at a time.
+
+    An LU of the whole stack gains nothing where the factorization is bound
+    by arithmetic, and would copy all K matrices at once.
+    """
+    return np.stack([_solve_one(m, r) for m, r in zip(ms, rhs)])
+
+
+def _solve_one(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     jitter = 0.0
     for _ in range(4):
         try:
@@ -360,76 +391,86 @@ def _solve_schur(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     raise SolverError("schur system is numerically singular")
 
 
-def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> SdpSolution:
-    """Run the predictor-corrector loop from the fixed interior start."""
+def solve(prob: SdpProblem, costs, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> list:
+    """Run the predictor-corrector loop from the fixed interior start on a stack.
+
+    costs holds one (K, nb, nb) Hermitian stack per block: problem k
+    minimizes sum_b <costs[b][k], X_b> over prob's constraints. All K run in
+    one loop; the scalars of the step (mu, sigma, step lengths, norms) and
+    the inner products stay per problem, so each problem's iterates are
+    bit-identical to a stack of one. A problem leaves the stack when it
+    ends. Returns the K solutions in order.
+    """
+    count = len(costs[0])
+    c = [_herm(_hermitian(cb, (count, nb, nb), "cost block"))
+         for nb, cb in zip(prob.blocks, costs, strict=True)]
     m = prob.m
     n_tot = prob.dim_total
     b = prob.b
     norm_b = float(np.abs(b).max(initial=0.0))
-    norm_c = float(np.sqrt(sum(_inner(c, c) for c in prob.c_blocks)))
-    tau = 1.0 + max(norm_b, norm_c)
+    norm_c = [float(np.sqrt(sum(_inner(cb[k], cb[k]) for cb in c))) for k in range(count)]
+    tau = np.array([1.0 + max(norm_b, nc) for nc in norm_c])[:, None, None]
     x = [tau * np.eye(nb, dtype=complex) for nb in prob.blocks]
     z = [tau * np.eye(nb, dtype=complex) for nb in prob.blocks]
-    y = np.zeros(m)
-    schur = np.empty((m, m))
+    y = np.zeros((count, m))
+    schur = np.empty((count, m, m))
 
-    status = SdpStatus.ITERATION_LIMIT
-    history = []
-    iterations = 0
-    prev_mu = np.inf
-    stall_count = 0
-    best_merit = np.inf
+    # per problem of the active stack, in stack order
+    ids = list(range(count))
+    history = [[] for _ in ids]
+    prev_mu = [np.inf] * count
+    stall_count = [0] * count
+    best_merit = [np.inf] * count
+    out = [None] * count
     for k in range(max_iter + 1):
-        conic = sum(_inner(xb, zb) for xb, zb in zip(x, z))
-        mu = conic / n_tot
-        pobj = sum(_inner(c, xb) for c, xb in zip(prob.c_blocks, x))
-        dobj = float(b @ y)
+        live = range(len(ids))
+        conic = [sum(_inner(xb[i], zb[i]) for xb, zb in zip(x, z)) for i in live]
+        pobj = [sum(_inner(cb[i], xb[i]) for cb, xb in zip(c, x)) for i in live]
+        dobj = [float(b @ y[i]) for i in live]
         rp = b - _apply(prob, x)
-        ady = _adjoint(prob, y)
-        rd = [c - a - zb for c, a, zb in zip(prob.c_blocks, ady, z)]
-        rp_norm = float(np.abs(rp).max(initial=0.0))
-        rd_norm = float(np.sqrt(sum(_inner(r, r) for r in rd)))
-        history.append(
-            {
-                "iter": k,
-                "mu": mu,
-                "pobj": pobj,
-                "dobj": dobj,
-                "rp": rp_norm,
-                "rd": rd_norm,
-                "conic": conic,
-            }
-        )
-        iterations = k
-        rel_gap = conic / (1.0 + max(abs(pobj), abs(dobj)))
-        merit = max(
-            rp_norm / (1.0 + norm_b), rd_norm / (1.0 + norm_c), rel_gap
-        )
-        best_merit = min(best_merit, merit)
-        res_ok = rp_norm <= tol * (1.0 + norm_b) and rd_norm <= tol * (1.0 + norm_c)
-        if res_ok and rel_gap <= tol:
-            status = SdpStatus.OPTIMAL
-            break
-        # Past the double-precision floor mu stops shrinking; further steps
-        # drift off the central path, so cut the run.
-        stall_count = stall_count + 1 if mu > 0.5 * prev_mu else 0
-        prev_mu = mu
-        if stall_count >= 3 and best_merit <= 1e-3:
-            break
-        norm_x = max(float(np.abs(xb).max()) for xb in x)
-        norm_zy = max(
-            float(np.abs(y).max(initial=0.0)),
-            max(float(np.abs(zb).max()) for zb in z),
-        )
-        if max(norm_x, norm_zy) > DIVERGE_NORM:
-            if not res_ok:
-                status = (
-                    SdpStatus.DUAL_INFEASIBLE
-                    if norm_x >= norm_zy
-                    else SdpStatus.PRIMAL_INFEASIBLE
-                )
-            break
-        if k == max_iter:
+        rd = [cb - a - zb for cb, a, zb in zip(c, _adjoint(prob, y), z)]
+        rp_norm = np.abs(rp).max(axis=1, initial=0.0).tolist()
+        rd_norm = [float(np.sqrt(sum(_inner(r[i], r[i]) for r in rd))) for i in live]
+        norm_x = np.max([np.abs(xb).max(axis=(1, 2)) for xb in x], axis=0).tolist()
+        norm_zy = np.max([np.abs(y).max(axis=1, initial=0.0)]
+                         + [np.abs(zb).max(axis=(1, 2)) for zb in z], axis=0).tolist()
+        ended = {}
+        for i in live:
+            j = ids[i]
+            mu = conic[i] / n_tot
+            history[j].append({"iter": k, "mu": mu, "pobj": pobj[i], "dobj": dobj[i],
+                               "rp": rp_norm[i], "rd": rd_norm[i], "conic": conic[i]})
+            rel_gap = conic[i] / (1.0 + max(abs(pobj[i]), abs(dobj[i])))
+            merit = max(rp_norm[i] / (1.0 + norm_b), rd_norm[i] / (1.0 + norm_c[j]), rel_gap)
+            best_merit[j] = min(best_merit[j], merit)
+            res_ok = rp_norm[i] <= tol * (1.0 + norm_b) and rd_norm[i] <= tol * (1.0 + norm_c[j])
+            if res_ok and rel_gap <= tol:
+                ended[i] = SdpStatus.OPTIMAL
+                continue
+            # Past the double-precision floor mu stops shrinking; further steps
+            # drift off the central path, so cut the run.
+            stall_count[j] = stall_count[j] + 1 if mu > 0.5 * prev_mu[j] else 0
+            prev_mu[j] = mu
+            if stall_count[j] >= 3 and best_merit[j] <= 1e-3:
+                ended[i] = SdpStatus.ITERATION_LIMIT
+            elif max(norm_x[i], norm_zy[i]) > DIVERGE_NORM:
+                ended[i] = (SdpStatus.ITERATION_LIMIT if res_ok
+                            else SdpStatus.DUAL_INFEASIBLE if norm_x[i] >= norm_zy[i]
+                            else SdpStatus.PRIMAL_INFEASIBLE)
+            elif k == max_iter:
+                ended[i] = SdpStatus.ITERATION_LIMIT
+        for i, status in ended.items():
+            out[ids[i]] = SdpSolution(
+                status=status, x_blocks=[xb[i] for xb in x], y=y[i], z_blocks=[zb[i] for zb in z],
+                pobj=pobj[i], dobj=dobj[i], gap=conic[i], iterations=k, history=history[ids[i]])
+        if ended:
+            keep = [i for i in live if i not in ended]
+            ids = [ids[i] for i in keep]
+            conic = [conic[i] for i in keep]
+            x, z, c, rd = ([a[keep] for a in arrs] for arrs in (x, z, c, rd))
+            y = y[keep]
+            schur = schur[: len(keep)]
+        if not ids:
             break
 
         zi = [_herm(np.linalg.inv(zb)) for zb in z]
@@ -444,40 +485,35 @@ def solve(prob: SdpProblem, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) 
         dx_aff = [
             _herm(-xb - xb @ dzb @ zib) for xb, dzb, zib in zip(x, dz_aff, zi)
         ]
-        ap_aff = min(1.0, _max_step(x_isqrt, dx_aff))
-        ad_aff = min(1.0, _max_step(z_isqrt, dz_aff))
-        mu_aff = sum(
-            _inner(xb + ap_aff * dxb, zb + ad_aff * dzb)
-            for xb, dxb, zb, dzb in zip(x, dx_aff, z, dz_aff)
-        ) / n_tot
-        sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
+        ap_aff = np.minimum(1.0, _max_step(x_isqrt, dx_aff))[:, None, None]
+        ad_aff = np.minimum(1.0, _max_step(z_isqrt, dz_aff))[:, None, None]
+        x_aff = [xb + ap_aff * dxb for xb, dxb in zip(x, dx_aff)]
+        z_aff = [zb + ad_aff * dzb for zb, dzb in zip(z, dz_aff)]
+        sigma_mu = []
+        for i in range(len(ids)):
+            mu = conic[i] / n_tot
+            mu_aff = sum(_inner(xa[i], za[i]) for xa, za in zip(x_aff, z_aff)) / n_tot
+            # a Python float: numpy's ** rounds differently in the last bit
+            sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
+            sigma_mu.append(sigma * mu)
+        sigma_mu = np.array(sigma_mu)
 
         cross = [dxb @ dzb @ zib for dxb, dzb, zib in zip(dx_aff, dz_aff, zi)]
-        rhs = b - sigma * mu * _apply(prob, zi) + a_xrz + _apply(prob, cross)
+        rhs = b - sigma_mu[:, None] * _apply(prob, zi) + a_xrz + _apply(prob, cross)
         dy = _solve_schur(schur, rhs)
         ady2 = _adjoint(prob, dy)
         dz = [r - a for r, a in zip(rd, ady2)]
         dx = [
-            _herm(sigma * mu * zib - xb - xb @ dzb @ zib - cr)
+            _herm(sigma_mu[:, None, None] * zib - xb - xb @ dzb @ zib - cr)
             for zib, xb, dzb, cr in zip(zi, x, dz, cross)
         ]
-        ap = min(1.0, 0.98 * _max_step(x_isqrt, dx))
-        ad = min(1.0, 0.98 * _max_step(z_isqrt, dz))
-        x = [xb + ap * dxb for xb, dxb in zip(x, dx)]
-        y = y + ad * dy
-        z = [zb + ad * dzb for zb, dzb in zip(z, dz)]
+        ap = np.minimum(1.0, 0.98 * _max_step(x_isqrt, dx))
+        ad = np.minimum(1.0, 0.98 * _max_step(z_isqrt, dz))
+        x = [xb + ap[:, None, None] * dxb for xb, dxb in zip(x, dx)]
+        y = y + ad[:, None] * dy
+        z = [zb + ad[:, None, None] * dzb for zb, dzb in zip(z, dz)]
 
-    return SdpSolution(
-        status=status,
-        x_blocks=x,
-        y=y,
-        z_blocks=z,
-        pobj=pobj,
-        dobj=dobj,
-        gap=conic,
-        iterations=iterations,
-        history=history,
-    )
+    return out
 
 
 def hermitian_basis(d: int) -> list:
@@ -492,8 +528,8 @@ class HermitianSdp:
     variable is one PSD Hermitian block, and a nonnegative scalar is a 1 x 1
     block. Each equality is kept as the basis coordinates of its terms and
     right-hand side, with its target size; a scalar row is the 1 x 1 case.
-    The cost is not held: build and solve take it, so one builder serves
-    every cost over the same constraints.
+    The cost is not held: solve takes a stack of costs, so one build and
+    one solver run serve every cost over the same constraints.
     """
 
     def __init__(self, variables: dict):
@@ -522,9 +558,8 @@ class HermitianSdp:
         rhs = _svec(tab, _hermitian(rhs, (tab.nb,) * 2, "equality rhs"))
         self._rows.append((coords, rhs, tab.nb))
 
-    def build(self, cost: dict) -> SdpProblem:
-        """The problem min sum_v <C_v, X_v>; cost maps variables to C_v, zero if absent."""
-        cost = {name: np.reshape(c, (self._size(name),) * 2) for name, c in cost.items()}
+    def build(self) -> SdpProblem:
+        """The constraint part of the problem, checked once for every cost solved over it."""
         b = np.concatenate([np.zeros(0)] + [rhs for _, rhs, _ in self._rows])
         coords = {name: np.zeros((b.size, nb * nb)) for name, nb in self._blocks.items()}
         start = 0
@@ -532,19 +567,26 @@ class HermitianSdp:
             for name, u in terms.items():
                 coords[name][start : start + rhs.size] = u
             start += rhs.size
-        c_blocks = [cost.get(name, np.zeros((nb, nb))) for name, nb in self._blocks.items()]
-        return SdpProblem._from_coords(self._blocks.values(), c_blocks, coords.values(), b)
+        return SdpProblem._from_coords(self._blocks.values(), coords.values(), b)
 
-    def solve(self, cost: dict, tol: float = DEFAULT_TOL) -> SdpSolution:
-        """Build with this cost and solve; return only an OPTIMAL solution.
+    def solve(self, costs: dict, tol: float = DEFAULT_TOL) -> list:
+        """Build once and solve min sum_v <C_v, X_v> for a stack of costs.
 
-        Any other status, a stall at the numerical floor included, raises
-        SolverError.
+        costs maps variables to their cost stacks C_v of shape (K, nb, nb)
+        (one nb x nb matrix, or a number for a 1 x 1 block, is K = 1); an
+        absent variable costs zero. Returns the K solutions, all OPTIMAL:
+        any other status, a stall at the numerical floor included, raises
+        SolverError naming the problem's index in the stack.
         """
-        sol = solve(self.build(cost), tol=tol)
-        if sol.status is not SdpStatus.OPTIMAL:
-            raise SolverError(f"solver ended with status {sol.status.value}")
-        return sol
+        costs = {name: np.reshape(c, (-1,) + (self._size(name),) * 2) for name, c in costs.items()}
+        count = len(next(iter(costs.values()))) if costs else 1
+        c_blocks = [costs.get(name, np.zeros((count, nb, nb))) for name, nb in self._blocks.items()]
+        sols = solve(self.build(), c_blocks, tol=tol)
+        for k, sol in enumerate(sols):
+            if sol.status is not SdpStatus.OPTIMAL:
+                raise SolverError(f"solver ended with status {sol.status.value} "
+                                  f"on problem {k} of {len(sols)}")
+        return sols
 
     def blocks(self, sol: SdpSolution) -> tuple:
         """The primal blocks X_v and the dual slacks Z_v of sol, each a dict by variable."""

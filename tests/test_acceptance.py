@@ -442,9 +442,13 @@ def test_criterion_10_curie_limit():
     assert worst_limit <= 0.01
 
 
-def min_eig_problem(h: np.ndarray) -> SdpProblem:
-    d = h.shape[0]
-    return SdpProblem([d], [h], [np.eye(d)[None, :, :]], [1.0])
+def min_eig_problem(d: int) -> SdpProblem:
+    """The constraint tr X = 1 on one d x d block; the cost H gives lambda_min(H)."""
+    return SdpProblem([d], [np.eye(d)[None, :, :]], [1.0])
+
+
+def min_eig(h: np.ndarray):
+    return solve(min_eig_problem(len(h)), [h[None]])[0]
 
 
 def test_criterion_11_solver_accuracy_and_determinism():
@@ -455,11 +459,11 @@ def test_criterion_11_solver_accuracy_and_determinism():
         d = int(rng.integers(2, 8))
         g = rng.standard_normal((d, d))
         h = (g + g.T) / 2
-        sol = solve(min_eig_problem(h))
+        sol = min_eig(h)
         worst = max(worst, abs(sol.pobj - float(np.linalg.eigvalsh(h)[0])))
     h = (lambda g: (g + g.T) / 2)(np.random.default_rng(5042).standard_normal((6, 6)))
-    s1 = solve(min_eig_problem(h))
-    s2 = solve(min_eig_problem(h))
+    s1 = min_eig(h)
+    s2 = min_eig(h)
     identical = (
         np.array_equal(s1.x_blocks[0], s2.x_blocks[0])
         and np.array_equal(s1.y, s2.y)
@@ -491,10 +495,10 @@ def test_criterion_11_weak_duality_every_iterate():
         d = int(rng.integers(2, 8))
         g = rng.standard_normal((d, d))
         h = (g + g.T) / 2
-        prob = min_eig_problem(h)
+        prob = min_eig_problem(d)
         bar_p = DEFAULT_TOL * (1.0 + float(np.abs(prob.b).max()))
         bar_d = DEFAULT_TOL * (1.0 + float(np.linalg.norm(h)))
-        sol = solve(prob)
+        sol, = solve(prob, [h[None]])
         first = None
         for rec in sol.history:
             min_conic = min(min_conic, rec["conic"])

@@ -7,8 +7,8 @@ import pytest
 from entwit import __version__, cli, measures
 from entwit.cli import main
 from entwit.linalg import Cut, HermitianMatrix, SystemShape
-from entwit.measures import negativity, rg_from_negativity
-from entwit.states import random_density, state_from_json
+from entwit.measures import e_nm_ppt, isotropic_e_n1, negativity, rg_from_negativity
+from entwit.states import isotropic, random_density, state_from_json, w_ghz_mix
 from entwit.witnesses import SSR_DIAGONAL, Witness, witness_to_json
 
 
@@ -139,6 +139,16 @@ def test_fig56_decomposes_each_sample_once(tmp_path, monkeypatch):
     assert sum(sizes) == 50
 
 
+def per_state_csv(config, header, rows, trailing=None) -> bytes:
+    """The CSV that reproduce writes for these rows and this configuration."""
+    lines = [f"# version={__version__} seed={config.get('seed', '-')} "
+             f"config={cli._config_hash(config)}",
+             ",".join(header),
+             *(",".join(cli._fmt(v) for v in row) for row in rows),
+             *(f"# {k}={cli._fmt(v)}" for k, v in (trailing or {}).items())]
+    return ("\n".join(lines) + "\n").encode()
+
+
 def fig56_per_sample_csv(d1, d2, samples, seed):
     """The fig56 CSV composed state by state from the single-state API."""
     shape = SystemShape((d1, d2))
@@ -150,11 +160,8 @@ def fig56_per_sample_csv(d1, d2, samples, seed):
         ranks.add(round(np.trace(neg.witness.parts["Q"][0].mat).real))
     frac = float(np.mean([r <= 2.0 * n + 1e-12 for n, r in rows]))
     config = {"command": "fig56", "dim": d1, "dim2": d2, "samples": samples, "seed": seed}
-    lines = [f"# version={__version__} seed={seed} config={cli._config_hash(config)}",
-             "negativity,rg_ppt",
-             *(f"{cli._fmt(n)},{cli._fmt(r)}" for n, r in rows),
-             f"# fraction_rg_le_2n={cli._fmt(frac)}"]
-    return ("\n".join(lines) + "\n").encode(), ranks
+    return per_state_csv(config, ["negativity", "rg_ppt"], rows,
+                         {"fraction_rg_le_2n": frac}), ranks
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
@@ -314,6 +321,39 @@ def test_example1_rows_and_values(tmp_path):
     assert cols == ["q", "n", "cut", "value"]
     assert len(rows) == 9
     assert all(float(r[3]) >= 0.0 for r in rows)
+
+
+def test_example1_stacks_match_per_state_solves(tmp_path):
+    # reproduce solves each (n, cut) over the whole q grid in one stacked run
+    out = tmp_path / "e1.csv"
+    assert main(["reproduce", "example1", "--q-count", "3", "--out", str(out)]) == 0
+    rows = [(float(q), n, site, e_nm_ppt(w_ghz_mix(float(q)), [Cut([site])], n, 1.0).value)
+            for q in np.linspace(0.0, 1.0, 3) for n in (1.0, 2.0, math.inf) for site in range(3)]
+    config = {"command": "example1", "q_count": 3, "n_list": "1,2,inf", "seed": 0}
+    assert out.read_bytes() == per_state_csv(config, ["q", "n", "cut", "value"], rows)
+
+
+def test_isotropic_stacks_match_per_state_solves(tmp_path):
+    out = tmp_path / "iso.csv"
+    assert main(["reproduce", "isotropic", "--d", "3", "--p-count", "3",
+                 "--out", str(out)]) == 0
+    rows = []
+    for n in (0.5, 1.0, 2.0, 3.0, 6.0):
+        for p in np.linspace(0.0, 1.0, 3):
+            closed = isotropic_e_n1(3, float(p), n)
+            sdp = e_nm_ppt(isotropic(3, float(p)), [Cut([0])], n, 1.0).value
+            rows.append((3, float(p), n, closed, sdp, abs(closed - sdp)))
+    config = {"command": "isotropic", "d": 3, "p_count": 3, "n_list": "default"}
+    want = per_state_csv(config, ["d", "p", "n", "closed", "sdp", "abs_diff"], rows,
+                         {"max_abs_diff": max(r[-1] for r in rows)})
+    assert out.read_bytes() == want
+
+
+def test_example1_rerun_is_byte_identical(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for out in (a, b):
+        assert main(["reproduce", "example1", "--q-count", "4", "--out", str(out)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_fig7q_columns(tmp_path):

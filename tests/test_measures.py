@@ -333,9 +333,9 @@ def test_dps2_fig7q_states_reach_optimal(monkeypatch):
     solve = sdp.solve
 
     def recording(prob, *args, **kwargs):
-        sol = solve(prob, *args, **kwargs)
-        statuses.append(sol.status)
-        return sol
+        sols = solve(prob, *args, **kwargs)
+        statuses.extend(sol.status for sol in sols)
+        return sols
 
     monkeypatch.setattr(sdp, "solve", recording)
     shape = SystemShape([3, 3])
@@ -392,13 +392,14 @@ def _assert_forced_repair(monkeypatch, measure, slacks):
     # own bound formulas rather than the builder's images
     real_solve, real_fit, fits = sdp.solve, measures._fit_witness, []
 
-    def inflated(prob, **kw):
-        sol = real_solve(prob, **kw)
-        return dataclasses.replace(sol, x_blocks=[(1.0 + 1e-6) * x for x in sol.x_blocks])
+    def inflated(prob, costs, **kw):
+        return [dataclasses.replace(sol, x_blocks=[(1.0 + 1e-6) * x for x in sol.x_blocks])
+                for sol in real_solve(prob, costs, **kw)]
 
     def recorded(*args, **kw):
-        fits.append(real_fit(*args, **kw))
-        return fits[-1]
+        new = real_fit(*args, **kw)
+        fits.extend(new)
+        return new
 
     monkeypatch.setattr(sdp, "solve", inflated)
     monkeypatch.setattr(measures, "_fit_witness", recorded)

@@ -8,6 +8,7 @@ from entwit.linalg import Cut, SystemShape, _pt_array
 from entwit.measures import (
     _fit_witness,
     e_nm_ppt,
+    e_nm_ppt_stack,
     rains_fidelity,
     rg_dps2,
     rr_ppt,
@@ -16,17 +17,28 @@ from entwit.measures import (
 from entwit.sdp import (
     HermitianSdp,
     SdpProblem,
+    SdpSolution,
     SdpStatus,
     SolverError,
     hermitian_basis,
     solve,
 )
-from entwit.states import random_density
+from entwit.states import random_density, w_ghz_mix
 
 
-def min_eig_problem(h: np.ndarray) -> SdpProblem:
-    d = h.shape[0]
-    return SdpProblem([d], [h], [np.eye(d)[None, :, :]], [1.0])
+def solve_one(prob: SdpProblem, cost_blocks, **kw) -> SdpSolution:
+    """solve on the stack of one problem with these per-block costs."""
+    return solve(prob, [np.asarray(c)[None] for c in cost_blocks], **kw)[0]
+
+
+def trace_one_problem(d: int) -> SdpProblem:
+    """The constraint tr X = 1 on one d x d block."""
+    return SdpProblem([d], [np.eye(d)[None, :, :]], [1.0])
+
+
+def min_eig(h: np.ndarray, **kw) -> SdpSolution:
+    """min <H, X> over tr X = 1, X psd: lambda_min(H)."""
+    return solve_one(trace_one_problem(h.shape[0]), [h], **kw)
 
 
 def rand_sym(seed: int, d: int) -> np.ndarray:
@@ -37,7 +49,7 @@ def rand_sym(seed: int, d: int) -> np.ndarray:
 def test_trace_min_analytic():
     a = np.zeros((1, 2, 2))
     a[0, 0, 0] = 1.0
-    sol = solve(SdpProblem([2], [np.eye(2)], [a], [1.0]))
+    sol = solve_one(SdpProblem([2], [a], [1.0]), [np.eye(2)])
     assert sol.status is SdpStatus.OPTIMAL
     assert sol.pobj == pytest.approx(1.0, abs=1e-6)
     assert np.allclose(sol.x_blocks[0], np.diag([1.0, 0.0]), atol=1e-5)
@@ -45,10 +57,10 @@ def test_trace_min_analytic():
 
 def test_min_eigenvalue_form():
     c = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sol = solve(min_eig_problem(c))
+    sol = min_eig(c)
     assert sol.pobj == pytest.approx(-1.0, abs=1e-6)
     # sigma_y: purely imaginary off-diagonal, same spectrum
-    sol = solve(SdpProblem([2], [[[0, -1j], [1j, 0]]], [np.eye(2)[None]], [1.0]))
+    sol = solve_one(trace_one_problem(2), [[[0, -1j], [1j, 0]]])
     assert sol.status is SdpStatus.OPTIMAL
     assert sol.pobj == pytest.approx(-1.0, abs=1e-6)
 
@@ -62,7 +74,7 @@ def test_min_eig_suite_and_invariants():
         if s % 2:
             g = g + 1j * rng.standard_normal((d, d))
         h = (g + g.conj().T) / 2
-        sol = solve(min_eig_problem(h))
+        sol = min_eig(h)
         assert sol.status is SdpStatus.OPTIMAL
         lam = np.linalg.eigvalsh(h)[0]
         worst = max(worst, abs(sol.pobj - lam))
@@ -80,28 +92,34 @@ def test_min_eig_suite_and_invariants():
     assert worst <= 1e-6
 
 
-def built_e_nm_ppt_problem() -> SdpProblem:
-    """The problem e_nm_ppt builds for n = 2, m = 1: blocks P, Q, S, T."""
-    built = []
-    build = HermitianSdp.build
+def captured_solve(measure) -> tuple:
+    """The (problem, cost stacks) of the one sdp.solve call that measure() makes."""
+    calls = []
+    real = sdp.solve
 
-    def spy(self, cost):
-        built.append(build(self, cost))
-        return built[-1]
+    def spy(prob, costs, **kw):
+        calls.append((prob, costs))
+        return real(prob, costs, **kw)
 
-    rho = random_density(6, 5, SystemShape((2, 3)))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(HermitianSdp, "build", spy)
-        e_nm_ppt(rho, [Cut([0])], 2.0, 1.0)
-    return built[0]
+        mp.setattr(sdp, "solve", spy)
+        measure()
+    assert len(calls) == 1
+    return calls[0]
+
+
+def built_e_nm_ppt_problem() -> tuple:
+    """The problem and cost stack e_nm_ppt builds for n = 2, m = 1: blocks P, Q, S, T."""
+    rho = random_density(6, 5, SystemShape((2, 3)))
+    return captured_solve(lambda: e_nm_ppt(rho, [Cut([0])], 2.0, 1.0))
 
 
 def test_deterministic_rerun():
-    nm_prob = built_e_nm_ppt_problem()
+    nm_prob, nm_costs = built_e_nm_ppt_problem()
     assert nm_prob.blocks == [6, 6, 6, 6]
-    for prob in (min_eig_problem(rand_sym(3, 5)), nm_prob):
-        s1 = solve(prob)
-        s2 = solve(prob)
+    for prob, costs in ((trace_one_problem(5), [rand_sym(3, 5)[None]]), (nm_prob, nm_costs)):
+        s1, = solve(prob, costs)
+        s2, = solve(prob, costs)
         assert s1.status is SdpStatus.OPTIMAL
         for a, b in zip(s1.x_blocks + s1.z_blocks, s2.x_blocks + s2.z_blocks):
             assert np.array_equal(a, b)
@@ -147,8 +165,7 @@ def reference_problem(seed: int, dims=(2, 2)):
     for i in range(n2 + 6, m):
         a[2][i] = rand_herm(rng, 3)
         a[4][i] = rng.standard_normal() if i != n2 + 8 else 0.0
-    c = [rand_herm(rng, nb) for nb in sizes]
-    return sizes, SdpProblem(sizes, c, a, rng.standard_normal(m)), a
+    return sizes, SdpProblem(sizes, a, rng.standard_normal(m)), a
 
 
 def assert_close(got, want):
@@ -166,37 +183,39 @@ def test_sparse_operators_match_dense_formulas(seed, dims):
     assert [np.count_nonzero(blk.vals) for blk in prob.a_rows[:2]] == [d * d + d, d * d]
     # the trace row makes block 0 d slots wide, so its row sums add slots
     assert prob.a_rows[0].vals.shape[1] == d
-    # at 3x3 the Schur assembly of block 0 takes more than one slice
-    assert (prob.a_rows[0].span > sdp.SCHUR_SLICE) == (dims == (3, 3))
+    # the operators act on a stack of problems; at 3x3 the Schur assembly of
+    # block 0 for a stack of three takes more than one slice of columns
+    count = 3
+    step = max(sdp.SCHUR_MIN_COLUMNS, sdp.SCHUR_SLICE // (count * d * d))
+    assert (prob.a_rows[0].span > step) == (dims == (3, 3))
     assert np.allclose(np.abs(prob.a_rows[1].vals), 1.0, rtol=1e-15, atol=0)
     assert not prob.a_rows[3].vals.any()
     rng = np.random.default_rng(100 + seed)
-    x = [rand_pd(rng, nb) for nb in sizes]
-    zi = [rand_pd(rng, nb) for nb in sizes]
-    y = rng.standard_normal(prob.m)
+    x = [np.stack([rand_pd(rng, nb) for _ in range(count)]) for nb in sizes]
+    zi = [np.stack([rand_pd(rng, nb) for _ in range(count)]) for nb in sizes]
+    y = rng.standard_normal((count, prob.m))
     # A(X) on Hermitian and on general square matrices (the solver applies
     # A to products such as X R Z^-1)
     general = [xb @ zb for xb, zb in zip(x, zi)]
-    for mats in (x, general):
-        want = sum(np.einsum("iab,ba->i", ab, w).real for ab, w in zip(a, mats))
-        assert_close(sdp._apply(prob, mats), want)
-    for got, ab in zip(sdp._adjoint(prob, y), a):
-        assert_close(got, np.einsum("i,iab->ab", y, ab))
-    want = sum(
-        np.einsum("ab,ibc,cd,jda->ij", xb, ab, zib, ab).real
-        for xb, ab, zib in zip(x, a, zi)
-    )
-    assert_close(sdp._schur(prob, x, zi), want)
+    schur = sdp._schur(prob, x, zi)
+    for k in range(count):
+        for mats in (x, general):
+            want = sum(np.einsum("iab,ba->i", ab, w[k]).real for ab, w in zip(a, mats))
+            assert_close(sdp._apply(prob, mats)[k], want)
+        for got, ab in zip(sdp._adjoint(prob, y), a):
+            assert_close(got[k], np.einsum("i,iab->ab", y[k], ab))
+        want = sum(
+            np.einsum("ab,ibc,cd,jda->ij", xb[k], ab, zib[k], ab).real
+            for xb, ab, zib in zip(x, a, zi)
+        )
+        assert_close(schur[k], want)
 
 
 def test_multi_block_lp():
     # min x0 + 2 x1 s.t. x0 + x1 = 1 as two 1x1 blocks
     a0 = np.ones((1, 1, 1))
     a1 = np.ones((1, 1, 1))
-    prob = SdpProblem(
-        [1, 1], [np.array([[1.0]]), np.array([[2.0]])], [a0, a1], [1.0]
-    )
-    sol = solve(prob)
+    sol = solve_one(SdpProblem([1, 1], [a0, a1], [1.0]), [[[1.0]], [[2.0]]])
     assert sol.pobj == pytest.approx(1.0, abs=1e-6)
     assert sol.x_blocks[0][0, 0] == pytest.approx(1.0, abs=1e-5)
 
@@ -204,27 +223,29 @@ def test_multi_block_lp():
 def test_gram_rejection_and_shape_checks():
     a = np.stack([np.eye(2), np.eye(2)])
     with pytest.raises(ValueError):
-        SdpProblem([2], [np.eye(2)], [a], [1.0, 1.0])
+        SdpProblem([2], [a], [1.0, 1.0])
     with pytest.raises(ValueError):
-        SdpProblem([2], [np.array([[0.0, 1.0], [0.0, 0.0]])],
-                   [np.eye(2)[None, :, :]], [1.0])
+        solve_one(trace_one_problem(2), [np.array([[0.0, 1.0], [0.0, 0.0]])])
     # symmetric but not Hermitian
     with pytest.raises(ValueError):
-        SdpProblem([2], [np.array([[0.0, 1j], [1j, 0.0]])],
-                   [np.eye(2)[None, :, :]], [1.0])
+        solve_one(trace_one_problem(2), [np.array([[0.0, 1j], [1j, 0.0]])])
+
+
+def pin_corner() -> SdpProblem:
+    """X_00 = 1 on one 2 x 2 block: unbounded below for the cost -I."""
+    a = np.zeros((1, 2, 2))
+    a[0, 0, 0] = 1.0
+    return SdpProblem([2], [a], [1.0])
 
 
 def test_statuses():
     # x >= 0 with x = -1 has no primal point
-    prob = SdpProblem([1], [np.zeros((1, 1))], [np.ones((1, 1, 1))], [-1.0])
-    assert solve(prob).status is SdpStatus.PRIMAL_INFEASIBLE
+    prob = SdpProblem([1], [np.ones((1, 1, 1))], [-1.0])
+    assert solve_one(prob, [np.zeros((1, 1))]).status is SdpStatus.PRIMAL_INFEASIBLE
     # unbounded below: free trace direction
-    a = np.zeros((1, 2, 2))
-    a[0, 0, 0] = 1.0
-    prob = SdpProblem([2], [-np.eye(2)], [a], [1.0])
-    assert solve(prob).status is SdpStatus.DUAL_INFEASIBLE
+    assert solve_one(pin_corner(), [-np.eye(2)]).status is SdpStatus.DUAL_INFEASIBLE
     # starved iteration budget
-    sol = solve(min_eig_problem(rand_sym(1, 6)), max_iter=2)
+    sol = min_eig(rand_sym(1, 6), max_iter=2)
     assert sol.status is SdpStatus.ITERATION_LIMIT
 
 
@@ -239,23 +260,23 @@ def test_builder_returns_only_optimal(monkeypatch):
     hs = trace_one(2)
     cost = {"x": np.diag([1.0, 2.0])}
     # a stall that ends within a tiny gap of the optimum is still no optimum
-    stalled = dataclasses.replace(hs.solve(cost), status=SdpStatus.ITERATION_LIMIT)
+    stalled = dataclasses.replace(hs.solve(cost)[0], status=SdpStatus.ITERATION_LIMIT)
     with monkeypatch.context() as mp:
-        mp.setattr(sdp, "solve", lambda prob, tol: stalled)
+        mp.setattr(sdp, "solve", lambda prob, costs, tol: [stalled])
         with pytest.raises(SolverError):
             hs.solve(cost)
 
 
 @pytest.mark.parametrize("max_iter", [sdp.MAX_ITER, 2])
 def test_solution_is_last_iterate(max_iter):
-    sol = solve(min_eig_problem(rand_sym(9, 4)), max_iter=max_iter)
+    sol = min_eig(rand_sym(9, 4), max_iter=max_iter)
     last = sol.history[-1]
     assert sol.status is (SdpStatus.OPTIMAL if max_iter > 2 else SdpStatus.ITERATION_LIMIT)
     assert (sol.pobj, sol.dobj, sol.gap) == (last["pobj"], last["dobj"], last["conic"])
 
 
 def test_history_records():
-    sol = solve(min_eig_problem(rand_sym(9, 4)))
+    sol = min_eig(rand_sym(9, 4))
     assert sol.history[0]["iter"] == 0
     assert len(sol.history) == sol.iterations + 1
     keys = {"iter", "mu", "pobj", "dobj", "rp", "rd", "conic"}
@@ -283,7 +304,7 @@ def test_builder_hermitian_min_eig():
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = (g + g.conj().T) / 2
         hs = trace_one(d)
-        sol = hs.solve({"x": h})
+        sol, = hs.solve({"x": h})
         assert sol.pobj == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-6)
         x = hs.blocks(sol)[0]["x"]
         assert np.abs(x - x.conj().T).max() < 1e-12
@@ -298,7 +319,7 @@ def test_builder_matrix_equality_and_duals():
     r = g @ g.conj().T / 10
     hs = HermitianSdp({"x": 3})
     hs.add_matrix_equality({"x": lambda e: e}, r)
-    sol = hs.solve({"x": np.eye(3)})
+    sol, = hs.solve({"x": np.eye(3)})
     x, slack = (blocks["x"] for blocks in hs.blocks(sol))
     assert np.abs(x - r).max() < 1e-6
     assert sol.pobj == pytest.approx(np.trace(r).real, abs=1e-6)
@@ -318,7 +339,7 @@ def test_builder_images_read_equalities_back():
     hs = HermitianSdp({"x": 3, "s": 3, "v": 1})
     hs.add_matrix_equality({"x": lambda e: dm @ e @ dm, "s": lambda e: e}, r)
     hs.add_matrix_equality({"x": lambda e: e * np.eye(3), "v": lambda e: e}, [[2.0]])
-    sol = hs.solve({"x": -np.eye(3), "v": 1.0})
+    sol, = hs.solve({"x": -np.eye(3), "v": 1.0})
     x, s, v = (hs.blocks(sol)[0][name] for name in ("x", "s", "v"))
     full = hs.images(sol, [None, None])
     assert np.abs(full[0] - r).max() < 1e-6
@@ -339,7 +360,7 @@ def test_builder_images_read_equalities_back():
 def test_fit_witness_rejects_unrepairable_equalities(rhs, slack):
     rho = random_density(2, 3)
     with pytest.raises(ValueError):
-        _fit_witness(rho, {"x": 2, "s": 2}, {"x": rho.mat},
+        _fit_witness(rho.mat[None], rho.shape, {"x": 2, "s": 2}, {"x": rho.mat[None]},
                      [({"x": lambda e: e, "s": lambda e: e}, rhs, slack)],
                      lambda blocks: blocks["x"])
 
@@ -365,9 +386,9 @@ def test_builder_rejects_undeclared_variable():
         hs.add_matrix_equality({"x": lambda e: e, "y": lambda e: e}, [[1.0]])
     hs.add_matrix_equality({"x": lambda e: e}, [[1.0]])
     with pytest.raises(ValueError):
-        hs.build({"y": 1.0})
-    with pytest.raises(ValueError):
         hs.solve({"y": 1.0})
+    with pytest.raises(ValueError):
+        hs.solve({"x": 1.0, "y": 1.0})
 
 
 class _Built(Exception):
@@ -414,8 +435,8 @@ def test_builder_rows_match_dense_adapter(monkeypatch, measure):
                     for e in hermitian_basis(np.shape(rhs)[0]))
         orig["add_matrix_equality"](self, terms, rhs)
 
-    def build(self, cost):
-        built.append(orig["build"](self, cost))
+    def build(self):
+        built.append(orig["build"](self))
         raise _Built
 
     for name, fn in (("__init__", init), ("add_matrix_equality", add_matrix_equality),
@@ -431,7 +452,7 @@ def test_builder_rows_match_dense_adapter(monkeypatch, measure):
             if name in row:
                 stack[i] = row[name]
         a.append(stack)
-    dense = SdpProblem(list(sizes.values()), prob.c_blocks, a, prob.b)
+    dense = SdpProblem(list(sizes.values()), a, prob.b)
     assert prob.blocks == dense.blocks
     for got, want in zip(prob.a_rows, dense.a_rows, strict=True):
         assert (got.lo, got.span) == (want.lo, want.span)
@@ -443,7 +464,7 @@ def test_builder_scalar_vars():
     # min 3 u + v s.t. u + v = 2, u, v >= 0: two 1 x 1 blocks and a 1 x 1 row
     hs = HermitianSdp({"u": 1, "v": 1})
     hs.add_matrix_equality({"u": lambda e: e, "v": lambda e: e}, [[2.0]])
-    sol = hs.solve({"u": 3.0, "v": 1.0})
+    sol, = hs.solve({"u": 3.0, "v": 1.0})
     assert sol.pobj == pytest.approx(2.0, abs=1e-6)
     x, _ = hs.blocks(sol)
     assert x["u"].shape == x["v"].shape == (1, 1)
@@ -460,12 +481,77 @@ def test_schur_cancels_z_inverse_off_the_constraint_support():
     iso = np.array([[1, 0, 0], [0, r, 0], [0, r, 0], [0, 0, 1]])
     anti = np.array([0, r, -r, 0])
     a = np.stack([iso @ e @ iso.T for e in hermitian_basis(3)])
-    prob = SdpProblem([4], [np.eye(4)], [a], np.ones(9))
+    prob = SdpProblem([4], [a], np.ones(9))
     zs = rand_pd(rng, 3)
     zi = iso @ np.linalg.inv(zs) @ iso.T + 1e12 * np.outer(anti, anti)
     x = rand_pd(rng, 4)
     want = np.einsum(
         "ab,ibc,cd,jda->ij", *(t.astype(np.clongdouble) for t in (x, a, zi, a))
     ).real.astype(float)
-    got = sdp._schur(prob, [x], [zi])
+    got = sdp._schur(prob, [x[None]], [zi[None]])[0]
     assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+def assert_same_solution(got: SdpSolution, want: SdpSolution):
+    assert got.status is want.status
+    assert got.iterations == want.iterations
+    for a, b in zip([got.y, *got.x_blocks, *got.z_blocks], [want.y, *want.x_blocks, *want.z_blocks],
+                    strict=True):
+        assert np.array_equal(a, b)
+    assert got.history == want.history
+
+
+def assert_stack_matches_singles(prob: SdpProblem, costs, **kw) -> list:
+    """Each problem of the stacked solve is bit-identical to its solve as a stack of one."""
+    stacked = solve(prob, costs, **kw)
+    assert len(stacked) == len(costs[0])
+    for k, got in enumerate(stacked):
+        assert_same_solution(got, solve(prob, [c[k : k + 1] for c in costs], **kw)[0])
+    return stacked
+
+
+def test_stacked_rg_ppt_matches_single_solves():
+    shape = SystemShape((2, 3))
+    rhos = np.stack([random_density(6, 300 + s, shape).mat for s in range(50)])
+    prob, costs = captured_solve(lambda: e_nm_ppt_stack(rhos, shape, [Cut([0])], np.inf, 1.0))
+    sols = assert_stack_matches_singles(prob, costs)
+    assert all(sol.status is SdpStatus.OPTIMAL for sol in sols)
+    # the stack holds problems of different lengths, so some leave it early
+    assert len({sol.iterations for sol in sols}) > 1
+
+
+@pytest.mark.parametrize("n", [1.0, 2.0, np.inf])
+def test_stacked_example1_grid_matches_single_solves(n):
+    states = [w_ghz_mix(q) for q in np.linspace(0.0, 1.0, 11)]
+    rhos = np.stack([s.mat for s in states])
+    prob, costs = captured_solve(
+        lambda: e_nm_ppt_stack(rhos, states[0].shape, [Cut([0])], n, 1.0))
+    assert len(costs[0]) == 11
+    assert_stack_matches_singles(prob, costs)
+
+
+def test_stacked_solve_drops_finished_problems():
+    # bounded costs that take 6 to 14 iterations, and one cost that is
+    # unbounded below and ends in 3; a budget of 12 stops the slowest problem,
+    # so the stack ends with a mix of statuses and most leave it early
+    costs = np.array([np.eye(2), -np.eye(2), np.diag([1.0, 2.0]), [[1.0, 0.9], [0.9, 1.0]],
+                      [[0.0, 1.0], [1.0, 1e-3]], [[0.0, 1.0], [1.0, 1e-2]],
+                      [[0.0, 1j], [-1j, 0.1]]], dtype=complex)
+    sols = assert_stack_matches_singles(pin_corner(), [costs], max_iter=12)
+    assert [(sol.status, sol.iterations) for sol in sols] == [
+        (SdpStatus.OPTIMAL, 6), (SdpStatus.DUAL_INFEASIBLE, 3), (SdpStatus.OPTIMAL, 6),
+        (SdpStatus.OPTIMAL, 6), (SdpStatus.ITERATION_LIMIT, 12), (SdpStatus.OPTIMAL, 12),
+        (SdpStatus.OPTIMAL, 11)]
+    # a starved budget of two stops every problem, the unbounded one too
+    sols = assert_stack_matches_singles(pin_corner(), [costs], max_iter=2)
+    assert [sol.status for sol in sols] == [SdpStatus.ITERATION_LIMIT] * 7
+
+
+def test_stacked_builder_names_the_failing_problem():
+    hs = HermitianSdp({"x": 2})
+    hs.add_matrix_equality({"x": lambda e: e * np.diag([1.0, 0.0])}, [[1.0]])
+    sols = hs.solve({"x": np.stack([np.eye(2), np.diag([1.0, 2.0])])})
+    assert [sol.status for sol in sols] == [SdpStatus.OPTIMAL] * 2
+    # problem 1 of the stack is unbounded below
+    with pytest.raises(SolverError, match=r"dual-infeasible on problem 1 of 3"):
+        hs.solve({"x": np.stack([np.eye(2), -np.eye(2), np.diag([1.0, 2.0])])})
