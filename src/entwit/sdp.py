@@ -22,14 +22,24 @@ then X times it (sparse Schur assembly after Fujisawa, Kojima and Nakata,
 Math. Prog. 79, 1997). The order matters: when Z^-1 is huge on a subspace
 that no A_i reaches (a dual slack without an interior point), that part
 cancels in A_i Z^-1, while forming the basis Gram of X (x) Z^-1 first would
-carry it into every entry. The Schur system itself is dense. Every step is
-deterministic, so a rerun on the same inputs is bit-identical.
+carry it into every entry. The Schur system itself is dense, and each Schur
+matrix is stored column-major, LAPACK's order: column j is written as one
+contiguous row of a transposed buffer. Every step is deterministic, so a
+rerun on the same inputs is bit-identical.
+
+A problem's rows are built and checked for independence once per distinct
+content: a small memo keyed by the block sizes, m and a digest of each
+block's coordinates (never b) hands the checked rows of an earlier problem
+to a later one, so problems that differ only in b share them.
 
 solve runs one predictor-corrector loop over a stack of K problems that
 share their constraints and differ in the cost, with a leading problem axis
 on every iterate; each problem gets the arithmetic of a solve on its own, so
-a problem's solution does not depend on the rest of the stack. A problem
-leaves the stack when it ends, and solve returns the iterate it stopped at.
+a problem's solution does not depend on the rest of the stack. solve runs
+a long stack as sub-stacks whose Schur matrices hold at most
+SCHUR_STACK_ENTRIES doubles together, which caps its memory at large m and
+leaves every problem's bytes as they are. A problem leaves the stack when
+it ends, and solve returns the iterate it stopped at.
 It reports OPTIMAL only when the residuals and the relative gap meet tol;
 the first iterate that meets tol is also the one with the smallest merit. A
 run whose barrier parameter stops shrinking at the double-precision floor
@@ -47,6 +57,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +66,12 @@ from .linalg import HERM_ATOL
 
 DEFAULT_TOL = 1e-7
 MAX_ITER = 200
+# A run whose iterates pass DIVERGE_NORM has diverged. A side whose residual
+# meets tol has a ray when its objective has run past DIVERGE_OBJ times
+# 1 + the data norm: the primal objective down for an unbounded problem (dual
+# infeasible), the dual objective up for a primal infeasible one.
 DIVERGE_NORM = 1e8
+DIVERGE_OBJ = 1e4
 
 
 class SolverError(RuntimeError):
@@ -181,10 +197,12 @@ def _slot_sum(t: np.ndarray) -> np.ndarray:
 # hold about SCHUR_SLICE matrix entries over the whole stack (64 columns of
 # one 16 x 16 problem), so they have one small size that the allocator reuses
 # every iteration; sized by the block or the stack they can be mapped from the
-# OS and faulted in each time. A slice has at least SCHUR_MIN_COLUMNS columns:
-# narrower ones scatter into the Schur stack in short strided runs.
+# OS and faulted in each time.
 SCHUR_SLICE = 64 * 16 * 16
-SCHUR_MIN_COLUMNS = 16
+# solve runs a stack as sub-stacks whose m x m Schur matrices hold at most
+# this many doubles together (4 MB: two problems at m = 512), so its memory
+# does not grow with the stack at large m, where the LU bounds the time.
+SCHUR_STACK_ENTRIES = 2**19
 
 
 class _BlockRows:
@@ -215,27 +233,37 @@ class _BlockRows:
         self.basis = tab
         self.lo = int(used[0]) if used.size else 0
         self.span = block.shape[0]
+        # problems with the same rows share this object
+        for arr in (self.cols, self.vals, self.nz_rows, self.row_vals):
+            arr.flags.writeable = False
 
-    def add_schur(self, x: np.ndarray, zi: np.ndarray, out: np.ndarray) -> None:
-        """out[k, i, j] += Re tr(X_k A_i Z_k^-1 A_j) over this block's rows.
+    def add_schur(self, x: np.ndarray, zi: np.ndarray, out_t: np.ndarray) -> None:
+        """out_t[k, j, i] += Re tr(X_k A_i Z_k^-1 A_j) over this block's rows.
 
-        x, zi and out carry a leading problem axis k. A_i Z^-1 is formed
-        first from the nonzero rows of A_i; Z^-1 can be huge on a subspace no
-        A_i reaches (a dual slack without an interior point), and that part
-        cancels in this product before X scales it.
+        x, zi and out_t carry a leading problem axis k; out_t is the Schur
+        matrix transposed, so column j goes in as one contiguous row. A_i
+        Z^-1 is formed first from the nonzero rows of A_i; Z^-1 can be huge
+        on a subspace no A_i reaches (a dual slack without an interior
+        point), and that part cancels in this product before X scales it.
         """
         nb = self.basis.nb
         v = (self.row_vals.reshape(-1, nb) @ zi).reshape(zi.shape[:1] + self.row_vals.shape)
         span = slice(self.lo, self.lo + self.span)
-        step = max(SCHUR_MIN_COLUMNS, SCHUR_SLICE // (len(zi) * nb * nb))
+        step = max(1, SCHUR_SLICE // (len(zi) * nb * nb))
         for j in range(0, self.span, step):
             cols = slice(j, min(j + step, self.span))
             f = np.matmul(x[:, :, self.nz_rows[cols]].transpose(0, 2, 1, 3), v[:, cols])
-            # coordinates of X A_i Z^-1 at each slot's coordinate, scaled in
-            # place: a fresh product array costs more
-            h = np.moveaxis(_svec(self.basis, f), -1, 1)[:, self.cols]
-            h *= self.vals[..., None]
-            out[:, span, self.lo + cols.start : self.lo + cols.stop] += _slot_sum(h)
+            # coordinates of X A_j Z^-1 at each slot of every row i, scaled
+            # in place: a fresh product array costs more
+            h = _svec(self.basis, f)[:, :, self.cols.T]
+            h *= self.vals.T
+            out_t[:, self.lo + cols.start : self.lo + cols.stop, span] += _slot_sum(h)
+
+
+# The checked rows of the ROWS_MEMO_SIZE problems built last, by content; a
+# hit moves to the end, and the oldest entry leaves first.
+ROWS_MEMO_SIZE = 8
+_ROWS: dict = {}
 
 
 class SdpProblem:
@@ -250,7 +278,11 @@ class SdpProblem:
     b: right-hand side, length m.
 
     The rows are checked for linear independence once, here, whatever the
-    number of costs later solved over them.
+    number of costs later solved over them, and built and checked once per
+    distinct content: a problem whose blocks and row coordinates equal those
+    of a recent one takes its read-only a_rows from the memo _ROWS, whatever
+    its b. Rows that fail the check are never stored. solve stores each
+    Schur matrix column-major and splits a long stack into sub-stacks.
     """
 
     def __init__(self, blocks, a_blocks, b):
@@ -268,8 +300,17 @@ class SdpProblem:
     def _setup(self, blocks, coords, b):
         self.blocks = [int(n) for n in blocks]
         self.b = np.asarray(b, dtype=float).reshape(-1)
-        self.a_rows = [_BlockRows(_basis(nb), u) for nb, u in zip(self.blocks, coords, strict=True)]
-        self._check_independence()
+        coords = [np.ascontiguousarray(u, dtype=float) for u in coords]
+        key = (tuple(self.blocks), self.m,
+               tuple(hashlib.sha256(u).digest() for u in coords))
+        self.a_rows = _ROWS.pop(key, None)
+        if self.a_rows is None:
+            self.a_rows = tuple(_BlockRows(_basis(nb), u)
+                                for nb, u in zip(self.blocks, coords, strict=True))
+            self._check_independence()
+            if len(_ROWS) >= ROWS_MEMO_SIZE:
+                del _ROWS[next(iter(_ROWS))]
+        _ROWS[key] = self.a_rows
 
     def _check_independence(self):
         m = self.b.size
@@ -337,16 +378,18 @@ def _adjoint(prob: SdpProblem, y: np.ndarray) -> list:
     return out
 
 
-def _schur(prob: SdpProblem, x, zi, out=None) -> np.ndarray:
-    """M_ij = sum_b Re tr(X_b A_ib Z_b^-1 A_jb) per problem, in out if given.
+def _schur(prob: SdpProblem, x, zi, out_t=None) -> np.ndarray:
+    """M_ij = sum_b Re tr(X_b A_ib Z_b^-1 A_jb) per problem, column-major.
 
+    The matrices are assembled transposed into out_t, a (K, m, m) buffer
+    (a new one if not given), and returned as its transposed view.
     At X = Z = I it is the Gram matrix of the rows.
     """
-    out = np.empty((len(x[0]), prob.m, prob.m)) if out is None else out
-    out.fill(0.0)
+    out_t = np.empty((len(x[0]), prob.m, prob.m)) if out_t is None else out_t
+    out_t.fill(0.0)
     for blk, xb, zib in zip(prob.a_rows, x, zi):
-        blk.add_schur(xb, zib, out)
-    return out
+        blk.add_schur(xb, zib, out_t)
+    return out_t.transpose(0, 2, 1)
 
 
 def _herm(m: np.ndarray) -> np.ndarray:
@@ -399,11 +442,21 @@ def solve(prob: SdpProblem, costs, tol: float = DEFAULT_TOL, max_iter: int = MAX
     one loop; the scalars of the step (mu, sigma, step lengths, norms) and
     the inner products stay per problem, so each problem's iterates are
     bit-identical to a stack of one. A problem leaves the stack when it
-    ends. Returns the K solutions in order.
+    ends. The stack runs as sub-stacks of at most SCHUR_STACK_ENTRIES // m^2
+    problems (one at least), one after another. Returns the K solutions in
+    order.
     """
     count = len(costs[0])
     c = [_herm(_hermitian(cb, (count, nb, nb), "cost block"))
          for nb, cb in zip(prob.blocks, costs, strict=True)]
+    size = max(1, SCHUR_STACK_ENTRIES // max(1, prob.m**2))
+    return [sol for lo in range(0, count, size)
+            for sol in _solve_stack(prob, [cb[lo : lo + size] for cb in c], tol, max_iter)]
+
+
+def _solve_stack(prob: SdpProblem, c: list, tol: float, max_iter: int) -> list:
+    """solve on one sub-stack of validated, Hermitian cost blocks."""
+    count = len(c[0])
     m = prob.m
     n_tot = prob.dim_total
     b = prob.b
@@ -413,7 +466,7 @@ def solve(prob: SdpProblem, costs, tol: float = DEFAULT_TOL, max_iter: int = MAX
     x = [tau * np.eye(nb, dtype=complex) for nb in prob.blocks]
     z = [tau * np.eye(nb, dtype=complex) for nb in prob.blocks]
     y = np.zeros((count, m))
-    schur = np.empty((count, m, m))
+    schur_t = np.empty((count, m, m))
 
     # per problem of the active stack, in stack order
     ids = list(range(count))
@@ -443,8 +496,9 @@ def solve(prob: SdpProblem, costs, tol: float = DEFAULT_TOL, max_iter: int = MAX
             rel_gap = conic[i] / (1.0 + max(abs(pobj[i]), abs(dobj[i])))
             merit = max(rp_norm[i] / (1.0 + norm_b), rd_norm[i] / (1.0 + norm_c[j]), rel_gap)
             best_merit[j] = min(best_merit[j], merit)
-            res_ok = rp_norm[i] <= tol * (1.0 + norm_b) and rd_norm[i] <= tol * (1.0 + norm_c[j])
-            if res_ok and rel_gap <= tol:
+            rp_ok = rp_norm[i] <= tol * (1.0 + norm_b)
+            rd_ok = rd_norm[i] <= tol * (1.0 + norm_c[j])
+            if rp_ok and rd_ok and rel_gap <= tol:
                 ended[i] = SdpStatus.OPTIMAL
                 continue
             # Past the double-precision floor mu stops shrinking; further steps
@@ -454,9 +508,12 @@ def solve(prob: SdpProblem, costs, tol: float = DEFAULT_TOL, max_iter: int = MAX
             if stall_count[j] >= 3 and best_merit[j] <= 1e-3:
                 ended[i] = SdpStatus.ITERATION_LIMIT
             elif max(norm_x[i], norm_zy[i]) > DIVERGE_NORM:
-                ended[i] = (SdpStatus.ITERATION_LIMIT if res_ok
-                            else SdpStatus.DUAL_INFEASIBLE if norm_x[i] >= norm_zy[i]
-                            else SdpStatus.PRIMAL_INFEASIBLE)
+                ended[i] = (
+                    SdpStatus.DUAL_INFEASIBLE
+                    if rp_ok and not rd_ok and pobj[i] < -DIVERGE_OBJ * (1.0 + norm_c[j])
+                    else SdpStatus.PRIMAL_INFEASIBLE
+                    if rd_ok and not rp_ok and dobj[i] > DIVERGE_OBJ * (1.0 + norm_b)
+                    else SdpStatus.ITERATION_LIMIT)
             elif k == max_iter:
                 ended[i] = SdpStatus.ITERATION_LIMIT
         for i, status in ended.items():
@@ -469,12 +526,12 @@ def solve(prob: SdpProblem, costs, tol: float = DEFAULT_TOL, max_iter: int = MAX
             conic = [conic[i] for i in keep]
             x, z, c, rd = ([a[keep] for a in arrs] for arrs in (x, z, c, rd))
             y = y[keep]
-            schur = schur[: len(keep)]
+            schur_t = schur_t[: len(keep)]
         if not ids:
             break
 
         zi = [_herm(np.linalg.inv(zb)) for zb in z]
-        _schur(prob, x, zi, schur)
+        schur = _schur(prob, x, zi, schur_t)
 
         a_xrz = _apply(prob, [xb @ r @ zib for xb, r, zib in zip(x, rd, zi)])
         x_isqrt, z_isqrt = [_isqrt(xb) for xb in x], [_isqrt(zb) for zb in z]

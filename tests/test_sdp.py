@@ -186,7 +186,7 @@ def test_sparse_operators_match_dense_formulas(seed, dims):
     # the operators act on a stack of problems; at 3x3 the Schur assembly of
     # block 0 for a stack of three takes more than one slice of columns
     count = 3
-    step = max(sdp.SCHUR_MIN_COLUMNS, sdp.SCHUR_SLICE // (count * d * d))
+    step = sdp.SCHUR_SLICE // (count * d * d)
     assert (prob.a_rows[0].span > step) == (dims == (3, 3))
     assert np.allclose(np.abs(prob.a_rows[1].vals), 1.0, rtol=1e-15, atol=0)
     assert not prob.a_rows[3].vals.any()
@@ -247,6 +247,21 @@ def test_statuses():
     # starved iteration budget
     sol = min_eig(rand_sym(1, 6), max_iter=2)
     assert sol.status is SdpStatus.ITERATION_LIMIT
+
+
+def test_unbounded_costs_end_dual_infeasible():
+    # min <C, X> s.t. X_00 = 1 is feasible, and unbounded below when C_11 < 0;
+    # the primal residual meets tol there while the primal objective runs away
+    rng = np.random.default_rng(5)
+    costs = [rand_herm(rng, 2) for _ in range(6)]
+    assert [c[1, 1].real < 0 for c in costs] == [False, True, True, True, True, False]
+    sols = [solve_one(pin_corner(), [c]) for c in costs]
+    want = [SdpStatus.OPTIMAL] + [SdpStatus.DUAL_INFEASIBLE] * 4 + [SdpStatus.OPTIMAL]
+    assert [sol.status for sol in sols] == want
+    for sol in sols[1:5]:
+        # tol (1 + |b|) with b = [1]
+        assert sol.history[-1]["rp"] <= sdp.DEFAULT_TOL * 2
+        assert sol.pobj < -sdp.DIVERGE_OBJ
 
 
 def trace_one(d: int) -> HermitianSdp:
@@ -452,9 +467,12 @@ def test_builder_rows_match_dense_adapter(monkeypatch, measure):
             if name in row:
                 stack[i] = row[name]
         a.append(stack)
+    # an empty memo, so that the dense adapter builds its own rows
+    monkeypatch.setattr(sdp, "_ROWS", {})
     dense = SdpProblem(list(sizes.values()), a, prob.b)
     assert prob.blocks == dense.blocks
     for got, want in zip(prob.a_rows, dense.a_rows, strict=True):
+        assert got is not want
         assert (got.lo, got.span) == (want.lo, want.span)
         for field_name in ("cols", "vals", "nz_rows", "row_vals"):
             assert _bitwise(getattr(got, field_name), getattr(want, field_name)), field_name
@@ -555,3 +573,68 @@ def test_stacked_builder_names_the_failing_problem():
     # problem 1 of the stack is unbounded below
     with pytest.raises(SolverError, match=r"dual-infeasible on problem 1 of 3"):
         hs.solve({"x": np.stack([np.eye(2), -np.eye(2), np.diag([1.0, 2.0])])})
+
+
+def test_rows_memo_shares_rows_across_right_hand_sides(monkeypatch):
+    monkeypatch.setattr(sdp, "_ROWS", {})
+    rho = random_density(6, 5, SystemShape((2, 3)))
+
+    def problems():
+        return [captured_solve(lambda: e_nm_ppt(rho, [Cut([0])], n, 1.0)) for n in (1.0, 2.0)]
+
+    (p1, c1), (p2, c2) = problems()
+    assert not np.array_equal(p1.b, p2.b)
+    assert p2.a_rows is p1.a_rows
+    assert len(sdp._ROWS) == 1
+    for blk in p1.a_rows:
+        for arr in (blk.cols, blk.vals, blk.nz_rows, blk.row_vals):
+            assert not arr.flags.writeable
+    shared = [solve(p, c)[0] for p, c in ((p1, c1), (p2, c2))]
+    sdp._ROWS.clear()
+    fresh = problems()
+    assert fresh[0][0].a_rows is not p1.a_rows
+    for (p, c), want in zip(fresh, shared, strict=True):
+        assert_same_solution(solve(p, c)[0], want)
+
+
+def test_rows_memo_never_stores_dependent_rows(monkeypatch):
+    monkeypatch.setattr(sdp, "_ROWS", {})
+    a = np.stack([np.eye(2), np.eye(2)])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            SdpProblem([2], [a], [1.0, 1.0])
+        assert not sdp._ROWS
+
+
+def test_rows_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(sdp, "_ROWS", {})
+    probs = []
+    for k in range(sdp.ROWS_MEMO_SIZE + 3):
+        probs.append(SdpProblem([2], [(k + 1.0) * np.eye(2)[None]], [1.0]))
+        assert len(sdp._ROWS) == min(k + 1, sdp.ROWS_MEMO_SIZE)
+    # the oldest rows left first; the newest are still shared
+    assert SdpProblem([2], [np.eye(2)[None]], [2.0]).a_rows is not probs[0].a_rows
+    newest = (sdp.ROWS_MEMO_SIZE + 3.0) * np.eye(2)[None]
+    assert SdpProblem([2], [newest], [2.0]).a_rows is probs[-1].a_rows
+    assert len(sdp._ROWS) == sdp.ROWS_MEMO_SIZE
+
+
+def test_stack_above_the_schur_bound_runs_as_sub_stacks(monkeypatch):
+    states = [w_ghz_mix(q) for q in np.linspace(0.0, 1.0, 11)]
+    rhos = np.stack([s.mat for s in states])
+    prob, costs = captured_solve(
+        lambda: e_nm_ppt_stack(rhos, states[0].shape, [Cut([0])], 1.0, 1.0))
+    whole = solve(prob, costs)
+    sizes = []
+    real = sdp._solve_stack
+
+    def spy(prob, c, tol, max_iter):
+        sizes.append(len(c[0]))
+        return real(prob, c, tol, max_iter)
+
+    monkeypatch.setattr(sdp, "_solve_stack", spy)
+    monkeypatch.setattr(sdp, "SCHUR_STACK_ENTRIES", 4 * prob.m**2 + 1)
+    split = assert_stack_matches_singles(prob, costs)
+    assert sizes[:3] == [4, 4, 3]
+    for got, want in zip(split, whole, strict=True):
+        assert_same_solution(got, want)
