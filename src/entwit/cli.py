@@ -43,11 +43,12 @@ from .states import (
     horodecki_3x3,
     isotropic,
     max_entangled,
-    random_densities,
     random_density,
     random_pure,
     state_from_json,
     state_to_json,
+    stream_densities,
+    stream_seeds,
     vc_ssr_state,
     w_ghz_mix,
 )
@@ -222,11 +223,10 @@ def cmd_fig56(args) -> int:
         "samples": args.samples, "seed": args.seed,
     }
 
+    seeds = stream_seeds(args.seed, 0, args.samples)
     negs, rgs = [], []
     for start in range(0, args.samples, FIG56_CHUNK):
-        stop = min(start + FIG56_CHUNK, args.samples)
-        seeds = [np.random.SeedSequence((args.seed, i)) for i in range(start, stop)]
-        rhos = random_densities(shape.total_dim, seeds)
+        rhos = stream_densities(shape.total_dim, seeds[start:start + FIG56_CHUNK])
         neg, _, _, lam = negativity_stack(rhos, shape.local_dims, (0,))
         negs.append(neg)
         # abs: the negativity of a state with no negative eigenvalue is -0.0

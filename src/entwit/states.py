@@ -11,6 +11,20 @@ from .linalg import Cut, HermitianMatrix, SystemShape, _herm_array, partial_trac
 EIG_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 
+# SeedSequence's hash constants and PCG64's LCG multiplier, which NumPy's
+# stream-compatibility policy (NEP 19) keeps fixed; stream_seeds follows
+# numpy's own seeding with them, and checks that it still does.
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
 
 def _check_density(m: np.ndarray) -> None:
     """Reject a stack of Hermitian matrices (last two axes) with any member
@@ -20,9 +34,10 @@ def _check_density(m: np.ndarray) -> None:
     off = np.abs(tr - 1.0) > TRACE_ATOL
     if off.any():
         raise ValueError(f"trace {tr[off].flat[0]!r} is not 1")
-    lo = np.linalg.eigvalsh(m)[..., 0].min()
-    if lo < -EIG_ATOL:
-        raise ValueError(f"negative eigenvalue {lo:.3e}")
+    lo = np.linalg.eigvalsh(m)[..., 0]
+    neg = lo < -EIG_ATOL
+    if neg.any():
+        raise ValueError(f"negative eigenvalue {lo[neg].min():.3e}")
 
 
 class DensityMatrix(HermitianMatrix):
@@ -55,8 +70,100 @@ class PureState:
 
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
-    """Independent generator for ``seed`` and an optional branch path."""
+    """Independent generator for ``seed`` and an optional branch path.
+
+    State i of ``reproduce fig56 --seed seed`` draws from
+    ``rng_stream(seed, i)``, through ``stream_seeds`` and ``stream_densities``.
+    """
     return np.random.default_rng(np.random.SeedSequence((seed,) + path))
+
+
+def _uint32_words(n: int) -> list:
+    """The little-endian 32-bit words SeedSequence makes of an int n >= 0."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _seed_words(seed: int, indices: np.ndarray) -> np.ndarray:
+    """``SeedSequence((seed, i)).generate_state(4, np.uint64)`` for each i.
+
+    numpy's mix_entropy and generate_state, run on uint32 arrays with one
+    entry per index of the uint32 array ``indices``; their hash constant
+    sequence does not depend on the data, so one pass serves every index.
+    """
+    n = len(indices)
+    entropy = [np.full(n, w, np.uint32) for w in _uint32_words(seed)] + [indices]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    zero = np.zeros(n, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    out = np.empty((n, 8), np.uint32)
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        out[:, k] = value ^ (value >> np.uint32(16))
+    return out.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_state(words: list) -> dict:
+    """``PCG64.state`` after seeding from four generate_state words (ints).
+
+    pcg_setseq_128_srandom_r with initstate = words 0-1 and initseq =
+    words 2-3, high word first: inc = 2 initseq + 1, state = (inc +
+    initstate) MULT + inc mod 2^128.
+    """
+    s_hi, s_lo, q_hi, q_lo = words
+    inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def stream_seeds(seed: int, start: int, stop: int) -> np.ndarray:
+    """The PCG64 seed words of ``rng_stream(seed, i)`` for i in [start, stop).
+
+    Row k is ``SeedSequence((seed, start + k)).generate_state(4, np.uint64)``,
+    all rows derived in one vectorized pass; ``stream_densities`` draws from
+    them. An index needs one 32-bit entropy word, so stop may not pass
+    2**32. The seed and start are validated by numpy's SeedSequence, and
+    the first row and its PCG64 state are checked against numpy's own:
+    RuntimeError on any mismatch.
+    """
+    first = np.random.SeedSequence((seed, start))
+    if stop > 2**32:
+        raise ValueError(f"stream index {stop - 1} does not fit 32 bits")
+    words = _seed_words(seed, np.arange(start, stop, dtype=np.int64).astype(np.uint32))
+    if len(words) and not (
+        np.array_equal(words[0], first.generate_state(4, np.uint64))
+        and _pcg64_state(words[0].tolist()) == np.random.PCG64(first).state
+    ):
+        raise RuntimeError("derived stream seeds differ from numpy's SeedSequence and PCG64")
+    return words
 
 
 def max_entangled(d: int) -> PureState:
@@ -126,6 +233,28 @@ def random_densities(d: int, seeds) -> np.ndarray:
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         g[i] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return _hs_states(g)
+
+
+def stream_densities(d: int, seeds: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt random states, one per row of ``stream_seeds`` words.
+
+    The state of row ``stream_seeds(seed, start, stop)[k]`` is byte for byte
+    ``random_density(d, SeedSequence((seed, start + k)))``: one PCG64 is
+    set to each row's state in turn and draws the real and imaginary parts
+    of G in a single (2, d, d) call, the same numbers as the two (d, d)
+    draws of ``random_densities``.
+    """
+    gen = np.random.Generator(np.random.PCG64(0))  # every state is set below
+    normals = np.empty((len(seeds), 2, d, d))
+    for k, words in enumerate(seeds.tolist()):
+        gen.bit_generator.state = _pcg64_state(words)
+        gen.standard_normal(out=normals[k])
+    return _hs_states(normals[:, 0] + 1j * normals[:, 1])
+
+
+def _hs_states(g: np.ndarray) -> np.ndarray:
+    """The checked stack G G† / tr(G G†) of a stack of d x d matrices G."""
     m = g @ g.conj().swapaxes(-1, -2)
     m = _herm_array(m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None])
     _check_density(m)

@@ -167,15 +167,25 @@ def fig56_per_sample_csv(d1, d2, samples, seed):
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_fig56_chunks_match_per_sample_composition(tmp_path, dims, extra):
-    samples, seed = cli.FIG56_CHUNK + extra, 5
+    samples = cli.FIG56_CHUNK + extra
     out = tmp_path / "f.csv"
-    assert main(["reproduce", "fig56", "--dim", str(dims[0]), "--dim2", str(dims[1]),
-                 "--samples", str(samples), "--seed", str(seed), "--out", str(out)]) == 0
-    want, ranks = fig56_per_sample_csv(*dims, samples, seed)
-    assert out.read_bytes() == want
-    # each run mixes negative-eigenspace ranks k; 3x3 reaches k >= 2
-    assert len(ranks) > 1
-    assert max(ranks) >= (2 if dims == (3, 3) else 1)
+    # 2**64 + 5 spans three 32-bit entropy words
+    for seed in (5, 2**64 + 5):
+        assert main(["reproduce", "fig56", "--dim", str(dims[0]), "--dim2", str(dims[1]),
+                     "--samples", str(samples), "--seed", str(seed), "--out", str(out)]) == 0
+        want, ranks = fig56_per_sample_csv(*dims, samples, seed)
+        assert out.read_bytes() == want
+        # each run mixes negative-eigenspace ranks k; 3x3 reaches k >= 2
+        assert len(ranks) > 1
+        assert max(ranks) >= (2 if dims == (3, 3) else 1)
+
+
+def test_fig56_negative_seed_is_bad_input(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert main(["reproduce", "fig56", "--samples", "5", "--seed", "-1",
+                 "--out", str(out)]) == 1
+    assert "expected non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fig56_zero_dim2_is_bad_input(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entwit import states
 from entwit.linalg import Cut, SystemShape, partial_transpose, trace_norm
 from entwit.states import (
     DensityMatrix,
@@ -16,6 +17,8 @@ from entwit.states import (
     schmidt,
     state_from_json,
     state_to_json,
+    stream_densities,
+    stream_seeds,
     thermal,
     vc_ssr_state,
     w_ghz_mix,
@@ -107,6 +110,53 @@ def test_random_densities_stack_the_single_draws():
         stack = random_densities(d, seeds)
         singles = [random_density(d, s, shape).mat for s in seeds]
         assert stack.tobytes() == np.array(singles).tobytes()
+        # an empty stack has no bad member
+        assert random_densities(d, []).shape == (0, d, d)
+        assert stream_densities(d, stream_seeds(3, 5, 5)).shape == (0, d, d)
+
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 3]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_stream_seeds_match_numpy_seeding(seed):
+    # 2**200 + 3 has 7 entropy words, so its index is mixed in after the pool
+    for i in (0, 1, 63, 64, 65, 2**32 - 1):
+        words = stream_seeds(seed, i, i + 1)
+        ss = np.random.SeedSequence((seed, i))
+        assert words.dtype == np.uint64 and words.shape == (1, 4)
+        assert np.array_equal(words[0], ss.generate_state(4, np.uint64))
+        assert states._pcg64_state(words[0].tolist()) == np.random.PCG64(ss).state
+    words = stream_seeds(seed, 60, 70)
+    for k, row in enumerate(words):
+        assert np.array_equal(row, np.random.SeedSequence((seed, 60 + k)).generate_state(4, np.uint64))
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_stream_densities_match_random_densities(seed):
+    for start, stop in ((0, 3), (62, 67), (2**32 - 2, 2**32)):
+        refs = [np.random.SeedSequence((seed, i)) for i in range(start, stop)]
+        for d in (4, 6, 9):
+            got = stream_densities(d, stream_seeds(seed, start, stop))
+            assert got.tobytes() == random_densities(d, refs).tobytes()
+
+
+@pytest.mark.parametrize("name", ["_MIX_MULT_L", "_MULT_A", "_INIT_B", "_PCG_MULT"])
+def test_stream_seeds_guard_catches_a_wrong_constant(monkeypatch, name):
+    monkeypatch.setattr(states, name, getattr(states, name) ^ 2)
+    with pytest.raises(RuntimeError):
+        stream_seeds(7, 0, 10)
+
+
+def test_stream_seeds_input_checks():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        stream_seeds(-1, 0, 10)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        stream_seeds(1, -1, 10)
+    # an index of 2**32 or more would need a second entropy word
+    with pytest.raises(ValueError, match="32 bits"):
+        stream_seeds(1, 2**32 - 1, 2**32 + 1)
+    assert stream_seeds(1, 2**32, 2**32).shape == (0, 4)
 
 
 def test_random_density_hs_purity():
