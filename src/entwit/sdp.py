@@ -22,10 +22,13 @@ then X times it (sparse Schur assembly after Fujisawa, Kojima and Nakata,
 Math. Prog. 79, 1997). The order matters: when Z^-1 is huge on a subspace
 that no A_i reaches (a dual slack without an interior point), that part
 cancels in A_i Z^-1, while forming the basis Gram of X (x) Z^-1 first would
-carry it into every entry. The Schur system itself is dense, and each Schur
-matrix is stored column-major, LAPACK's order: column j is written as one
-contiguous row of a transposed buffer. Every step is deterministic, so a
-rerun on the same inputs is bit-identical.
+carry it into every entry. Rows equal up to sign (e_nm_ppt's two bounds
+repeat P and Q^Gamma negated) give Schur columns equal up to sign, so only
+the distinct ones are formed. The Schur system itself is dense, and each
+Schur matrix is stored column-major, LAPACK's order: column j is written as
+one contiguous row of a transposed buffer; a stack's systems are factored
+in one stacked LU call. Every step is deterministic, so a rerun on the same
+inputs is bit-identical.
 
 A problem's rows are built and checked for independence once per distinct
 content: a small memo keyed by the block sizes, m and a digest of each
@@ -41,10 +44,9 @@ SCHUR_STACK_ENTRIES doubles together, which caps its memory at large m and
 leaves every problem's bytes as they are. A problem leaves the stack when
 it ends, and solve returns the iterate it stopped at.
 It reports OPTIMAL only when the residuals and the relative gap meet tol;
-the first iterate that meets tol is also the one with the smallest merit. A
-run whose barrier parameter stops shrinking at the double-precision floor
-ends ITERATION_LIMIT. The HermitianSdp builder holds only the constraints:
-the variables, declared once as a dict of block sizes, and the equalities.
+otherwise a run ends when its iterates diverge or at max_iter. The
+HermitianSdp builder holds only the constraints: the variables, declared
+once as a dict of block sizes, and the equalities.
 Every equality is a matrix equality, whose target-space basis the builder
 maps through each term's adjoint at once; a scalar row is the 1 x 1 case.
 The costs enter at solve, one stack per variable, and solve returns only
@@ -210,10 +212,19 @@ class _BlockRows:
 
     Built from the (m, n2) basis coordinates of the block's rows; the block
     covers the rows lo .. lo + span - 1. Row i (relative to lo) keeps its
-    nonzero coordinates as indices cols[i] and values vals[i], and the
-    nonzero rows of its matrix A_i = sum_k a_ik E_k, for the Schur matrix,
-    as indices nz_rows[i] and entries row_vals[i]. Both are padded with zero
-    indices and zero values to the widest row, so a row sum is a slot sum.
+    nonzero coordinates as indices cols[i] and values vals[i], padded with
+    zero indices and zero values to the widest row, so a row sum is a slot
+    sum.
+
+    Rows equal up to sign (the same cols, and the same or exactly negated
+    vals; no other factor, since c x is not exact) give Schur columns equal
+    up to sign. Row i is sign[i] times row first[i], its first occurrence;
+    the distinct rows are the nonzero first occurrences. runs lists the
+    stretches (row, distinct index, length, np.add or np.subtract) that map
+    contiguous nonzero rows onto contiguous distinct rows, one run if no row
+    repeats and none is zero. Each distinct row keeps the nonzero rows of its
+    matrix A_i = sum_k a_ik E_k as indices nz_rows and entries row_vals,
+    padded likewise.
     """
 
     def __init__(self, tab: _Basis, coords: np.ndarray):
@@ -223,18 +234,37 @@ class _BlockRows:
         self.cols, real = _padded(keep)
         self.vals = np.zeros(real.shape)
         self.vals[real] = block[keep]
+        # each row signed so that its first value is positive (+ 0.0 turns
+        # the padding's -0.0 back into 0.0), and its first occurrence as such
+        lead = np.where(self.vals[:, 0] < 0, -1.0, 1.0)
+        signed = np.hstack([self.cols, lead[:, None] * self.vals + 0.0])
+        _, at, inverse = np.unique(signed, axis=0, return_index=True, return_inverse=True)
+        self.first = at[inverse.reshape(-1)]
+        self.sign = lead * lead[self.first]
+        # a zero row adds nothing: it gets no column and no run
+        filled = self.vals[:, 0] != 0
+        distinct = np.flatnonzero((self.first == np.arange(len(block))) & filled)
+        pos = np.searchsorted(distinct, self.first)
+        # row r extends row r - 1's run if it maps one further with the same sign
+        extends = np.zeros(len(block), dtype=bool)
+        extends[1:] = ((np.diff(pos) == 1) & (np.diff(self.sign) == 0)
+                       & filled[1:] & filled[:-1])
+        bounds = np.append(np.flatnonzero(~extends), len(block))
+        self.runs = tuple((int(a), int(pos[a]), int(b - a),
+                           np.subtract if self.sign[a] < 0 else np.add)
+                          for a, b in zip(bounds[:-1], bounds[1:]) if filled[a])
         # the nonzero rows of A_i are the matrix rows its nonzero coordinates touch
         nonzero = np.zeros((block.shape[0], tab.nb), dtype=bool)
         i, k = np.nonzero(keep)
         nonzero[i[:, None], tab.at[:, k].T // (2 * tab.nb)] = True
-        self.nz_rows, real = _padded(nonzero)
-        self.row_vals = _smat_rows(tab, block, self.nz_rows)
+        self.nz_rows, real = _padded(nonzero[distinct])
+        self.row_vals = _smat_rows(tab, block[distinct], self.nz_rows)
         self.row_vals[~real] = 0.0
         self.basis = tab
         self.lo = int(used[0]) if used.size else 0
         self.span = block.shape[0]
         # problems with the same rows share this object
-        for arr in (self.cols, self.vals, self.nz_rows, self.row_vals):
+        for arr in (self.cols, self.vals, self.first, self.sign, self.nz_rows, self.row_vals):
             arr.flags.writeable = False
 
     def add_schur(self, x: np.ndarray, zi: np.ndarray, out_t: np.ndarray) -> None:
@@ -245,19 +275,28 @@ class _BlockRows:
         Z^-1 is formed first from the nonzero rows of A_i; Z^-1 can be huge
         on a subspace no A_i reaches (a dual slack without an interior
         point), and that part cancels in this product before X scales it.
+        Columns are formed for the distinct rows only, and each run adds or
+        subtracts them as one slab; negation is exact, so every entry has
+        the bits of a column formed from its own row.
         """
         nb = self.basis.nb
         v = (self.row_vals.reshape(-1, nb) @ zi).reshape(zi.shape[:1] + self.row_vals.shape)
         span = slice(self.lo, self.lo + self.span)
+        count = len(self.nz_rows)
         step = max(1, SCHUR_SLICE // (len(zi) * nb * nb))
-        for j in range(0, self.span, step):
-            cols = slice(j, min(j + step, self.span))
-            f = np.matmul(x[:, :, self.nz_rows[cols]].transpose(0, 2, 1, 3), v[:, cols])
+        for j in range(0, count, step):
+            stop = min(j + step, count)
+            f = np.matmul(x[:, :, self.nz_rows[j:stop]].transpose(0, 2, 1, 3), v[:, j:stop])
             # coordinates of X A_j Z^-1 at each slot of every row i, scaled
             # in place: a fresh product array costs more
             h = _svec(self.basis, f)[:, :, self.cols.T]
             h *= self.vals.T
-            out_t[:, self.lo + cols.start : self.lo + cols.stop, span] += _slot_sum(h)
+            col = _slot_sum(h)
+            for row, first, length, add in self.runs:
+                lo, hi = max(j, first), min(stop, first + length)
+                if lo < hi:
+                    dst = out_t[:, self.lo + row + lo - first : self.lo + row + hi - first, span]
+                    add(dst, col[:, lo - j : hi - j], out=dst)
 
 
 # The checked rows of the ROWS_MEMO_SIZE problems built last, by content; a
@@ -413,25 +452,18 @@ def _max_step(isqrts, ds_blocks) -> np.ndarray:
 
 
 def _solve_schur(ms: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The Schur system of each problem, factored one at a time.
+    """The Schur system of each problem of the stack, in one stacked LU call.
 
-    An LU of the whole stack gains nothing where the factorization is bound
-    by arithmetic, and would copy all K matrices at once.
+    Each matrix gets the same LAPACK factorization as on its own, so a
+    problem's step does not depend on the rest of the stack.
     """
-    return np.stack([_solve_one(m, r) for m, r in zip(ms, rhs)])
-
-
-def _solve_one(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    jitter = 0.0
-    for _ in range(4):
-        try:
-            sol = np.linalg.solve(m + jitter * np.eye(m.shape[0]) if jitter else m, rhs)
-            if np.all(np.isfinite(sol)):
-                return sol
-        except np.linalg.LinAlgError:
-            pass
-        jitter = max(jitter * 100.0, 1e-12 * max(1.0, np.trace(m) / m.shape[0]))
-    raise SolverError("schur system is numerically singular")
+    try:
+        sol = np.linalg.solve(ms, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as err:
+        raise SolverError("schur system is numerically singular") from err
+    if not np.isfinite(sol).all():
+        raise SolverError("schur system is numerically singular")
+    return sol
 
 
 def solve(prob: SdpProblem, costs, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> list:
@@ -471,9 +503,6 @@ def _solve_stack(prob: SdpProblem, c: list, tol: float, max_iter: int) -> list:
     # per problem of the active stack, in stack order
     ids = list(range(count))
     history = [[] for _ in ids]
-    prev_mu = [np.inf] * count
-    stall_count = [0] * count
-    best_merit = [np.inf] * count
     out = [None] * count
     for k in range(max_iter + 1):
         live = range(len(ids))
@@ -494,20 +523,12 @@ def _solve_stack(prob: SdpProblem, c: list, tol: float, max_iter: int) -> list:
             history[j].append({"iter": k, "mu": mu, "pobj": pobj[i], "dobj": dobj[i],
                                "rp": rp_norm[i], "rd": rd_norm[i], "conic": conic[i]})
             rel_gap = conic[i] / (1.0 + max(abs(pobj[i]), abs(dobj[i])))
-            merit = max(rp_norm[i] / (1.0 + norm_b), rd_norm[i] / (1.0 + norm_c[j]), rel_gap)
-            best_merit[j] = min(best_merit[j], merit)
             rp_ok = rp_norm[i] <= tol * (1.0 + norm_b)
             rd_ok = rd_norm[i] <= tol * (1.0 + norm_c[j])
             if rp_ok and rd_ok and rel_gap <= tol:
                 ended[i] = SdpStatus.OPTIMAL
                 continue
-            # Past the double-precision floor mu stops shrinking; further steps
-            # drift off the central path, so cut the run.
-            stall_count[j] = stall_count[j] + 1 if mu > 0.5 * prev_mu[j] else 0
-            prev_mu[j] = mu
-            if stall_count[j] >= 3 and best_merit[j] <= 1e-3:
-                ended[i] = SdpStatus.ITERATION_LIMIT
-            elif max(norm_x[i], norm_zy[i]) > DIVERGE_NORM:
+            if max(norm_x[i], norm_zy[i]) > DIVERGE_NORM:
                 ended[i] = (
                     SdpStatus.DUAL_INFEASIBLE
                     if rp_ok and not rd_ok and pobj[i] < -DIVERGE_OBJ * (1.0 + norm_c[j])
@@ -632,8 +653,8 @@ class HermitianSdp:
         costs maps variables to their cost stacks C_v of shape (K, nb, nb)
         (one nb x nb matrix, or a number for a 1 x 1 block, is K = 1); an
         absent variable costs zero. Returns the K solutions, all OPTIMAL:
-        any other status, a stall at the numerical floor included, raises
-        SolverError naming the problem's index in the stack.
+        any other status raises SolverError naming the problem's index in
+        the stack.
         """
         costs = {name: np.reshape(c, (-1,) + (self._size(name),) * 2) for name, c in costs.items()}
         count = len(next(iter(costs.values()))) if costs else 1

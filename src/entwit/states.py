@@ -28,16 +28,26 @@ _MASK128 = (1 << 128) - 1
 
 def _check_density(m: np.ndarray) -> None:
     """Reject a stack of Hermitian matrices (last two axes) with any member
-    whose trace is off 1 or whose spectrum dips below zero, each beyond
-    its tolerance."""
+    whose entries are not finite, whose trace is off 1 or whose spectrum
+    dips below zero, each beyond its tolerance.
+
+    m + EIG_ATOL I has a Cholesky factor exactly when lambda_min(m) >
+    -EIG_ATOL, so one stacked factorization checks the spectrum; the
+    eigenvalues are computed only when it fails, to name the worst one.
+    """
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has a non-finite entry")
     tr = np.trace(m, axis1=-2, axis2=-1).real
     off = np.abs(tr - 1.0) > TRACE_ATOL
     if off.any():
         raise ValueError(f"trace {tr[off].flat[0]!r} is not 1")
-    lo = np.linalg.eigvalsh(m)[..., 0]
-    neg = lo < -EIG_ATOL
-    if neg.any():
-        raise ValueError(f"negative eigenvalue {lo[neg].min():.3e}")
+    try:
+        np.linalg.cholesky(m + EIG_ATOL * np.eye(m.shape[-1]))
+    except np.linalg.LinAlgError:
+        lo = np.linalg.eigvalsh(m)[..., 0]
+        neg = lo < -EIG_ATOL
+        if neg.any():
+            raise ValueError(f"negative eigenvalue {lo[neg].min():.3e}") from None
 
 
 class DensityMatrix(HermitianMatrix):

@@ -9,8 +9,10 @@ from entwit.measures import (
     _fit_witness,
     e_nm_ppt,
     e_nm_ppt_stack,
+    negativity_stack,
     rains_fidelity,
     rg_dps2,
+    rg_ppt_closed,
     rr_ppt,
     ssr_nonlocality,
 )
@@ -23,7 +25,7 @@ from entwit.sdp import (
     hermitian_basis,
     solve,
 )
-from entwit.states import random_density, w_ghz_mix
+from entwit.states import DensityMatrix, random_density, stream_densities, stream_seeds, w_ghz_mix
 
 
 def solve_one(prob: SdpProblem, cost_blocks, **kw) -> SdpSolution:
@@ -209,6 +211,67 @@ def test_sparse_operators_match_dense_formulas(seed, dims):
             for xb, ab, zib in zip(x, a, zi)
         )
         assert_close(schur[k], want)
+
+
+def dense_rows(blk) -> np.ndarray:
+    """The block's constraint matrices A_i, for i in lo .. lo + span - 1, from cols and vals."""
+    mats = sdp._basis(blk.basis.nb).mats
+    return np.einsum("is,isab->iab", blk.vals, mats[blk.cols])
+
+
+@pytest.mark.parametrize(
+    "measure, runs, distinct, width",
+    [
+        # S + P + Q^Gamma = I and T - P - Q^Gamma = 2 I: blocks P and Q repeat
+        # their rows negated, as one contiguous run
+        (lambda: e_nm_ppt(_r23(), [Cut([0])], 2.0, 1.0), [2, 2, 1, 1], [36] * 4, 1),
+        # F, F^Gamma and -F^Gamma: F's rows repeat permuted, in short runs
+        (lambda: rains_fidelity(_r22(), Cut([0])), [19, 1, 1, 1], [16] * 4, 1),
+        # one trace row over P and Q, six slots wide, and no repeats
+        (lambda: rr_ppt(_r23(), Cut([1])), [1, 1], [1, 1], 6),
+        # mixed block sizes; the partial trace repeats rows of Sw, and zeroes
+        # 8 of its 36, which get no column
+        (lambda: rg_dps2(_r22(), Cut([0])), [8, 1, 1, 1], [20, 36, 36, 36], 4),
+    ],
+    ids=["e_nm_ppt", "rains_fidelity", "rr_ppt", "rg_dps2"],
+)
+def test_schur_over_distinct_rows(monkeypatch, measure, runs, distinct, width):
+    prob, _ = captured_solve(measure)
+    assert [len(blk.runs) for blk in prob.a_rows] == runs
+    assert [len(blk.nz_rows) for blk in prob.a_rows] == distinct
+    assert max(blk.vals.shape[1] for blk in prob.a_rows) == width
+    count = 3
+    rng = np.random.default_rng(7)
+    x = [np.stack([rand_pd(rng, nb) for _ in range(count)]) for nb in prob.blocks]
+    zi = [np.stack([rand_pd(rng, nb) for _ in range(count)]) for nb in prob.blocks]
+    schur = sdp._schur(prob, x, zi)
+    want = np.zeros((count, prob.m, prob.m))
+    for blk, xb, zib in zip(prob.a_rows, x, zi):
+        a = dense_rows(blk)
+        rows = slice(blk.lo, blk.lo + blk.span)
+        want[:, rows, rows] += np.einsum("kab,ibc,kcd,jda->kij", xb, a, zib, a).real
+        # a repeated row's column is an exact copy, up to sign, of its first
+        # occurrence's column
+        part = np.zeros((count, prob.m, prob.m))
+        blk.add_schur(xb, zib, part)
+        assert np.array_equal(blk.sign[:, None, None] * a[blk.first], a)
+        assert np.array_equal(part[:, blk.lo + np.arange(blk.span)],
+                              blk.sign[:, None] * part[:, blk.lo + blk.first])
+    for k in range(count):
+        assert_close(schur[k], want[k])
+    # slices of one or seven columns cut the runs; the entries stay the same
+    for cols in (1, 7):
+        monkeypatch.setattr(sdp, "SCHUR_SLICE", cols * count * max(prob.blocks) ** 2)
+        assert np.array_equal(sdp._schur(prob, x, zi), schur)
+
+
+def test_singular_schur_stack_raises():
+    # one singular matrix fails the whole stack, as does a non-finite solution
+    ms = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])])
+    with pytest.raises(SolverError, match="numerically singular"):
+        sdp._solve_schur(ms, np.ones((2, 3)))
+    with pytest.raises(SolverError, match="numerically singular"):
+        sdp._solve_schur(np.stack([np.eye(3)] * 2), np.array([[1.0, 2.0, 3.0], [np.inf, 0, 0]]))
 
 
 def test_multi_block_lp():
@@ -474,7 +537,8 @@ def test_builder_rows_match_dense_adapter(monkeypatch, measure):
     for got, want in zip(prob.a_rows, dense.a_rows, strict=True):
         assert got is not want
         assert (got.lo, got.span) == (want.lo, want.span)
-        for field_name in ("cols", "vals", "nz_rows", "row_vals"):
+        assert got.runs == want.runs
+        for field_name in ("cols", "vals", "first", "sign", "nz_rows", "row_vals"):
             assert _bitwise(getattr(got, field_name), getattr(want, field_name)), field_name
 
 
@@ -546,6 +610,23 @@ def test_stacked_example1_grid_matches_single_solves(n):
         lambda: e_nm_ppt_stack(rhos, states[0].shape, [Cut([0])], n, 1.0))
     assert len(costs[0]) == 11
     assert_stack_matches_singles(prob, costs)
+
+
+@pytest.mark.parametrize("seed, index", [(1001, 473), (7, 492), (7, 1215)])
+def test_rg_ppt_converges_through_slow_barrier_steps(seed, index):
+    # fig56's 3x3 states whose barrier parameter shrank by less than half on
+    # three iterates in a row (at seed 1001, index 473: 2.0e-5, 1.84e-5,
+    # 1.16e-5, 8.85e-6 by iteration 10) and then converged
+    shape = SystemShape((3, 3))
+    rhos = stream_densities(9, stream_seeds(seed, index, index + 1))
+    results = []
+    prob, costs = captured_solve(
+        lambda: results.extend(e_nm_ppt_stack(rhos, shape, [Cut([0])], np.inf, 1.0)))
+    assert solve(prob, costs)[0].status is SdpStatus.OPTIMAL
+    value = results[0].value
+    neg = negativity_stack(rhos, shape.local_dims, (0,))[0][0]
+    assert rg_ppt_closed(DensityMatrix(rhos[0], shape), Cut([0])).value <= value + 1e-9
+    assert neg <= value <= 3 * neg
 
 
 def test_stacked_solve_drops_finished_problems():

@@ -41,6 +41,24 @@ def test_density_validation():
             _check_density(stack)
 
 
+def test_density_check_spectrum_edge_and_non_finite():
+    # lambda_min beyond -EIG_ATOL is named; within it the stack passes
+    good = np.array([np.eye(3) / 3] * 4)
+    for lam, ok in ((-2e-10, False), (-0.5e-10, True)):
+        stack = good.copy()
+        stack[2] = np.diag([0.5 - lam, 0.5, lam])
+        if ok:
+            _check_density(stack)
+        else:
+            with pytest.raises(ValueError, match=r"negative eigenvalue -2\.000e-10"):
+                _check_density(stack)
+    for at in ((0, 0), (0, 1)):
+        stack = good.copy()
+        stack[1][at] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            _check_density(stack)
+
+
 def test_pure_state_validation():
     with pytest.raises(ValueError):
         PureState([1, 1])
