@@ -246,11 +246,12 @@ def cmd_example1(args) -> int:
         "n_list": args.n_list, "seed": args.seed,
     }
     states = [w_ghz_mix(float(q)) for q in qs]
-    # one SDP build and solver run per (n, cut) over the whole q grid
+    # one solver run per (n, cut) over the whole q grid, cut by cut: a cut's
+    # finite n share their rows, so they are built and checked once
     values = {
         (n, site): e_nm_ppt_stack([s.mat for s in states], states[0].shape,
                                   [Cut([site])], n, 1.0)
-        for n in ns for site in range(3)
+        for site in range(3) for n in ns
     } if states else {}
     rows = [(float(q), n, site, values[n, site][i].value)
             for i, q in enumerate(qs) for n in ns for site in range(3)]

@@ -30,26 +30,28 @@ one contiguous row of a transposed buffer; a stack's systems are factored
 in one stacked LU call. Every step is deterministic, so a rerun on the same
 inputs is bit-identical.
 
-A problem's rows are built and checked for independence once per distinct
-content: a small memo keyed by the block sizes, m and a digest of each
-block's coordinates (never b) hands the checked rows of an earlier problem
-to a later one, so problems that differ only in b share them.
+Constraints reach the solver only through the HermitianSdp builder, which
+holds the variables, declared once as a dict of block sizes, and the
+equalities. Every equality is a matrix equality, whose target-space basis
+the builder maps through each term's adjoint at once; a scalar row is the
+1 x 1 case, so an explicit constraint matrix G on variable v is the row
+{v: lambda e: e * G}. build gives the SdpProblem of those rows. A problem's
+rows are built and checked for independence once per distinct content: a
+memo of the last row set, keyed by the block sizes, m and a digest of each
+block's coordinates (never b), hands its checked rows to the next problem
+with the same rows, so problems that differ only in b share them.
 
-solve runs one predictor-corrector loop over a stack of K problems that
-share their constraints and differ in the cost, with a leading problem axis
-on every iterate; each problem gets the arithmetic of a solve on its own, so
-a problem's solution does not depend on the rest of the stack. solve runs
-a long stack as sub-stacks whose Schur matrices hold at most
-SCHUR_STACK_ENTRIES doubles together, which caps its memory at large m and
-leaves every problem's bytes as they are. A problem leaves the stack when
-it ends, and solve returns the iterate it stopped at.
-It reports OPTIMAL only when the residuals and the relative gap meet tol;
-otherwise a run ends when its iterates diverge or at max_iter. The
-HermitianSdp builder holds only the constraints: the variables, declared
-once as a dict of block sizes, and the equalities.
-Every equality is a matrix equality, whose target-space basis the builder
-maps through each term's adjoint at once; a scalar row is the 1 x 1 case.
-The costs enter at solve, one stack per variable, and solve returns only
+Costs reach the solver only through solve(prob, costs): one predictor-
+corrector loop over a stack of K problems that share their constraints and
+differ in the cost, with a leading problem axis on every iterate; each
+problem gets the arithmetic of a solve on its own, so a problem's solution
+does not depend on the rest of the stack. solve runs a long stack as
+sub-stacks whose Schur matrices hold at most SCHUR_STACK_ENTRIES doubles
+together, which caps its memory at large m and leaves every problem's bytes
+as they are. A problem leaves the stack when it ends, and solve returns the
+iterate it stopped at. It reports OPTIMAL only when the residuals and the
+relative gap meet DEFAULT_TOL; otherwise a run ends when its iterates
+diverge or after MAX_ITER iterations. HermitianSdp.solve returns only
 OPTIMAL solutions. The builder reads the primal and dual-slack blocks back
 from a solution, and each equality's image sum_v L_v(X_v) from the same
 basis coordinates.
@@ -69,9 +71,9 @@ from .linalg import HERM_ATOL
 DEFAULT_TOL = 1e-7
 MAX_ITER = 200
 # A run whose iterates pass DIVERGE_NORM has diverged. A side whose residual
-# meets tol has a ray when its objective has run past DIVERGE_OBJ times
-# 1 + the data norm: the primal objective down for an unbounded problem (dual
-# infeasible), the dual objective up for a primal infeasible one.
+# meets DEFAULT_TOL has a ray when its objective has run past DIVERGE_OBJ
+# times 1 + the data norm: the primal objective down for an unbounded problem
+# (dual infeasible), the dual objective up for a primal infeasible one.
 DIVERGE_NORM = 1e8
 DIVERGE_OBJ = 1e4
 
@@ -299,9 +301,7 @@ class _BlockRows:
                     add(dst, col[:, lo - j : hi - j], out=dst)
 
 
-# The checked rows of the ROWS_MEMO_SIZE problems built last, by content; a
-# hit moves to the end, and the oldest entry leaves first.
-ROWS_MEMO_SIZE = 8
+# The checked rows of the last problem built, by content: one entry at most.
 _ROWS: dict = {}
 
 
@@ -309,47 +309,35 @@ class SdpProblem:
     """The validated constraint part of a stack of problems; the costs go to solve.
 
     blocks: sizes of the diagonal blocks.
-    a_blocks: per block, an (m, nb, nb) array stacking the Hermitian
-        constraint matrices; row i across all blocks forms one equality.
-        It is kept only as the nonzero basis coordinates of each row
-        (a_rows, one _BlockRows per block); HermitianSdp passes those
-        coordinates through _from_coords instead.
+    coords: per block, an (m, nb * nb) array whose row i holds the
+        coordinates of that block's constraint matrix A_i in the basis of
+        hermitian_basis(nb); row i across all blocks forms one equality.
+        HermitianSdp.build gives them. They are kept only as their nonzero
+        entries (a_rows, one _BlockRows per block).
     b: right-hand side, length m.
 
     The rows are checked for linear independence once, here, whatever the
-    number of costs later solved over them, and built and checked once per
-    distinct content: a problem whose blocks and row coordinates equal those
-    of a recent one takes its read-only a_rows from the memo _ROWS, whatever
-    its b. Rows that fail the check are never stored. solve stores each
-    Schur matrix column-major and splits a long stack into sub-stacks.
+    number of costs later solved over them. A problem whose blocks and row
+    coordinates equal those of the problem built last takes its read-only
+    a_rows from the memo _ROWS, whatever its b; other rows replace the
+    memo's once they pass the check, and rows that fail it are never stored.
     """
 
-    def __init__(self, blocks, a_blocks, b):
-        coords = [_svec(_basis(nb), _hermitian(a, (np.size(b), nb, nb), "constraint block"))
-                  for nb, a in zip(map(int, blocks), a_blocks, strict=True)]
-        self._setup(blocks, coords, b)
-
-    @classmethod
-    def _from_coords(cls, blocks, coords, b) -> SdpProblem:
-        """The problem whose row i on block b has basis coordinates coords[b][i]."""
-        prob = cls.__new__(cls)
-        prob._setup(blocks, coords, b)
-        return prob
-
-    def _setup(self, blocks, coords, b):
+    def __init__(self, blocks, coords, b):
         self.blocks = [int(n) for n in blocks]
         self.b = np.asarray(b, dtype=float).reshape(-1)
         coords = [np.ascontiguousarray(u, dtype=float) for u in coords]
+        for nb, u in zip(self.blocks, coords, strict=True):
+            if u.shape != (self.m, nb * nb):
+                raise ValueError(f"block coordinates have shape {u.shape}, not {(self.m, nb * nb)}")
         key = (tuple(self.blocks), self.m,
                tuple(hashlib.sha256(u).digest() for u in coords))
-        self.a_rows = _ROWS.pop(key, None)
+        self.a_rows = _ROWS.get(key)
         if self.a_rows is None:
-            self.a_rows = tuple(_BlockRows(_basis(nb), u)
-                                for nb, u in zip(self.blocks, coords, strict=True))
+            self.a_rows = tuple(_BlockRows(_basis(nb), u) for nb, u in zip(self.blocks, coords))
             self._check_independence()
-            if len(_ROWS) >= ROWS_MEMO_SIZE:
-                del _ROWS[next(iter(_ROWS))]
-        _ROWS[key] = self.a_rows
+            _ROWS.clear()
+            _ROWS[key] = self.a_rows
 
     def _check_independence(self):
         m = self.b.size
@@ -366,10 +354,6 @@ class SdpProblem:
     @property
     def m(self) -> int:
         return self.b.size
-
-    @property
-    def dim_total(self) -> int:
-        return sum(self.blocks)
 
 
 @dataclass
@@ -406,13 +390,17 @@ def _apply(prob: SdpProblem, mats) -> np.ndarray:
 def _adjoint(prob: SdpProblem, y: np.ndarray) -> list:
     """A^T(y)_b = sum_i y_i A_ib per problem, summed slot layer by slot layer.
 
-    np.bincount adds each coordinate's terms in order, one problem at a time.
+    One np.bincount per block scatters every problem's terms, problem k into
+    the bins offset by k n2; each bin adds its terms in order, as a call per
+    problem would.
     """
     out = []
+    count = len(y)
     for blk in prob.a_rows:
+        n2 = blk.basis.n2
         t = blk.vals.T * y[:, None, blk.lo : blk.lo + blk.span]
-        idx = blk.cols.T.ravel()
-        u = np.stack([np.bincount(idx, tk.ravel(), minlength=blk.basis.n2) for tk in t])
+        idx = (np.arange(count)[:, None] * n2 + blk.cols.T.ravel()).ravel()
+        u = np.bincount(idx, t.ravel(), minlength=count * n2).reshape(count, n2)
         out.append(_smat(blk.basis, u))
     return out
 
@@ -466,7 +454,7 @@ def _solve_schur(ms: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def solve(prob: SdpProblem, costs, tol: float = DEFAULT_TOL, max_iter: int = MAX_ITER) -> list:
+def solve(prob: SdpProblem, costs) -> list:
     """Run the predictor-corrector loop from the fixed interior start on a stack.
 
     costs holds one (K, nb, nb) Hermitian stack per block: problem k
@@ -474,23 +462,25 @@ def solve(prob: SdpProblem, costs, tol: float = DEFAULT_TOL, max_iter: int = MAX
     one loop; the scalars of the step (mu, sigma, step lengths, norms) and
     the inner products stay per problem, so each problem's iterates are
     bit-identical to a stack of one. A problem leaves the stack when it
-    ends. The stack runs as sub-stacks of at most SCHUR_STACK_ENTRIES // m^2
-    problems (one at least), one after another. Returns the K solutions in
-    order.
+    ends: OPTIMAL once its residuals and relative gap meet DEFAULT_TOL, an
+    infeasibility or ITERATION_LIMIT when its iterates diverge, and
+    ITERATION_LIMIT after MAX_ITER iterations. The stack runs as sub-stacks
+    of at most SCHUR_STACK_ENTRIES // m^2 problems (one at least), one after
+    another. Returns the K solutions in order.
     """
     count = len(costs[0])
     c = [_herm(_hermitian(cb, (count, nb, nb), "cost block"))
          for nb, cb in zip(prob.blocks, costs, strict=True)]
     size = max(1, SCHUR_STACK_ENTRIES // max(1, prob.m**2))
     return [sol for lo in range(0, count, size)
-            for sol in _solve_stack(prob, [cb[lo : lo + size] for cb in c], tol, max_iter)]
+            for sol in _solve_stack(prob, [cb[lo : lo + size] for cb in c])]
 
 
-def _solve_stack(prob: SdpProblem, c: list, tol: float, max_iter: int) -> list:
+def _solve_stack(prob: SdpProblem, c: list) -> list:
     """solve on one sub-stack of validated, Hermitian cost blocks."""
     count = len(c[0])
     m = prob.m
-    n_tot = prob.dim_total
+    n_tot = sum(prob.blocks)
     b = prob.b
     norm_b = float(np.abs(b).max(initial=0.0))
     norm_c = [float(np.sqrt(sum(_inner(cb[k], cb[k]) for cb in c))) for k in range(count)]
@@ -504,7 +494,7 @@ def _solve_stack(prob: SdpProblem, c: list, tol: float, max_iter: int) -> list:
     ids = list(range(count))
     history = [[] for _ in ids]
     out = [None] * count
-    for k in range(max_iter + 1):
+    for k in range(MAX_ITER + 1):
         live = range(len(ids))
         conic = [sum(_inner(xb[i], zb[i]) for xb, zb in zip(x, z)) for i in live]
         pobj = [sum(_inner(cb[i], xb[i]) for cb, xb in zip(c, x)) for i in live]
@@ -523,9 +513,9 @@ def _solve_stack(prob: SdpProblem, c: list, tol: float, max_iter: int) -> list:
             history[j].append({"iter": k, "mu": mu, "pobj": pobj[i], "dobj": dobj[i],
                                "rp": rp_norm[i], "rd": rd_norm[i], "conic": conic[i]})
             rel_gap = conic[i] / (1.0 + max(abs(pobj[i]), abs(dobj[i])))
-            rp_ok = rp_norm[i] <= tol * (1.0 + norm_b)
-            rd_ok = rd_norm[i] <= tol * (1.0 + norm_c[j])
-            if rp_ok and rd_ok and rel_gap <= tol:
+            rp_ok = rp_norm[i] <= DEFAULT_TOL * (1.0 + norm_b)
+            rd_ok = rd_norm[i] <= DEFAULT_TOL * (1.0 + norm_c[j])
+            if rp_ok and rd_ok and rel_gap <= DEFAULT_TOL:
                 ended[i] = SdpStatus.OPTIMAL
                 continue
             if max(norm_x[i], norm_zy[i]) > DIVERGE_NORM:
@@ -535,7 +525,7 @@ def _solve_stack(prob: SdpProblem, c: list, tol: float, max_iter: int) -> list:
                     else SdpStatus.PRIMAL_INFEASIBLE
                     if rd_ok and not rp_ok and dobj[i] > DIVERGE_OBJ * (1.0 + norm_b)
                     else SdpStatus.ITERATION_LIMIT)
-            elif k == max_iter:
+            elif k == MAX_ITER:
                 ended[i] = SdpStatus.ITERATION_LIMIT
         for i, status in ended.items():
             out[ids[i]] = SdpSolution(
@@ -645,9 +635,9 @@ class HermitianSdp:
             for name, u in terms.items():
                 coords[name][start : start + rhs.size] = u
             start += rhs.size
-        return SdpProblem._from_coords(self._blocks.values(), coords.values(), b)
+        return SdpProblem(self._blocks.values(), coords.values(), b)
 
-    def solve(self, costs: dict, tol: float = DEFAULT_TOL) -> list:
+    def solve(self, costs: dict) -> list:
         """Build once and solve min sum_v <C_v, X_v> for a stack of costs.
 
         costs maps variables to their cost stacks C_v of shape (K, nb, nb)
@@ -659,7 +649,7 @@ class HermitianSdp:
         costs = {name: np.reshape(c, (-1,) + (self._size(name),) * 2) for name, c in costs.items()}
         count = len(next(iter(costs.values()))) if costs else 1
         c_blocks = [costs.get(name, np.zeros((count, nb, nb))) for name, nb in self._blocks.items()]
-        sols = solve(self.build(), c_blocks, tol=tol)
+        sols = solve(self.build(), c_blocks)
         for k, sol in enumerate(sols):
             if sol.status is not SdpStatus.OPTIMAL:
                 raise SolverError(f"solver ended with status {sol.status.value} "

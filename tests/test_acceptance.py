@@ -56,7 +56,7 @@ from entwit.measures import (
     rg_ppt_closed,
     ssr_nonlocality,
 )
-from entwit.sdp import DEFAULT_TOL, SdpProblem, solve
+from entwit.sdp import DEFAULT_TOL, HermitianSdp, SdpProblem, solve
 from entwit.spin import (
     ChainSpec,
     bonds,
@@ -115,10 +115,12 @@ def test_criterion_01_projector_witness_vs_sdp():
     worst = -math.inf
     least = math.inf
     for dims in DIM_PAIRS:
-        for rho in npt_states(dims, 100, 42):
+        rhos = npt_states(dims, 100, 42)
+        # one stack per dims; each value is that of its own rg_ppt call
+        opts = e_nm_ppt_stack([rho.mat for rho in rhos], SystemShape(dims), [CUT], math.inf, 1.0)
+        for rho, opt in zip(rhos, opts, strict=True):
             closed = rg_ppt_closed(rho, CUT).value
-            opt = rg_ppt(rho, CUT).value
-            worst = max(worst, closed - opt)
+            worst = max(worst, closed - opt.value)
             least = min(least, closed)
     exact = []
     for dims in DIM_PAIRS:
@@ -242,13 +244,16 @@ def test_criterion_03_scatter_statistic(tmp_path):
 def test_criterion_04_isotropic_closed_form():
     """SDP equals the isotropic closed form to 1e-5 across the n branch."""
     worst = 0.0
+    ps = np.linspace(0.0, 1.0, 20)
     for d in (2, 3, 4):
+        states = [isotropic(d, float(p)) for p in ps]
         # n grid straddles the slope saturation at n = d - 1
         for n in (0.5, 1.0, float(d - 1), float(d), 2.0 * d):
-            for p in np.linspace(0.0, 1.0, 20):
+            # one stack per (d, n); each value is that of its own e_nm_ppt call
+            sdps = e_nm_ppt_stack([s.mat for s in states], states[0].shape, [CUT], n, 1.0)
+            for p, sdp in zip(ps, sdps, strict=True):
                 closed = isotropic_e_n1(d, float(p), n)
-                sdp = e_nm_ppt(isotropic(d, float(p)), [CUT], n, 1.0).value
-                worst = max(worst, abs(closed - sdp))
+                worst = max(worst, abs(closed - sdp.value))
     ok = worst <= 1e-5
     report(4, "isotropic-closed-form", ok,
            f"max |closed - sdp| = {worst:.2e} over 300 grid points")
@@ -263,12 +268,14 @@ def test_criterion_05_pure_state_formulas():
     for dims in DIM_PAIRS:
         shape = SystemShape(dims)
         total = dims[0] * dims[1]
-        for i in range(100):
-            psi = random_pure(total, np.random.SeedSequence((55, i)), shape)
+        psis = [random_pure(total, np.random.SeedSequence((55, i)), shape) for i in range(100)]
+        rhos = [psi.density() for psi in psis]
+        # one stack per dims; each value is that of its own rg_ppt call
+        rgs = e_nm_ppt_stack([rho.mat for rho in rhos], shape, [CUT], math.inf, 1.0)
+        for psi, rho, rg in zip(psis, rhos, rgs, strict=True):
             cs = schmidt(psi, CUT)
             worst_rr = max(worst_rr, abs(pure_rr(cs) - float(cs[0] * cs[1])))
-            rho = psi.density()
-            worst_rg = max(worst_rg, rg_ppt(rho, CUT).value - pure_rg(cs))
+            worst_rg = max(worst_rg, rg.value - pure_rg(cs))
             if dims == (2, 2):
                 worst_cc = max(
                     worst_cc, abs(concurrence_2q(rho) - 2.0 * pure_rr(cs))
@@ -304,12 +311,15 @@ def test_criterion_07_two_copy_subadditivity():
     cut2 = Cut([0, 2])
     worst = -math.inf
     worst_le = -math.inf
-    for i in range(20):
-        rho = random_density(4, np.random.SeedSequence((7, i)), shape1)
-        two = DensityMatrix(np.kron(rho.mat, rho.mat), shape2)
-        for n in (1.0, 2.0, math.inf):
-            e1 = e_nm_ppt(rho, [CUT], n, 1.0).value
-            e2 = e_nm_ppt(two, [cut2], n, 1.0).value
+    ones = np.stack([random_density(4, np.random.SeedSequence((7, i)), shape1).mat
+                     for i in range(20)])
+    twos = np.stack([DensityMatrix(np.kron(r, r), shape2).mat for r in ones])
+    for n in (1.0, 2.0, math.inf):
+        # one stack per n for the single copies and one for the two-copies;
+        # each value is that of its own e_nm_ppt call
+        e1s = e_nm_ppt_stack(ones, shape1, [CUT], n, 1.0)
+        e2s = e_nm_ppt_stack(twos, shape2, [cut2], n, 1.0)
+        for e1, e2 in ((a.value, b.value) for a, b in zip(e1s, e2s, strict=True)):
             worst = max(worst, e2 - (e1 * e1 + 2.0 * e1))
             if n == 1.0:
                 worst_le = max(
@@ -451,7 +461,9 @@ def test_criterion_10_curie_limit():
 
 def min_eig_problem(d: int) -> SdpProblem:
     """The constraint tr X = 1 on one d x d block; the cost H gives lambda_min(H)."""
-    return SdpProblem([d], [np.eye(d)[None, :, :]], [1.0])
+    hs = HermitianSdp({"x": d})
+    hs.add_matrix_equality({"x": lambda e: e * np.eye(d)}, [[1.0]])
+    return hs.build()
 
 
 def min_eig(h: np.ndarray):

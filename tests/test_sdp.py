@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entwit import sdp
+from entwit.cli import main
 from entwit.linalg import Cut, SystemShape, _pt_array
 from entwit.measures import (
     _fit_witness,
@@ -28,19 +29,39 @@ from entwit.sdp import (
 from entwit.states import DensityMatrix, random_density, stream_densities, stream_seeds, w_ghz_mix
 
 
-def solve_one(prob: SdpProblem, cost_blocks, **kw) -> SdpSolution:
+def solve_one(prob: SdpProblem, cost_blocks) -> SdpSolution:
     """solve on the stack of one problem with these per-block costs."""
-    return solve(prob, [np.asarray(c)[None] for c in cost_blocks], **kw)[0]
+    return solve(prob, [np.asarray(c)[None] for c in cost_blocks])[0]
+
+
+def scalar_rows(sizes, a, b) -> SdpProblem:
+    """The problem sum_j <a[j][i], X_j> = b[i] over blocks of these sizes.
+
+    Each row is a 1 x 1 builder equality with the adjoint maps e -> e *
+    a[j][i], so its coordinates are those of the matrices themselves.
+    """
+    hs = HermitianSdp({f"x{j}": nb for j, nb in enumerate(sizes)})
+    for i, bi in enumerate(b):
+        hs.add_matrix_equality({f"x{j}": lambda e, g=aj[i]: e * g for j, aj in enumerate(a)},
+                               [[bi]])
+    return hs.build()
+
+
+def trace_one(d: int) -> HermitianSdp:
+    """The builder of one d x d variable x with the 1 x 1 row tr(x) = 1."""
+    hs = HermitianSdp({"x": d})
+    hs.add_matrix_equality({"x": lambda e: e * np.eye(d)}, [[1.0]])
+    return hs
 
 
 def trace_one_problem(d: int) -> SdpProblem:
     """The constraint tr X = 1 on one d x d block."""
-    return SdpProblem([d], [np.eye(d)[None, :, :]], [1.0])
+    return trace_one(d).build()
 
 
-def min_eig(h: np.ndarray, **kw) -> SdpSolution:
+def min_eig(h: np.ndarray) -> SdpSolution:
     """min <H, X> over tr X = 1, X psd: lambda_min(H)."""
-    return solve_one(trace_one_problem(h.shape[0]), [h], **kw)
+    return solve_one(trace_one_problem(h.shape[0]), [h])
 
 
 def rand_sym(seed: int, d: int) -> np.ndarray:
@@ -51,7 +72,7 @@ def rand_sym(seed: int, d: int) -> np.ndarray:
 def test_trace_min_analytic():
     a = np.zeros((1, 2, 2))
     a[0, 0, 0] = 1.0
-    sol = solve_one(SdpProblem([2], [a], [1.0]), [np.eye(2)])
+    sol = solve_one(scalar_rows([2], [a], [1.0]), [np.eye(2)])
     assert sol.status is SdpStatus.OPTIMAL
     assert sol.pobj == pytest.approx(1.0, abs=1e-6)
     assert np.allclose(sol.x_blocks[0], np.diag([1.0, 0.0]), atol=1e-5)
@@ -99,9 +120,9 @@ def captured_solve(measure) -> tuple:
     calls = []
     real = sdp.solve
 
-    def spy(prob, costs, **kw):
+    def spy(prob, costs):
         calls.append((prob, costs))
-        return real(prob, costs, **kw)
+        return real(prob, costs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sdp, "solve", spy)
@@ -141,7 +162,7 @@ def rand_pd(rng, d: int) -> np.ndarray:
 
 
 def reference_problem(seed: int, dims=(2, 2)):
-    """Dense stacks over blocks of sizes d, d, 3, 2, 1 with m = d^2 + 11 rows.
+    """Constraint matrices over blocks of sizes d, d, 3, 2, 1 with m = d^2 + 11 rows.
 
     For d = prod(dims) = 4: rows 0-15 are +PT(E_k) on block 0 and -PT(E_k)
     on block 1 (one basis coordinate each, as in e_nm_ppt); row 16 is the
@@ -167,7 +188,7 @@ def reference_problem(seed: int, dims=(2, 2)):
     for i in range(n2 + 6, m):
         a[2][i] = rand_herm(rng, 3)
         a[4][i] = rng.standard_normal() if i != n2 + 8 else 0.0
-    return sizes, SdpProblem(sizes, a, rng.standard_normal(m)), a
+    return sizes, scalar_rows(sizes, a, rng.standard_normal(m)), a
 
 
 def assert_close(got, want):
@@ -278,7 +299,7 @@ def test_multi_block_lp():
     # min x0 + 2 x1 s.t. x0 + x1 = 1 as two 1x1 blocks
     a0 = np.ones((1, 1, 1))
     a1 = np.ones((1, 1, 1))
-    sol = solve_one(SdpProblem([1, 1], [a0, a1], [1.0]), [[[1.0]], [[2.0]]])
+    sol = solve_one(scalar_rows([1, 1], [a0, a1], [1.0]), [[[1.0]], [[2.0]]])
     assert sol.pobj == pytest.approx(1.0, abs=1e-6)
     assert sol.x_blocks[0][0, 0] == pytest.approx(1.0, abs=1e-5)
 
@@ -286,7 +307,10 @@ def test_multi_block_lp():
 def test_gram_rejection_and_shape_checks():
     a = np.stack([np.eye(2), np.eye(2)])
     with pytest.raises(ValueError):
-        SdpProblem([2], [a], [1.0, 1.0])
+        scalar_rows([2], [a], [1.0, 1.0])
+    # coordinates that do not match the block sizes and m
+    with pytest.raises(ValueError, match="coordinates have shape"):
+        SdpProblem([2], [np.zeros((1, 9))], [1.0])
     with pytest.raises(ValueError):
         solve_one(trace_one_problem(2), [np.array([[0.0, 1.0], [0.0, 0.0]])])
     # symmetric but not Hermitian
@@ -298,17 +322,18 @@ def pin_corner() -> SdpProblem:
     """X_00 = 1 on one 2 x 2 block: unbounded below for the cost -I."""
     a = np.zeros((1, 2, 2))
     a[0, 0, 0] = 1.0
-    return SdpProblem([2], [a], [1.0])
+    return scalar_rows([2], [a], [1.0])
 
 
-def test_statuses():
+def test_statuses(monkeypatch):
     # x >= 0 with x = -1 has no primal point
-    prob = SdpProblem([1], [np.ones((1, 1, 1))], [-1.0])
+    prob = scalar_rows([1], [np.ones((1, 1, 1))], [-1.0])
     assert solve_one(prob, [np.zeros((1, 1))]).status is SdpStatus.PRIMAL_INFEASIBLE
     # unbounded below: free trace direction
     assert solve_one(pin_corner(), [-np.eye(2)]).status is SdpStatus.DUAL_INFEASIBLE
     # starved iteration budget
-    sol = min_eig(rand_sym(1, 6), max_iter=2)
+    monkeypatch.setattr(sdp, "MAX_ITER", 2)
+    sol = min_eig(rand_sym(1, 6))
     assert sol.status is SdpStatus.ITERATION_LIMIT
 
 
@@ -327,27 +352,21 @@ def test_unbounded_costs_end_dual_infeasible():
         assert sol.pobj < -sdp.DIVERGE_OBJ
 
 
-def trace_one(d: int) -> HermitianSdp:
-    """The builder of one d x d variable x with the 1 x 1 row tr(x) = 1."""
-    hs = HermitianSdp({"x": d})
-    hs.add_matrix_equality({"x": lambda e: e * np.eye(d)}, [[1.0]])
-    return hs
-
-
 def test_builder_returns_only_optimal(monkeypatch):
     hs = trace_one(2)
     cost = {"x": np.diag([1.0, 2.0])}
     # a stall that ends within a tiny gap of the optimum is still no optimum
     stalled = dataclasses.replace(hs.solve(cost)[0], status=SdpStatus.ITERATION_LIMIT)
     with monkeypatch.context() as mp:
-        mp.setattr(sdp, "solve", lambda prob, costs, tol: [stalled])
+        mp.setattr(sdp, "solve", lambda prob, costs: [stalled])
         with pytest.raises(SolverError):
             hs.solve(cost)
 
 
 @pytest.mark.parametrize("max_iter", [sdp.MAX_ITER, 2])
-def test_solution_is_last_iterate(max_iter):
-    sol = min_eig(rand_sym(9, 4), max_iter=max_iter)
+def test_solution_is_last_iterate(monkeypatch, max_iter):
+    monkeypatch.setattr(sdp, "MAX_ITER", max_iter)
+    sol = min_eig(rand_sym(9, 4))
     last = sol.history[-1]
     assert sol.status is (SdpStatus.OPTIMAL if max_iter > 2 else SdpStatus.ITERATION_LIMIT)
     assert (sol.pobj, sol.dobj, sol.gap) == (last["pobj"], last["dobj"], last["conic"])
@@ -498,8 +517,8 @@ def _r22():
 )
 def test_builder_rows_match_dense_adapter(monkeypatch, measure):
     # the builder maps the stack of basis matrices once per term; the same
-    # maps applied one basis matrix at a time into dense constraint stacks
-    # must give bit for bit the same problem through SdpProblem
+    # maps applied one basis matrix at a time, converted with _svec, must
+    # give bit for bit the same problem through SdpProblem
     sizes, rows, built = {}, [], []
     orig = {name: getattr(HermitianSdp, name)
             for name in ("__init__", "add_matrix_equality", "build")}
@@ -523,16 +542,16 @@ def test_builder_rows_match_dense_adapter(monkeypatch, measure):
     with pytest.raises(_Built):
         measure()
     prob = built[0]
-    a = []
+    coords = []
     for name, nb in sizes.items():
         stack = np.zeros((len(rows), nb, nb), dtype=complex)
         for i, row in enumerate(rows):
             if name in row:
                 stack[i] = row[name]
-        a.append(stack)
-    # an empty memo, so that the dense adapter builds its own rows
+        coords.append(sdp._svec(sdp._basis(nb), stack))
+    # an empty memo, so that the reference builds its own rows
     monkeypatch.setattr(sdp, "_ROWS", {})
-    dense = SdpProblem(list(sizes.values()), a, prob.b)
+    dense = SdpProblem(list(sizes.values()), coords, prob.b)
     assert prob.blocks == dense.blocks
     for got, want in zip(prob.a_rows, dense.a_rows, strict=True):
         assert got is not want
@@ -563,7 +582,7 @@ def test_schur_cancels_z_inverse_off_the_constraint_support():
     iso = np.array([[1, 0, 0], [0, r, 0], [0, r, 0], [0, 0, 1]])
     anti = np.array([0, r, -r, 0])
     a = np.stack([iso @ e @ iso.T for e in hermitian_basis(3)])
-    prob = SdpProblem([4], [a], np.ones(9))
+    prob = scalar_rows([4], [a], np.ones(9))
     zs = rand_pd(rng, 3)
     zi = iso @ np.linalg.inv(zs) @ iso.T + 1e12 * np.outer(anti, anti)
     x = rand_pd(rng, 4)
@@ -583,12 +602,12 @@ def assert_same_solution(got: SdpSolution, want: SdpSolution):
     assert got.history == want.history
 
 
-def assert_stack_matches_singles(prob: SdpProblem, costs, **kw) -> list:
+def assert_stack_matches_singles(prob: SdpProblem, costs) -> list:
     """Each problem of the stacked solve is bit-identical to its solve as a stack of one."""
-    stacked = solve(prob, costs, **kw)
+    stacked = solve(prob, costs)
     assert len(stacked) == len(costs[0])
     for k, got in enumerate(stacked):
-        assert_same_solution(got, solve(prob, [c[k : k + 1] for c in costs], **kw)[0])
+        assert_same_solution(got, solve(prob, [c[k : k + 1] for c in costs])[0])
     return stacked
 
 
@@ -629,20 +648,22 @@ def test_rg_ppt_converges_through_slow_barrier_steps(seed, index):
     assert neg <= value <= 3 * neg
 
 
-def test_stacked_solve_drops_finished_problems():
+def test_stacked_solve_drops_finished_problems(monkeypatch):
     # bounded costs that take 6 to 14 iterations, and one cost that is
     # unbounded below and ends in 3; a budget of 12 stops the slowest problem,
     # so the stack ends with a mix of statuses and most leave it early
     costs = np.array([np.eye(2), -np.eye(2), np.diag([1.0, 2.0]), [[1.0, 0.9], [0.9, 1.0]],
                       [[0.0, 1.0], [1.0, 1e-3]], [[0.0, 1.0], [1.0, 1e-2]],
                       [[0.0, 1j], [-1j, 0.1]]], dtype=complex)
-    sols = assert_stack_matches_singles(pin_corner(), [costs], max_iter=12)
+    monkeypatch.setattr(sdp, "MAX_ITER", 12)
+    sols = assert_stack_matches_singles(pin_corner(), [costs])
     assert [(sol.status, sol.iterations) for sol in sols] == [
         (SdpStatus.OPTIMAL, 6), (SdpStatus.DUAL_INFEASIBLE, 3), (SdpStatus.OPTIMAL, 6),
         (SdpStatus.OPTIMAL, 6), (SdpStatus.ITERATION_LIMIT, 12), (SdpStatus.OPTIMAL, 12),
         (SdpStatus.OPTIMAL, 11)]
     # a starved budget of two stops every problem, the unbounded one too
-    sols = assert_stack_matches_singles(pin_corner(), [costs], max_iter=2)
+    monkeypatch.setattr(sdp, "MAX_ITER", 2)
+    sols = assert_stack_matches_singles(pin_corner(), [costs])
     assert [sol.status for sol in sols] == [SdpStatus.ITERATION_LIMIT] * 7
 
 
@@ -683,21 +704,42 @@ def test_rows_memo_never_stores_dependent_rows(monkeypatch):
     a = np.stack([np.eye(2), np.eye(2)])
     for _ in range(3):
         with pytest.raises(ValueError, match="linearly dependent"):
-            SdpProblem([2], [a], [1.0, 1.0])
+            scalar_rows([2], [a], [1.0, 1.0])
         assert not sdp._ROWS
 
 
-def test_rows_memo_is_bounded(monkeypatch):
+def test_rows_memo_keeps_the_last_row_set(monkeypatch):
     monkeypatch.setattr(sdp, "_ROWS", {})
-    probs = []
-    for k in range(sdp.ROWS_MEMO_SIZE + 3):
-        probs.append(SdpProblem([2], [(k + 1.0) * np.eye(2)[None]], [1.0]))
-        assert len(sdp._ROWS) == min(k + 1, sdp.ROWS_MEMO_SIZE)
-    # the oldest rows left first; the newest are still shared
-    assert SdpProblem([2], [np.eye(2)[None]], [2.0]).a_rows is not probs[0].a_rows
-    newest = (sdp.ROWS_MEMO_SIZE + 3.0) * np.eye(2)[None]
-    assert SdpProblem([2], [newest], [2.0]).a_rows is probs[-1].a_rows
-    assert len(sdp._ROWS) == sdp.ROWS_MEMO_SIZE
+    first = trace_one_problem(2)
+    assert scalar_rows([2], [np.eye(2)[None]], [2.0]).a_rows is first.a_rows
+    second = trace_one_problem(3)
+    assert len(sdp._ROWS) == 1
+    assert trace_one_problem(3).a_rows is second.a_rows
+    # the second row set evicted the first, which is built anew
+    again = trace_one_problem(2)
+    assert again.a_rows is not first.a_rows
+    assert trace_one_problem(2).a_rows is again.a_rows
+
+
+@pytest.mark.parametrize("argv, checks", [
+    (["isotropic", "--d", "3", "--p-count", "3"], 1),
+    # per cut, the finite n share one row set and n = inf has another
+    (["example1", "--q-count", "3"], 6),
+    (["example1", "--q-count", "3", "--n-list", "0.5,1,2,inf"], 6),
+    (["fig7q", "--a-grid", "0.1:0.9:3", "--e-grid", "0.9:1.0:2"], 1),
+], ids=["isotropic", "example1", "example1-n-list", "fig7q"])
+def test_rows_checked_once_per_row_set_run(monkeypatch, tmp_path, argv, checks):
+    monkeypatch.setattr(sdp, "_ROWS", {})
+    calls = []
+    real = SdpProblem._check_independence
+
+    def counted(self):
+        calls.append(self.m)
+        real(self)
+
+    monkeypatch.setattr(SdpProblem, "_check_independence", counted)
+    assert main(["reproduce", *argv, "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(calls) == checks
 
 
 def test_stack_above_the_schur_bound_runs_as_sub_stacks(monkeypatch):
@@ -709,9 +751,9 @@ def test_stack_above_the_schur_bound_runs_as_sub_stacks(monkeypatch):
     sizes = []
     real = sdp._solve_stack
 
-    def spy(prob, c, tol, max_iter):
+    def spy(prob, c):
         sizes.append(len(c[0]))
-        return real(prob, c, tol, max_iter)
+        return real(prob, c)
 
     monkeypatch.setattr(sdp, "_solve_stack", spy)
     monkeypatch.setattr(sdp, "SCHUR_STACK_ENTRIES", 4 * prob.m**2 + 1)
