@@ -31,6 +31,7 @@ from .measures import (
     negativity_stack,
     rains_fidelity,
     rg_dps2,
+    rg_dps2_stack,
     rg_ppt,
     rg_ppt_closed,
     rr_ppt,
@@ -245,14 +246,12 @@ def cmd_example1(args) -> int:
         "command": "example1", "q_count": args.q_count,
         "n_list": args.n_list, "seed": args.seed,
     }
-    states = [w_ghz_mix(float(q)) for q in qs]
-    # one solver run per (n, cut) over the whole q grid, cut by cut: a cut's
-    # finite n share their rows, so they are built and checked once
-    values = {
-        (n, site): e_nm_ppt_stack([s.mat for s in states], states[0].shape,
-                                  [Cut([site])], n, 1.0)
-        for site in range(3) for n in ns
-    } if states else {}
+    rhos = np.array([w_ghz_mix(float(q)).mat for q in qs])
+    # one build and solver run per (n, cut) over the whole q grid; a cut's
+    # finite n could share one stack, but at 22 problems of m = 128 its peak
+    # memory is 7 % above that of two stacks of 11, against 1.5 ms per build
+    values = {(n, site): e_nm_ppt_stack(rhos, SystemShape((2, 2, 2)), [Cut([site])], n, 1.0)
+              for n in ns for site in range(3)}
     rows = [(float(q), n, site, values[n, site][i].value)
             for i, q in enumerate(qs) for n in ns for site in range(3)]
     _emit_csv(args.out, config, ["q", "n", "cut", "value"], rows)
@@ -267,21 +266,17 @@ def cmd_fig7q(args) -> int:
         "e_grid": args.e_grid, "seed": args.seed,
     }
     shape = SystemShape((3, 3))
-    cut = Cut([0])
+    grid = [(float(a), float(e)) for a in a_grid for e in e_grid]
+    rhos = [DensityMatrix(e * horodecki_3x3(a).mat + (1.0 - e) * np.eye(9) / 9.0, shape).mat
+            for a, e in grid]
     rows = []
-    for a in a_grid:
-        base = horodecki_3x3(float(a)).mat
-        for e in e_grid:
-            mixed = float(e) * base + (1.0 - float(e)) * np.eye(9) / 9.0
-            rho = DensityMatrix(mixed, shape)
-            res = rg_dps2(rho, cut)
-            tr_w = float(np.trace(res.witness.op.mat).real)
-            # rescale the witness to the trace-D normalization; the value
-            # in units of c1 c2 then feeds the formation bound
-            rr_unit = res.value / tr_w if tr_w > 1e-9 else 0.0
-            rr_unit = min(0.5, max(0.0, rr_unit))
-            eof = eof_lower_rr(rr_unit).value
-            rows.append((float(a), float(e), res.value, 9.0 * rr_unit, eof))
+    # one build and solver run for the whole grid
+    for (a, e), res in zip(grid, rg_dps2_stack(rhos, shape, Cut([0]))):
+        tr_w = float(np.trace(res.witness.op.mat).real)
+        # rescale the witness to the trace-D normalization; the value
+        # in units of c1 c2 then feeds the formation bound
+        rr_unit = min(0.5, max(0.0, res.value / tr_w if tr_w > 1e-9 else 0.0))
+        rows.append((a, e, res.value, 9.0 * rr_unit, eof_lower_rr(rr_unit).value))
     _emit_csv(args.out, config,
               ["a", "e", "dps2_value", "rr_lower", "eof_lower"], rows)
     return 0
@@ -320,19 +315,18 @@ def cmd_isotropic(args) -> int:
         "command": "isotropic", "d": d, "p_count": args.p_count,
         "n_list": args.n_list or "default",
     }
-    cut = Cut([0])
-    states = [isotropic(d, float(p)) for p in ps]
+    grid = [(n, float(p)) for n in ns for p in ps]
+    rhos = [isotropic(d, p).mat for _, p in grid]
     rows = []
     worst = 0.0
-    for n in ns:
-        # one SDP build and solver run per n over the whole p grid
-        sdps = e_nm_ppt_stack([s.mat for s in states], states[0].shape, [cut], n,
-                              1.0) if states else []
-        for p, res in zip(ps, sdps):
-            closed = isotropic_e_n1(d, float(p), n)
-            diff = abs(closed - res.value)
-            worst = max(worst, diff)
-            rows.append((d, float(p), n, closed, res.value, diff))
+    # one call for the whole (n, p) grid: one build and solver run for its
+    # finite n and one for its infinite n
+    sdps = e_nm_ppt_stack(rhos, SystemShape((d, d)), [Cut([0])], [n for n, _ in grid], 1.0)
+    for (n, p), res in zip(grid, sdps):
+        closed = isotropic_e_n1(d, p, n)
+        diff = abs(closed - res.value)
+        worst = max(worst, diff)
+        rows.append((d, p, n, closed, res.value, diff))
     _emit_csv(args.out, config, ["d", "p", "n", "closed", "sdp", "abs_diff"],
               rows, trailing={"max_abs_diff": worst})
     return 0

@@ -7,7 +7,8 @@ exactly feasible, so values never exceed the true optimum. One rule repairs
 every measure: each equality reads slack + (other terms) = c I, c > 0, and
 the other terms are divided by s = max(1, lambda_max(their image) / c)
 (Jansson, Chaykin and Keil, SIAM J. Numer. Anal. 46, 180, 2007); a lone
-1 x 1 row with no slack gets image / rhs.
+1 x 1 row with no slack gets image / c. c may differ from state to state,
+so the states of a stack share the SDP's rows, not its right-hand side.
 """
 
 from __future__ import annotations
@@ -192,6 +193,25 @@ def _nm_box(n, m) -> tuple:
     return n, m, OP_LEQ_I if (math.isinf(n) and m == 1.0) else None
 
 
+def _state_stack(rhos, shape: SystemShape) -> np.ndarray:
+    """rhos as a complex (K, D, D) array of states of this shape (an empty list: K = 0)."""
+    dd = shape.total_dim
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.shape == (0,):
+        rhos = rhos.reshape(0, dd, dd)
+    if rhos.ndim != 3 or rhos.shape[1:] != (dd, dd):
+        raise ValueError(f"need a stack of {dd} x {dd} states, got shape {rhos.shape}")
+    return rhos
+
+
+def _per_state(value, count: int, what: str) -> np.ndarray:
+    """value as a (count,) float array: one number for every state, or one per state."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape not in ((), (count,)):
+        raise ValueError(f"need one {what} or one per state ({count}), got shape {arr.shape}")
+    return np.broadcast_to(arr, count)
+
+
 @dataclass
 class _Fit:
     """A solved witness SDP after repair: W = offset + linear(blocks) / scale."""
@@ -202,40 +222,34 @@ class _Fit:
     scale: float
 
 
-def _identity_multiple(rhs) -> float:
-    """c for rhs = c I with c > 0, else ValueError."""
-    mat = np.asarray(rhs)
-    c = float(mat[0, 0].real)
-    if not (c > 0 and np.array_equal(mat, c * np.eye(len(mat)))):
-        raise ValueError("an equality's rhs must be c I with c > 0")
-    return c
-
-
 def _fit_witness(rhos: np.ndarray, shape: SystemShape, variables: dict, costs: dict,
                  equalities: list, linear, offset=None, **fields) -> list:
     """Build once, solve, then repair and report one witness SDP per state of a stack.
 
     rhos is a (K, D, D) stack of states of this shape. variables maps names
     to block sizes (1 x 1: a nonnegative scalar), and costs maps names to
-    their (K, nb, nb) cost stacks, entry k for state k. Each (terms, rhs,
-    slack) is a matrix equality for HermitianSdp.add_matrix_equality; a
-    scalar row is the 1 x 1 case (_scalar_row). slack names the term that
-    enters as the identity (rhs = c I, c > 0), or is None for a lone 1 x 1
-    row that must hold exactly; both are checked before anything is built.
+    their (K, nb, nb) cost stacks, entry k for state k. Each (terms, c,
+    slack) is the matrix equality sum of terms = c I for
+    HermitianSdp.add_matrix_equality, with c > 0 one number or one per
+    state. slack names the term that enters as the identity, and its block
+    gives the size of I; None marks a lone 1 x 1 row that must hold exactly
+    (a scalar row, _scalar_row). Both are checked before anything is built.
     linear maps the solved blocks to the variable part of W, which is
     divided by the repair scale of its own problem. Each result reports
     max{0, -Tr(W rho)}, with Witness(W, **fields). Returns one _Fit per state.
     """
     slacks = [slack for _, _, slack in equalities]
-    if None in slacks and (len(slacks) > 1 or np.shape(equalities[0][1]) != (1, 1)):
+    if None in slacks and len(slacks) > 1:
         raise ValueError("an equality without a slack must be a lone 1 x 1 row")
-    cs = [_identity_multiple(rhs) for _, rhs, _ in equalities]
+    cs = [_per_state(c, len(rhos), "equality c") for _, c, _ in equalities]
+    if not all((c > 0).all() for c in cs):
+        raise ValueError("an equality's c must be positive")
     hs = HermitianSdp(variables)
-    for terms, rhs, _ in equalities:
-        hs.add_matrix_equality(terms, rhs)
+    for (terms, _, slack), c in zip(equalities, cs):
+        hs.add_matrix_equality(terms, np.multiply.outer(c, np.eye(variables.get(slack, 1))))
     fits = []
-    for rho, sol in zip(rhos, hs.solve(costs), strict=True):
-        ratios = [np.linalg.eigvalsh(img)[-1] / c for img, c in zip(hs.images(sol, slacks), cs)]
+    for k, (rho, sol) in enumerate(zip(rhos, hs.solve(costs), strict=True)):
+        ratios = [np.linalg.eigvalsh(img)[-1] / c[k] for img, c in zip(hs.images(sol, slacks), cs)]
         scale = ratios[0] if slacks == [None] else max(1.0, *ratios)
         blocks, duals = hs.blocks(sol)
         w = linear(blocks) / scale
@@ -247,13 +261,13 @@ def _fit_witness(rhos: np.ndarray, shape: SystemShape, variables: dict, costs: d
     return fits
 
 
-def _scalar_row(coeffs: dict, rhs: float, slack=None) -> tuple:
+def _scalar_row(coeffs: dict, rhs, slack=None) -> tuple:
     """The row sum_v tr(G_v X_v) = rhs as a 1 x 1 equality of _fit_witness.
 
     G_v is a matrix, or a number for a 1 x 1 block; its adjoint map is
     e -> e * G_v.
     """
-    return {name: (lambda e, g=g: e * g) for name, g in coeffs.items()}, [[rhs]], slack
+    return {name: (lambda e, g=g: e * g) for name, g in coeffs.items()}, rhs, slack
 
 
 def _pt_map(dims, parties=(), negate=False):
@@ -284,62 +298,74 @@ def _decomposable(rhos, shape, cut_list, pts, variables, equalities, **fields) -
     return fits
 
 
-def e_nm_ppt_stack(rhos: np.ndarray, shape: SystemShape, cuts, n: float,
-                   m: float) -> list:
-    """Optimal decomposable witness with bound box -nI <= W <= mI, per state.
+def e_nm_ppt_stack(rhos: np.ndarray, shape: SystemShape, cuts, n, m: float) -> list:
+    """Optimal decomposable witness with bound box -n_k I <= W <= mI, per state k.
 
-    rhos is a (K, D, D) stack of states of this shape; returns one
-    MeasureResult per state. value = max{0, -min Tr(W rho)} over W = P +
-    sum_c Q_c^{T_c}, all parts psd. An infinite bound drops its constraint
-    (and P, which no longer helps, when n is infinite). n=inf, m=1 is the PPT
-    generalized robustness; m=inf gives n times the PPT
-    best-separable-approximation weight. The mixing certificate comes from
-    the SDP duals. The constraints do not depend on rho, so the SDP is built
-    once and its K costs run through one solver loop.
+    rhos is a (K, D, D) stack of states of this shape, and n one value for
+    all of them or one per state; returns one MeasureResult per state.
+    value = max{0, -min Tr(W rho)} over W = P + sum_c Q_c^{T_c}, all parts
+    psd. An infinite bound drops its constraint (and P, which no longer
+    helps, when n is infinite). n=inf, m=1 is the PPT generalized
+    robustness; m=inf gives n times the PPT best-separable-approximation
+    weight. The mixing certificate comes from the SDP duals. The
+    constraint rows depend only on whether n is 0, finite or infinite, so
+    each of these groups is built once and its K costs and right-hand sides
+    run through one solver loop.
     """
     cut_list = [cuts] if isinstance(cuts, Cut) else list(cuts)
     if not cut_list:
         raise ValueError("need at least one cut")
     for c in cut_list:
         c.validate(shape)
-    n, m, choice = _nm_box(n, m)
+    rhos = _state_stack(rhos, shape)
+    ns = _per_state(n, len(rhos), "n")
+    for nk in ns:
+        _nm_box(nk, m)
+    kinds = np.sign(ns) + np.isinf(ns)  # 0, 1 or 2: n is 0, finite or infinite
+    out = {}
+    for kind in set(kinds.tolist()):
+        idx = np.flatnonzero(kinds == kind).tolist()
+        out.update(zip(idx, _e_nm_group(rhos[idx], shape, cut_list, ns[idx], float(m))))
+    return [out[k] for k in range(len(rhos))]
+
+
+def _e_nm_group(rhos, shape, cut_list, ns, m) -> list:
+    """e_nm_ppt_stack on states whose n are all 0, all finite or all infinite."""
     dims = shape.local_dims
     dd = shape.total_dim
-    rhos = np.asarray(rhos, dtype=complex)
-    if rhos.ndim != 3 or rhos.shape[1:] != (dd, dd):
-        raise ValueError(f"need a stack of {dd} x {dd} states, got shape {rhos.shape}")
     eye = np.eye(dd)
-
-    if n == 0.0:
+    if ns[0] == 0.0:
         # nonnegative operators detect nothing
         zero = HermitianMatrix(np.zeros((dd, dd)), shape)
         return [MeasureResult(0.0, SDP_TOL,
-                              Witness(op=zero, kind=_decomp_kind(cut_list), bounds=(n, m),
+                              Witness(op=zero, kind=_decomp_kind(cut_list), bounds=(float(nk), m),
                                       parts={"P": zero, "Q": [zero] * len(cut_list)},
                                       cuts=cut_list),
                               MixingCertificate(0.0, 0.0, _to_density(rho, shape),
                                                 _to_density(eye, shape), _to_density(eye, shape)))
-                for rho in rhos]
+                for rho, nk in zip(rhos, ns)]
 
-    has_p = math.isfinite(n)
+    has_p = math.isfinite(ns[0])
     pts = {"P": ()} if has_p else {}
     pts.update({f"Q{i}": c.party_set for i, c in enumerate(cut_list)})
     variables = dict.fromkeys(pts, dd)
     equalities = []
 
-    def bound(slack, negate, rhs):  # slack + W = rhs, or slack - W = rhs
+    def bound(slack, negate, c):  # slack + W = c I, or slack - W = c I
         variables[slack] = dd
         terms = {name: _pt_map(dims, ps, negate) for name, ps in pts.items()}
-        equalities.append(({slack: _pt_map(dims), **terms}, rhs, slack))
+        equalities.append(({slack: _pt_map(dims), **terms}, c, slack))
 
     if math.isfinite(m):
-        bound("S", False, m * eye)
+        bound("S", False, m)
     if has_p:
-        bound("T", True, n * eye)
-    fits = _decomposable(rhos, shape, cut_list, pts, variables, equalities, bounds=(n, m),
+        bound("T", True, ns)
+    choice = _nm_box(ns[0], m)[2]
+    fits = _decomposable(rhos, shape, cut_list, pts, variables, equalities,
                          trace_norm_choice=choice)
     zero = np.zeros((dd, dd))
-    for rho, fit in zip(rhos, fits):
+    for rho, nk, fit in zip(rhos, ns, fits):
+        fit.result.witness.bounds = (float(nk), m)
         u, v = fit.duals.get("S", zero), fit.duals.get("T", zero)
         s = max(0.0, float(np.trace(u).real))
         t = max(0.0, float(np.trace(v).real))
@@ -395,14 +421,13 @@ def rains_fidelity(rho: DensityMatrix, cut: Cut) -> float:
     if len(dims) != 2 or dims[0] != dims[1]:
         raise ValueError("need a d x d bipartite state")
     d = dims[0]
-    eye = np.eye(shape.total_dim)
     ident, pt = _pt_map(dims), _pt_map(dims, cut.party_set)
     fit, = _fit_witness(
         rho.mat[None], shape, dict.fromkeys(("F", "S", "G1", "G2"), shape.total_dim),
         {"F": -rho.mat[None]},
-        [({"F": ident, "S": ident}, eye, "S"),
-         ({"F": pt, "G1": ident}, eye / d, "G1"),
-         ({"F": _pt_map(dims, cut.party_set, True), "G2": ident}, eye / d, "G2")],
+        [({"F": ident, "S": ident}, 1.0, "S"),
+         ({"F": pt, "G1": ident}, 1.0 / d, "G1"),
+         ({"F": _pt_map(dims, cut.party_set, True), "G2": ident}, 1.0 / d, "G2")],
         lambda blocks: -blocks["F"])
     return max(fit.result.value, 1.0 / d)
 
@@ -460,16 +485,18 @@ def _sym_isometry(b: int) -> np.ndarray:
     return np.array(cols).T
 
 
-def rg_dps2(rho: DensityMatrix, cut: Cut) -> MeasureResult:
-    """Robustness-type bound from witnesses certified at extension level 2.
+def rg_dps2_stack(rhos: np.ndarray, shape: SystemShape, cut: Cut) -> list:
+    """Robustness-type bound from witnesses certified at extension level 2, per state.
 
-    Searches W <= I together with a certificate (H0, M1, M2 >= 0) that W
-    is nonnegative on every state with a PPT 2-symmetric extension of the
-    non-cut side, so the bound can be nonzero on PPT entangled states.
-    M1 lives on A (x) Sym^2(B) like the extension (DPS, PRA 69, 022308,
-    2004): the partial transpose on A commutes with the symmetric projector.
+    rhos is a (K, D, D) stack of bipartite states of this shape. Searches W
+    <= I together with a certificate (H0, M1, M2 >= 0) that W is
+    nonnegative on every state with a PPT 2-symmetric extension of the
+    non-cut side, so the bound can be nonzero on PPT entangled states. M1
+    lives on A (x) Sym^2(B) like the extension (DPS, PRA 69, 022308, 2004):
+    the partial transpose on A commutes with the symmetric projector. The
+    constraints do not depend on the states, so the SDP is built once and
+    its K costs run through one solver loop.
     """
-    shape = rho.require_shape()
     cut.validate(shape)
     if len(shape) != 2:
         raise ValueError("need a bipartite state")
@@ -479,10 +506,12 @@ def rg_dps2(rho: DensityMatrix, cut: Cut) -> MeasureResult:
     dims = shape.local_dims[::-1] if swap else shape.local_dims
     a, b = dims
     dd = a * b
+    rhos = _state_stack(rhos, shape)
 
-    def to_cut(mat, first):
-        # reorder so that the cut side comes first, or back
-        return mat.reshape(first * 2).transpose(1, 0, 3, 2).reshape(dd, dd) if swap else mat
+    def to_cut(mats, first):
+        # reorder the last two axes so that the cut side comes first, or back
+        t = mats.reshape(mats.shape[:-2] + first * 2)
+        return t.swapaxes(-4, -3).swapaxes(-2, -1).reshape(mats.shape) if swap else mats
 
     # isometry from A (x) sym^2(B) into the extension space A (x) B1 (x) B2
     iso = np.kron(np.eye(a), _sym_isometry(b))
@@ -498,9 +527,14 @@ def rg_dps2(rho: DensityMatrix, cut: Cut) -> MeasureResult:
         "M1": lambda e: iso.conj().T @ _pt_array(lift(e), ext, (0,)) @ iso,
         "M2": lambda e: _pt_array(lift(e), ext, (2,)),
     }
-    return _fit_witness(
-        rho.mat[None], shape, {"Sw": dd, "H0": ds, "M1": ds, "M2": a * b * b},
-        {"Sw": -to_cut(rho.mat, shape.local_dims)[None]},
-        [(terms, np.eye(ds, dtype=complex), "H0")],
+    return [fit.result for fit in _fit_witness(
+        rhos, shape, {"Sw": dd, "H0": ds, "M1": ds, "M2": a * b * b},
+        {"Sw": -to_cut(rhos, shape.local_dims)},
+        [(terms, 1.0, "H0")],
         lambda blocks: -to_cut(blocks["Sw"], dims), offset=np.eye(dd),
-        kind=DPS2_CERTIFIED, bounds=(math.inf, 1.0), trace_norm_choice=OP_LEQ_I)[0].result
+        kind=DPS2_CERTIFIED, bounds=(math.inf, 1.0), trace_norm_choice=OP_LEQ_I)]
+
+
+def rg_dps2(rho: DensityMatrix, cut: Cut) -> MeasureResult:
+    """rg_dps2_stack on a stack of one state."""
+    return rg_dps2_stack(rho.mat[None], rho.require_shape(), cut)[0]

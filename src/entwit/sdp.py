@@ -35,33 +35,30 @@ holds the variables, declared once as a dict of block sizes, and the
 equalities. Every equality is a matrix equality, whose target-space basis
 the builder maps through each term's adjoint at once; a scalar row is the
 1 x 1 case, so an explicit constraint matrix G on variable v is the row
-{v: lambda e: e * G}. build gives the SdpProblem of those rows. A problem's
-rows are built and checked for independence once per distinct content: a
-memo of the last row set, keyed by the block sizes, m and a digest of each
-block's coordinates (never b), hands its checked rows to the next problem
-with the same rows, so problems that differ only in b share them.
+{v: lambda e: e * G}. build gives the SdpProblem of those rows, checked for
+independence once, and the right-hand side b. Rows are shared by stacking:
+problems with the same rows run as one stack, whatever their b.
 
-Costs reach the solver only through solve(prob, costs): one predictor-
-corrector loop over a stack of K problems that share their constraints and
-differ in the cost, with a leading problem axis on every iterate; each
-problem gets the arithmetic of a solve on its own, so a problem's solution
-does not depend on the rest of the stack. solve runs a long stack as
-sub-stacks whose Schur matrices hold at most SCHUR_STACK_ENTRIES doubles
-together, which caps its memory at large m and leaves every problem's bytes
-as they are. A problem leaves the stack when it ends, and solve returns the
-iterate it stopped at. It reports OPTIMAL only when the residuals and the
-relative gap meet DEFAULT_TOL; otherwise a run ends when its iterates
-diverge or after MAX_ITER iterations. HermitianSdp.solve returns only
-OPTIMAL solutions. The builder reads the primal and dual-slack blocks back
-from a solution, and each equality's image sum_v L_v(X_v) from the same
-basis coordinates.
+Costs and right-hand sides reach the solver only through solve(prob, costs,
+b): one predictor-corrector loop over a stack of K problems that share
+their constraint rows and differ in the cost and in b, with a leading
+problem axis on every iterate; each problem gets the arithmetic of a solve
+on its own, so a problem's solution does not depend on the rest of the
+stack. solve runs a long stack as sub-stacks whose Schur matrices hold at
+most SCHUR_STACK_ENTRIES doubles together, which caps its memory at large
+m and leaves every problem's bytes as they are. A problem leaves the stack
+when it ends, and solve returns the iterate it stopped at. It reports
+OPTIMAL only when the residuals and the relative gap meet DEFAULT_TOL;
+otherwise a run ends when its iterates diverge or after MAX_ITER
+iterations. HermitianSdp.solve returns only OPTIMAL solutions. The builder
+reads the primal and dual-slack blocks back from a solution, and each
+equality's image sum_v L_v(X_v) from the same basis coordinates.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,9 +262,6 @@ class _BlockRows:
         self.basis = tab
         self.lo = int(used[0]) if used.size else 0
         self.span = block.shape[0]
-        # problems with the same rows share this object
-        for arr in (self.cols, self.vals, self.first, self.sign, self.nz_rows, self.row_vals):
-            arr.flags.writeable = False
 
     def add_schur(self, x: np.ndarray, zi: np.ndarray, out_t: np.ndarray) -> None:
         """out_t[k, j, i] += Re tr(X_k A_i Z_k^-1 A_j) over this block's rows.
@@ -301,12 +295,8 @@ class _BlockRows:
                     add(dst, col[:, lo - j : hi - j], out=dst)
 
 
-# The checked rows of the last problem built, by content: one entry at most.
-_ROWS: dict = {}
-
-
 class SdpProblem:
-    """The validated constraint part of a stack of problems; the costs go to solve.
+    """The validated constraint rows of a stack of problems; costs and b go to solve.
 
     blocks: sizes of the diagonal blocks.
     coords: per block, an (m, nb * nb) array whose row i holds the
@@ -314,34 +304,23 @@ class SdpProblem:
         hermitian_basis(nb); row i across all blocks forms one equality.
         HermitianSdp.build gives them. They are kept only as their nonzero
         entries (a_rows, one _BlockRows per block).
-    b: right-hand side, length m.
 
     The rows are checked for linear independence once, here, whatever the
-    number of costs later solved over them. A problem whose blocks and row
-    coordinates equal those of the problem built last takes its read-only
-    a_rows from the memo _ROWS, whatever its b; other rows replace the
-    memo's once they pass the check, and rows that fail it are never stored.
+    number of problems later solved over them; each problem of a stack
+    brings its own right-hand side to solve.
     """
 
-    def __init__(self, blocks, coords, b):
+    def __init__(self, blocks, coords):
         self.blocks = [int(n) for n in blocks]
-        self.b = np.asarray(b, dtype=float).reshape(-1)
-        coords = [np.ascontiguousarray(u, dtype=float) for u in coords]
+        self.m = len(coords[0])
         for nb, u in zip(self.blocks, coords, strict=True):
             if u.shape != (self.m, nb * nb):
                 raise ValueError(f"block coordinates have shape {u.shape}, not {(self.m, nb * nb)}")
-        key = (tuple(self.blocks), self.m,
-               tuple(hashlib.sha256(u).digest() for u in coords))
-        self.a_rows = _ROWS.get(key)
-        if self.a_rows is None:
-            self.a_rows = tuple(_BlockRows(_basis(nb), u) for nb, u in zip(self.blocks, coords))
-            self._check_independence()
-            _ROWS.clear()
-            _ROWS[key] = self.a_rows
+        self.a_rows = tuple(_BlockRows(_basis(nb), u) for nb, u in zip(self.blocks, coords))
+        self._check_independence()
 
     def _check_independence(self):
-        m = self.b.size
-        if m == 0:
+        if self.m == 0:
             return
         eye = [np.eye(nb)[None] for nb in self.blocks]
         w = np.linalg.eigvalsh(_schur(self, eye, eye)[0])
@@ -350,10 +329,6 @@ class SdpProblem:
                 "equality constraints are linearly dependent "
                 f"(gram eigenvalue {w[0]:.3e})"
             )
-
-    @property
-    def m(self) -> int:
-        return self.b.size
 
 
 @dataclass
@@ -454,41 +429,41 @@ def _solve_schur(ms: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def solve(prob: SdpProblem, costs) -> list:
+def solve(prob: SdpProblem, costs, b) -> list:
     """Run the predictor-corrector loop from the fixed interior start on a stack.
 
-    costs holds one (K, nb, nb) Hermitian stack per block: problem k
-    minimizes sum_b <costs[b][k], X_b> over prob's constraints. All K run in
-    one loop; the scalars of the step (mu, sigma, step lengths, norms) and
-    the inner products stay per problem, so each problem's iterates are
-    bit-identical to a stack of one. A problem leaves the stack when it
-    ends: OPTIMAL once its residuals and relative gap meet DEFAULT_TOL, an
-    infeasibility or ITERATION_LIMIT when its iterates diverge, and
-    ITERATION_LIMIT after MAX_ITER iterations. The stack runs as sub-stacks
-    of at most SCHUR_STACK_ENTRIES // m^2 problems (one at least), one after
-    another. Returns the K solutions in order.
+    costs holds one (K, nb, nb) Hermitian stack per block, and b is (K, m)
+    or one row, (m,) or (1, m), for all K: problem k minimizes sum_b
+    <costs[b][k], X_b> over prob's rows with right-hand side b[k]. All K
+    run in one loop; the scalars of the step (mu, sigma, step lengths,
+    norms), the norm of b and the inner products stay per problem, so each
+    problem's iterates are bit-identical to a stack of one. A problem leaves
+    the stack when it ends: OPTIMAL once its residuals and relative gap meet
+    DEFAULT_TOL, an infeasibility or ITERATION_LIMIT when its iterates
+    diverge, and ITERATION_LIMIT after MAX_ITER iterations. The stack runs
+    as sub-stacks of at most SCHUR_STACK_ENTRIES // m^2 problems (one at
+    least), one after another. Returns the K solutions in order.
     """
     count = len(costs[0])
     c = [_herm(_hermitian(cb, (count, nb, nb), "cost block"))
          for nb, cb in zip(prob.blocks, costs, strict=True)]
+    b = np.broadcast_to(np.asarray(b, dtype=float), (count, prob.m))  # else ValueError
     size = max(1, SCHUR_STACK_ENTRIES // max(1, prob.m**2))
     return [sol for lo in range(0, count, size)
-            for sol in _solve_stack(prob, [cb[lo : lo + size] for cb in c])]
+            for sol in _solve_stack(prob, [cb[lo : lo + size] for cb in c], b[lo : lo + size])]
 
 
-def _solve_stack(prob: SdpProblem, c: list) -> list:
-    """solve on one sub-stack of validated, Hermitian cost blocks."""
+def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
+    """solve on one sub-stack of validated, Hermitian cost blocks and its (K, m) b."""
     count = len(c[0])
-    m = prob.m
     n_tot = sum(prob.blocks)
-    b = prob.b
-    norm_b = float(np.abs(b).max(initial=0.0))
+    norm_b = np.abs(b).max(axis=1, initial=0.0).tolist()
     norm_c = [float(np.sqrt(sum(_inner(cb[k], cb[k]) for cb in c))) for k in range(count)]
-    tau = np.array([1.0 + max(norm_b, nc) for nc in norm_c])[:, None, None]
+    tau = np.array([1.0 + max(bk, ck) for bk, ck in zip(norm_b, norm_c)])[:, None, None]
     x = [tau * np.eye(nb, dtype=complex) for nb in prob.blocks]
     z = [tau * np.eye(nb, dtype=complex) for nb in prob.blocks]
-    y = np.zeros((count, m))
-    schur_t = np.empty((count, m, m))
+    y = np.zeros((count, prob.m))
+    schur_t = np.empty((count, prob.m, prob.m))
 
     # per problem of the active stack, in stack order
     ids = list(range(count))
@@ -498,7 +473,7 @@ def _solve_stack(prob: SdpProblem, c: list) -> list:
         live = range(len(ids))
         conic = [sum(_inner(xb[i], zb[i]) for xb, zb in zip(x, z)) for i in live]
         pobj = [sum(_inner(cb[i], xb[i]) for cb, xb in zip(c, x)) for i in live]
-        dobj = [float(b @ y[i]) for i in live]
+        dobj = [float(b[i] @ y[i]) for i in live]
         rp = b - _apply(prob, x)
         rd = [cb - a - zb for cb, a, zb in zip(c, _adjoint(prob, y), z)]
         rp_norm = np.abs(rp).max(axis=1, initial=0.0).tolist()
@@ -513,7 +488,7 @@ def _solve_stack(prob: SdpProblem, c: list) -> list:
             history[j].append({"iter": k, "mu": mu, "pobj": pobj[i], "dobj": dobj[i],
                                "rp": rp_norm[i], "rd": rd_norm[i], "conic": conic[i]})
             rel_gap = conic[i] / (1.0 + max(abs(pobj[i]), abs(dobj[i])))
-            rp_ok = rp_norm[i] <= DEFAULT_TOL * (1.0 + norm_b)
+            rp_ok = rp_norm[i] <= DEFAULT_TOL * (1.0 + norm_b[j])
             rd_ok = rd_norm[i] <= DEFAULT_TOL * (1.0 + norm_c[j])
             if rp_ok and rd_ok and rel_gap <= DEFAULT_TOL:
                 ended[i] = SdpStatus.OPTIMAL
@@ -523,7 +498,7 @@ def _solve_stack(prob: SdpProblem, c: list) -> list:
                     SdpStatus.DUAL_INFEASIBLE
                     if rp_ok and not rd_ok and pobj[i] < -DIVERGE_OBJ * (1.0 + norm_c[j])
                     else SdpStatus.PRIMAL_INFEASIBLE
-                    if rd_ok and not rp_ok and dobj[i] > DIVERGE_OBJ * (1.0 + norm_b)
+                    if rd_ok and not rp_ok and dobj[i] > DIVERGE_OBJ * (1.0 + norm_b[j])
                     else SdpStatus.ITERATION_LIMIT)
             elif k == MAX_ITER:
                 ended[i] = SdpStatus.ITERATION_LIMIT
@@ -536,7 +511,7 @@ def _solve_stack(prob: SdpProblem, c: list) -> list:
             ids = [ids[i] for i in keep]
             conic = [conic[i] for i in keep]
             x, z, c, rd = ([a[keep] for a in arrs] for arrs in (x, z, c, rd))
-            y = y[keep]
+            y, b = y[keep], b[keep]
             schur_t = schur_t[: len(keep)]
         if not ids:
             break
@@ -596,13 +571,14 @@ class HermitianSdp:
     variable is one PSD Hermitian block, and a nonnegative scalar is a 1 x 1
     block. Each equality is kept as the basis coordinates of its terms and
     right-hand side, with its target size; a scalar row is the 1 x 1 case.
-    The cost is not held: solve takes a stack of costs, so one build and
-    one solver run serve every cost over the same constraints.
+    The cost is not held: solve takes a stack of costs, and a right-hand
+    side may hold one matrix per problem of that stack, so one build and
+    one solver run serve every problem over the same rows.
     """
 
     def __init__(self, variables: dict):
         self._blocks = {name: int(nb) for name, nb in variables.items()}
-        self._rows = []  # per equality: ({var: row coordinates}, rhs coordinates, size)
+        self._rows = []  # per equality: ({var: row coords}, (1 or K, r*r) rhs coords, r)
 
     def _size(self, name: str) -> int:
         if name not in self._blocks:
@@ -613,43 +589,49 @@ class HermitianSdp:
         """sum_v L_v(X_v) = rhs over Hermitian matrices.
 
         ``terms`` maps each variable to its adjoint map e -> L_v*(e), called
-        once on the stack of all basis matrices e of the target space. A
-        scalar row sum_v tr(G_v X_v) = c is the 1 x 1 case: rhs [[c]], and
-        adjoint maps e -> e * G_v on the (1, 1, 1) stack.
+        once on the stack of all basis matrices e of the target space. rhs
+        is one r x r matrix, or a (K, r, r) stack with entry k for problem k
+        of the stack solved. A scalar row sum_v tr(G_v X_v) = c is the 1 x 1
+        case: rhs [[c]], and adjoint maps e -> e * G_v on the (1, 1, 1) stack.
         """
-        tab = _basis(np.shape(rhs)[0])
+        tab = _basis(np.shape(rhs)[-1])
         coords = {}
         for name, adj in terms.items():
             nb = self._size(name)
             coords[name] = _svec(_basis(nb), _hermitian(adj(tab.mats), (tab.n2, nb, nb),
                                                         f"term of {name}"))
-        rhs = _svec(tab, _hermitian(rhs, (tab.nb,) * 2, "equality rhs"))
+        lead = np.shape(rhs)[:-2][-1:]  # the problem axis of a stack, if any; one at most
+        rhs = _svec(tab, _hermitian(rhs, lead + (tab.nb,) * 2, "equality rhs")).reshape(-1, tab.n2)
         self._rows.append((coords, rhs, tab.nb))
 
-    def build(self) -> SdpProblem:
-        """The constraint part of the problem, checked once for every cost solved over it."""
-        b = np.concatenate([np.zeros(0)] + [rhs for _, rhs, _ in self._rows])
-        coords = {name: np.zeros((b.size, nb * nb)) for name, nb in self._blocks.items()}
+    def build(self) -> tuple:
+        """The checked rows, as an SdpProblem, and b: (K, m) if an rhs is a K-stack, else (1, m)."""
+        count = max((len(rhs) for _, rhs, _ in self._rows), default=1)
+        b = np.concatenate([np.zeros((count, 0))] + [np.broadcast_to(rhs, (count, rhs.shape[1]))
+                                                     for _, rhs, _ in self._rows], axis=1)
+        coords = {name: np.zeros((b.shape[1], nb * nb)) for name, nb in self._blocks.items()}
         start = 0
-        for terms, rhs, _ in self._rows:
+        for terms, _, size in self._rows:
             for name, u in terms.items():
-                coords[name][start : start + rhs.size] = u
-            start += rhs.size
-        return SdpProblem(self._blocks.values(), coords.values(), b)
+                coords[name][start : start + size * size] = u
+            start += size * size
+        return SdpProblem(self._blocks.values(), list(coords.values())), b
 
     def solve(self, costs: dict) -> list:
         """Build once and solve min sum_v <C_v, X_v> for a stack of costs.
 
         costs maps variables to their cost stacks C_v of shape (K, nb, nb)
         (one nb x nb matrix, or a number for a 1 x 1 block, is K = 1); an
-        absent variable costs zero. Returns the K solutions, all OPTIMAL:
+        absent variable costs zero. An equality whose rhs is a stack gives
+        problem k its entry k. Returns the K solutions, all OPTIMAL:
         any other status raises SolverError naming the problem's index in
         the stack.
         """
         costs = {name: np.reshape(c, (-1,) + (self._size(name),) * 2) for name, c in costs.items()}
         count = len(next(iter(costs.values()))) if costs else 1
         c_blocks = [costs.get(name, np.zeros((count, nb, nb))) for name, nb in self._blocks.items()]
-        sols = solve(self.build(), c_blocks)
+        prob, b = self.build()
+        sols = solve(prob, c_blocks, b)
         for k, sol in enumerate(sols):
             if sol.status is not SdpStatus.OPTIMAL:
                 raise SolverError(f"solver ended with status {sol.status.value} "
@@ -668,7 +650,7 @@ class HermitianSdp:
         """
         x = {v: _svec(_basis(nb), xb) for (v, nb), xb in zip(self._blocks.items(), sol.x_blocks)}
         out = []
-        for (terms, rhs, size), drop in zip(self._rows, skip, strict=True):
-            u = sum((a @ x[v] for v, a in terms.items() if v != drop), np.zeros(rhs.size))
+        for (terms, _, size), drop in zip(self._rows, skip, strict=True):
+            u = sum((a @ x[v] for v, a in terms.items() if v != drop), np.zeros(size * size))
             out.append(_smat(_basis(size), u))
         return out

@@ -56,7 +56,7 @@ from entwit.measures import (
     rg_ppt_closed,
     ssr_nonlocality,
 )
-from entwit.sdp import DEFAULT_TOL, HermitianSdp, SdpProblem, solve
+from entwit.sdp import DEFAULT_TOL, HermitianSdp, solve
 from entwit.spin import (
     ChainSpec,
     bonds,
@@ -459,15 +459,16 @@ def test_criterion_10_curie_limit():
     assert worst_limit <= 0.01
 
 
-def min_eig_problem(d: int) -> SdpProblem:
-    """The constraint tr X = 1 on one d x d block; the cost H gives lambda_min(H)."""
+def min_eig_problem(d: int) -> tuple:
+    """(problem, b) of tr X = 1 on one d x d block; the cost H gives lambda_min(H)."""
     hs = HermitianSdp({"x": d})
     hs.add_matrix_equality({"x": lambda e: e * np.eye(d)}, [[1.0]])
     return hs.build()
 
 
 def min_eig(h: np.ndarray):
-    return solve(min_eig_problem(len(h)), [h[None]])[0]
+    prob, b = min_eig_problem(len(h))
+    return solve(prob, [h[None]], b)[0]
 
 
 def test_criterion_11_solver_accuracy_and_determinism():
@@ -514,10 +515,10 @@ def test_criterion_11_weak_duality_every_iterate():
         d = int(rng.integers(2, 8))
         g = rng.standard_normal((d, d))
         h = (g + g.T) / 2
-        prob = min_eig_problem(d)
-        bar_p = DEFAULT_TOL * (1.0 + float(np.abs(prob.b).max()))
+        prob, b = min_eig_problem(d)
+        bar_p = DEFAULT_TOL * (1.0 + float(np.abs(b).max()))
         bar_d = DEFAULT_TOL * (1.0 + float(np.linalg.norm(h)))
-        sol, = solve(prob, [h[None]])
+        sol, = solve(prob, [h[None]], b)
         first = None
         for rec in sol.history:
             min_conic = min(min_conic, rec["conic"])

@@ -10,12 +10,14 @@ from entwit.measures import (
     _sym_isometry,
     concurrence_2q,
     e_nm_ppt,
+    e_nm_ppt_stack,
     isotropic_e_n1,
     negativity,
     pure_rg,
     pure_rr,
     rains_fidelity,
     rg_dps2,
+    rg_dps2_stack,
     rg_ppt,
     rg_ppt_closed,
     rr_ppt,
@@ -172,6 +174,44 @@ def test_e_nm_zero_n_short_circuit():
     res = e_nm_ppt(bell(), [CUT_A], 0.0, 1.0)
     assert res.value == 0.0
     assert res.certificate.s == 0.0
+
+
+def test_e_nm_stack_with_per_state_n_matches_per_n_calls():
+    # the finite n run as one stack with per-state right-hand sides, the
+    # infinite n as another; n = 0 builds nothing
+    shape = SystemShape([2, 3])
+    ns = [0.0, 1.0, math.inf, 2.0, 0.0, math.inf]
+    rhos = np.stack([random_density(6, 40 + k, shape).mat for k in range(len(ns))])
+    got = e_nm_ppt_stack(rhos, shape, [CUT_A], ns, 1.0)
+    assert len(got) == len(ns)
+    for rho, n, res in zip(rhos, ns, got):
+        want, = e_nm_ppt_stack(rho[None], shape, [CUT_A], n, 1.0)
+        assert res.value == want.value
+        assert np.array_equal(res.witness.op.mat, want.witness.op.mat)
+        assert res.witness.bounds == want.witness.bounds == (n, 1.0)
+        assert res.witness.trace_norm_choice == want.witness.trace_norm_choice
+        assert (res.certificate.s, res.certificate.t) == (want.certificate.s, want.certificate.t)
+    assert got[1].value > 0.0
+    assert e_nm_ppt_stack(np.empty((0, 6, 6)), shape, [CUT_A], ns[:0], 1.0) == []
+    assert e_nm_ppt_stack([], shape, [CUT_A], 1.0, 1.0) == []
+    for bad in (ns[:5], [1.0, -1.0, 1.0, 1.0, 1.0, 1.0], [1.0, math.nan, 1.0, 1.0, 1.0, 1.0],
+                np.ones((6, 1))):
+        with pytest.raises(ValueError):
+            e_nm_ppt_stack(rhos, shape, [CUT_A], bad, 1.0)
+
+
+def test_rg_dps2_stack_matches_single_calls():
+    # fig7q's states: Horodecki 3x3 states mixed with white noise
+    shape = SystemShape([3, 3])
+    rhos = np.stack([e * horodecki_3x3(a).mat + (1.0 - e) * np.eye(9) / 9.0
+                     for a in (0.3, 0.9) for e in (0.9, 1.0)])
+    for cut in (CUT_A, Cut([1])):
+        got = rg_dps2_stack(rhos, shape, cut)
+        for rho, res in zip(rhos, got, strict=True):
+            want = rg_dps2(DensityMatrix(rho, shape), cut)
+            assert res.value == want.value
+            assert np.array_equal(res.witness.op.mat, want.witness.op.mat)
+    assert rg_dps2_stack([], shape, CUT_A) == []
 
 
 def test_e_nm_monotone_in_n():
@@ -392,9 +432,9 @@ def _assert_forced_repair(monkeypatch, measure, slacks):
     # own bound formulas rather than the builder's images
     real_solve, real_fit, fits = sdp.solve, measures._fit_witness, []
 
-    def inflated(prob, costs, **kw):
+    def inflated(prob, costs, b):
         return [dataclasses.replace(sol, x_blocks=[(1.0 + 1e-6) * x for x in sol.x_blocks])
-                for sol in real_solve(prob, costs, **kw)]
+                for sol in real_solve(prob, costs, b)]
 
     def recorded(*args, **kw):
         new = real_fit(*args, **kw)
