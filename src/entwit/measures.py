@@ -319,8 +319,10 @@ def e_nm_ppt_stack(rhos: np.ndarray, shape: SystemShape, cuts, n, m: float) -> l
         c.validate(shape)
     rhos = _state_stack(rhos, shape)
     ns = _per_state(n, len(rhos), "n")
-    for nk in ns:
+    # m, and a scalar n, are checked also when the stack is empty
+    for nk in ns if np.ndim(n) else [n]:
         _nm_box(nk, m)
+    _nm_box(0.0, m)
     kinds = np.sign(ns) + np.isinf(ns)  # 0, 1 or 2: n is 0, finite or infinite
     out = {}
     for kind in set(kinds.tolist()):

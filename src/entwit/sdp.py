@@ -44,21 +44,28 @@ b): one predictor-corrector loop over a stack of K problems that share
 their constraint rows and differ in the cost and in b, with a leading
 problem axis on every iterate; each problem gets the arithmetic of a solve
 on its own, so a problem's solution does not depend on the rest of the
-stack. solve runs a long stack as sub-stacks whose Schur matrices hold at
-most SCHUR_STACK_ENTRIES doubles together, which caps its memory at large
-m and leaves every problem's bytes as they are. A problem leaves the stack
+stack. solve runs a long stack as sub-stacks, several at once on as many
+lanes (the calling thread and helper threads, which live only for that
+call) as the CPUs allow when the BLAS runs one thread per call; LAPACK,
+BLAS and ufunc calls release the interpreter lock. The Schur matrices of
+the sub-stacks that run at once hold at most SCHUR_STACK_ENTRIES doubles
+together, which caps the memory at large m, and every problem's bytes are
+those of its solve alone, whatever the lane count. A problem leaves the stack
 when it ends, and solve returns the iterate it stopped at. It reports
 OPTIMAL only when the residuals and the relative gap meet DEFAULT_TOL;
 otherwise a run ends when its iterates diverge or after MAX_ITER
 iterations. HermitianSdp.solve returns only OPTIMAL solutions. The builder
 reads the primal and dual-slack blocks back from a solution, and each
-equality's image sum_v L_v(X_v) from the same basis coordinates.
+equality's image sum_v L_v(X_v) from the built problem's rows, which are
+the only copy of the coordinates once built.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,12 +136,15 @@ class _Basis:
         for arr in (at, w, k_of, coef):
             arr.flags.writeable = False
 
-    @functools.cached_property
+    @property
     def mats(self) -> np.ndarray:
-        """The basis matrices, stacked as a read-only (n2, nb, nb) array."""
-        out = _smat(self, np.eye(self.n2))
-        out.flags.writeable = False
-        return out
+        """The basis matrices, stacked as a new (n2, nb, nb) array.
+
+        Not cached: a resident copy (1 MB at nb = 16), made during a build,
+        kept the heap beneath it from shrinking and raised the peak memory
+        of the solve that follows by 3 MB at m = 512.
+        """
+        return _smat(self, np.eye(self.n2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,9 +210,10 @@ def _slot_sum(t: np.ndarray) -> np.ndarray:
 # every iteration; sized by the block or the stack they can be mapped from the
 # OS and faulted in each time.
 SCHUR_SLICE = 64 * 16 * 16
-# solve runs a stack as sub-stacks whose m x m Schur matrices hold at most
-# this many doubles together (4 MB: two problems at m = 512), so its memory
-# does not grow with the stack at large m, where the LU bounds the time.
+# solve runs a stack as sub-stacks whose m x m Schur matrices, over the
+# sub-stacks that run at once on its lanes, hold at most this many doubles
+# together (4 MB: two problems at m = 512), so its memory does not grow with
+# the stack or the CPU count at large m, where the LU bounds the time.
 SCHUR_STACK_ENTRIES = 2**19
 
 
@@ -262,6 +273,19 @@ class _BlockRows:
         self.basis = tab
         self.lo = int(used[0]) if used.size else 0
         self.span = block.shape[0]
+
+    def coords(self, start: int, size: int) -> np.ndarray:
+        """The (size, n2) basis coordinates of rows start .. start + size - 1, as built.
+
+        Every kept value is exact; a coordinate -0.0 comes back as 0.0.
+        """
+        out = np.zeros((size, self.basis.n2))
+        lo, hi = max(start, self.lo), min(start + size, self.lo + self.span)
+        if lo < hi:
+            vals = self.vals[lo - self.lo : hi - self.lo]
+            i, s = np.nonzero(vals)
+            out[i + lo - start, self.cols[lo - self.lo : hi - self.lo][i, s]] = vals[i, s]
+        return out
 
     def add_schur(self, x: np.ndarray, zi: np.ndarray, out_t: np.ndarray) -> None:
         """out_t[k, j, i] += Re tr(X_k A_i Z_k^-1 A_j) over this block's rows.
@@ -440,17 +464,87 @@ def solve(prob: SdpProblem, costs, b) -> list:
     problem's iterates are bit-identical to a stack of one. A problem leaves
     the stack when it ends: OPTIMAL once its residuals and relative gap meet
     DEFAULT_TOL, an infeasibility or ITERATION_LIMIT when its iterates
-    diverge, and ITERATION_LIMIT after MAX_ITER iterations. The stack runs
-    as sub-stacks of at most SCHUR_STACK_ENTRIES // m^2 problems (one at
-    least), one after another. Returns the K solutions in order.
+    diverge, and ITERATION_LIMIT after MAX_ITER iterations.
+
+    The stack runs as sub-stacks on L lanes at once, L the least of
+    _lanes(), SCHUR_STACK_ENTRIES // m^2 and the number of sub-stacks at
+    one lane (one at least); each sub-stack holds at most
+    SCHUR_STACK_ENTRIES / L // m^2 problems (one at least). Returns the K
+    solutions in order; a sub-stack's SolverError is raised after every
+    lane has stopped, the lowest sub-stack's if several fail.
     """
     count = len(costs[0])
     c = [_herm(_hermitian(cb, (count, nb, nb), "cost block"))
          for nb, cb in zip(prob.blocks, costs, strict=True)]
     b = np.broadcast_to(np.asarray(b, dtype=float), (count, prob.m))  # else ValueError
-    size = max(1, SCHUR_STACK_ENTRIES // max(1, prob.m**2))
-    return [sol for lo in range(0, count, size)
-            for sol in _solve_stack(prob, [cb[lo : lo + size] for cb in c], b[lo : lo + size])]
+    fit = max(1, SCHUR_STACK_ENTRIES // max(1, prob.m**2))
+    lanes = max(1, min(_lanes(), fit, -(-count // fit)))
+    size = max(1, SCHUR_STACK_ENTRIES // lanes // max(1, prob.m**2))
+    stacks = _run_lanes(
+        lambda lo: _solve_stack(prob, [cb[lo : lo + size] for cb in c], b[lo : lo + size]),
+        range(0, count, size), lanes)
+    return [sol for stack in stacks for sol in stack]
+
+
+def _lanes() -> int:
+    """How many sub-stacks solve may run at once: one per usable CPU when
+    the BLAS runs one thread per call, else one.
+
+    OpenBLAS takes its thread count from the first of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS set to a positive integer, and
+    from the CPU count when none is. Lanes on top of BLAS threads compete
+    with them for the CPUs and ran slower than one lane.
+    """
+    values = (os.environ.get(name, "").strip()
+              for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    if next((int(v) for v in values if v.isdigit() and int(v) > 0), None) != 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_lanes(work, items, lanes: int) -> list:
+    """[work(item) for item in items], on this thread and lanes - 1 helpers.
+
+    Each lane takes the next item in order until none is left or an item
+    has raised; the items before a failed one were all taken already, so
+    they still run, and the error of the first failed item is raised, as a
+    serial loop would raise it. Every helper is joined before this returns
+    or raises.
+    """
+    items = list(items)
+    if lanes <= 1:
+        return [work(item) for item in items]
+    out = [None] * len(items)
+    errors = {}
+    lock = threading.Lock()
+    taken = iter(range(len(items)))
+
+    def lane():
+        while True:
+            with lock:
+                i = None if errors else next(taken, None)
+            if i is None:
+                return
+            try:
+                out[i] = work(items[i])
+            except BaseException as err:  # re-raised by the caller below
+                errors[i] = err
+
+    helpers = []
+    try:
+        for _ in range(lanes - 1):
+            helper = threading.Thread(target=lane, name="entwit-sdp-lane")
+            helper.start()
+            helpers.append(helper)
+        lane()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
@@ -561,7 +655,7 @@ def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
 
 def hermitian_basis(d: int) -> list:
     """Orthonormal basis of d x d Hermitian matrices under tr(ab)."""
-    return [e.copy() for e in _basis(d).mats]
+    return list(_basis(d).mats)
 
 
 class HermitianSdp:
@@ -571,14 +665,18 @@ class HermitianSdp:
     variable is one PSD Hermitian block, and a nonnegative scalar is a 1 x 1
     block. Each equality is kept as the basis coordinates of its terms and
     right-hand side, with its target size; a scalar row is the 1 x 1 case.
-    The cost is not held: solve takes a stack of costs, and a right-hand
-    side may hold one matrix per problem of that stack, so one build and
-    one solver run serve every problem over the same rows.
+    build turns the terms into the rows of one SdpProblem, which keeps them
+    from then on, and equalities can no longer be added. The cost is not
+    held: solve takes a stack of costs, and a right-hand side may hold one
+    matrix per problem of that stack, so one build and one solver run serve
+    every problem over the same rows.
     """
 
     def __init__(self, variables: dict):
         self._blocks = {name: int(nb) for name, nb in variables.items()}
-        self._rows = []  # per equality: ({var: row coords}, (1 or K, r*r) rhs coords, r)
+        self._rows = []  # per equality: (term names, (1 or K, r*r) rhs coords, r, first row)
+        self._terms = []  # per equality, until build: {var: (r*r, nb*nb) row coords}
+        self._problem = None
 
     def _size(self, name: str) -> int:
         if name not in self._blocks:
@@ -593,7 +691,10 @@ class HermitianSdp:
         is one r x r matrix, or a (K, r, r) stack with entry k for problem k
         of the stack solved. A scalar row sum_v tr(G_v X_v) = c is the 1 x 1
         case: rhs [[c]], and adjoint maps e -> e * G_v on the (1, 1, 1) stack.
+        ValueError once the rows are built.
         """
+        if self._problem is not None:
+            raise ValueError("the equalities are built; add every equality before build")
         tab = _basis(np.shape(rhs)[-1])
         coords = {}
         for name, adj in terms.items():
@@ -602,20 +703,27 @@ class HermitianSdp:
                                                         f"term of {name}"))
         lead = np.shape(rhs)[:-2][-1:]  # the problem axis of a stack, if any; one at most
         rhs = _svec(tab, _hermitian(rhs, lead + (tab.nb,) * 2, "equality rhs")).reshape(-1, tab.n2)
-        self._rows.append((coords, rhs, tab.nb))
+        start = sum(size * size for _, _, size, _ in self._rows)
+        self._rows.append((tuple(coords), rhs, tab.nb, start))
+        self._terms.append(coords)
 
     def build(self) -> tuple:
-        """The checked rows, as an SdpProblem, and b: (K, m) if an rhs is a K-stack, else (1, m)."""
-        count = max((len(rhs) for _, rhs, _ in self._rows), default=1)
+        """The checked rows, as an SdpProblem, and b: (K, m) if an rhs is a K-stack, else (1, m).
+
+        The rows are built and checked on the first call, which drops the
+        terms' coordinates; later calls return the same SdpProblem.
+        """
+        count = max((len(rhs) for _, rhs, _, _ in self._rows), default=1)
         b = np.concatenate([np.zeros((count, 0))] + [np.broadcast_to(rhs, (count, rhs.shape[1]))
-                                                     for _, rhs, _ in self._rows], axis=1)
-        coords = {name: np.zeros((b.shape[1], nb * nb)) for name, nb in self._blocks.items()}
-        start = 0
-        for terms, _, size in self._rows:
-            for name, u in terms.items():
-                coords[name][start : start + size * size] = u
-            start += size * size
-        return SdpProblem(self._blocks.values(), list(coords.values())), b
+                                                     for _, rhs, _, _ in self._rows], axis=1)
+        if self._problem is None:
+            coords = {name: np.zeros((b.shape[1], nb * nb)) for name, nb in self._blocks.items()}
+            for (_, _, size, start), terms in zip(self._rows, self._terms):
+                for name, u in terms.items():
+                    coords[name][start : start + size * size] = u
+            self._problem = SdpProblem(self._blocks.values(), list(coords.values()))
+            self._terms = None
+        return self._problem, b
 
     def solve(self, costs: dict) -> list:
         """Build once and solve min sum_v <C_v, X_v> for a stack of costs.
@@ -645,12 +753,16 @@ class HermitianSdp:
     def images(self, sol: SdpSolution, skip: list) -> list:
         """Per equality k, sum_v L_v(X_v) at sol over every v but skip[k] (a name or None).
 
-        Coordinate <E_i, L_v(X_v)> = <L_v*(E_i), X_v> is a stored row times
-        svec(X_v).
+        sol solves the built rows (solve builds them). Coordinate <E_i,
+        L_v(X_v)> = <L_v*(E_i), X_v> is a row of the built problem times
+        svec(X_v); each equality's rows are made dense for the moment of that
+        product.
         """
+        rows = dict(zip(self._blocks, self._problem.a_rows))
         x = {v: _svec(_basis(nb), xb) for (v, nb), xb in zip(self._blocks.items(), sol.x_blocks)}
         out = []
-        for (terms, _, size), drop in zip(self._rows, skip, strict=True):
-            u = sum((a @ x[v] for v, a in terms.items() if v != drop), np.zeros(size * size))
+        for (names, _, size, start), drop in zip(self._rows, skip, strict=True):
+            u = sum((rows[v].coords(start, size * size) @ x[v] for v in names if v != drop),
+                    np.zeros(size * size))
             out.append(_smat(_basis(size), u))
         return out

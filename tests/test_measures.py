@@ -194,6 +194,11 @@ def test_e_nm_stack_with_per_state_n_matches_per_n_calls():
     assert got[1].value > 0.0
     assert e_nm_ppt_stack(np.empty((0, 6, 6)), shape, [CUT_A], ns[:0], 1.0) == []
     assert e_nm_ppt_stack([], shape, [CUT_A], 1.0, 1.0) == []
+    # an empty stack still checks m and a scalar n, as one state does
+    for n, m in ((-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (math.nan, 1.0), ([], 0.0),
+                 (math.inf, math.inf)):
+        with pytest.raises(ValueError):
+            e_nm_ppt_stack([], shape, [CUT_A], n, m)
     for bad in (ns[:5], [1.0, -1.0, 1.0, 1.0, 1.0, 1.0], [1.0, math.nan, 1.0, 1.0, 1.0, 1.0],
                 np.ones((6, 1))):
         with pytest.raises(ValueError):

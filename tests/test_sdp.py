@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -456,6 +458,12 @@ def test_builder_images_read_equalities_back():
     assert row.shape == v.shape == (1, 1)
     assert np.abs(row - (2.0 - v)).max() < 1e-6
     assert np.abs(row - np.trace(x)).max() < 1e-12
+    # the built rows are the only copy of the terms: a second build returns
+    # them, and an equality added after the build would not be among them
+    prob, _ = hs.build()
+    assert hs.build()[0] is prob
+    with pytest.raises(ValueError, match="built"):
+        hs.add_matrix_equality({"v": lambda e: e}, [[1.0]])
 
 
 @pytest.mark.parametrize("rhs, slack", [
@@ -786,7 +794,160 @@ def test_stack_above_the_schur_bound_runs_as_sub_stacks(monkeypatch):
 
     monkeypatch.setattr(sdp, "_solve_stack", spy)
     monkeypatch.setattr(sdp, "SCHUR_STACK_ENTRIES", 4 * prob.m**2 + 1)
+    monkeypatch.setattr(sdp, "_lanes", lambda: 1)
     split = assert_stack_matches_singles(prob, costs, b)
     assert sizes[:3] == [4, 4, 3]
     for got, want in zip(split, whole, strict=True):
         assert_same_solution(got, want)
+    # two lanes share the bound: six sub-stacks of at most two problems,
+    # in whichever order the lanes take them
+    sizes.clear()
+    monkeypatch.setattr(sdp, "_lanes", lambda: 2)
+    split = assert_stack_matches_singles(prob, costs, b)
+    assert sorted(sizes[:6], reverse=True) == [2, 2, 2, 2, 2, 1]
+    for got, want in zip(split, whole, strict=True):
+        assert_same_solution(got, want)
+
+
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_lanes_match_single_solves(monkeypatch, lanes):
+    # rg_ppt on 2x3 states, whose problems leave their sub-stacks at
+    # different iterations; at most four problems' Schur matrices at once
+    shape = SystemShape((2, 3))
+    rhos = np.stack([random_density(6, 500 + s, shape).mat for s in range(20)])
+    prob, costs, b = captured_solve(
+        lambda: e_nm_ppt_stack(rhos, shape, [Cut([0])], np.inf, 1.0))
+    whole = solve(prob, costs, b)
+    sizes = []
+    real = sdp._solve_stack
+
+    def spy(prob, c, b):
+        sizes.append(len(c[0]))
+        return real(prob, c, b)
+
+    monkeypatch.setattr(sdp, "_solve_stack", spy)
+    monkeypatch.setattr(sdp, "SCHUR_STACK_ENTRIES", 4 * prob.m**2)
+    monkeypatch.setattr(sdp, "_lanes", lambda: lanes)
+    threads = threading.active_count()
+    split = assert_stack_matches_singles(prob, costs, b)
+    assert threading.active_count() == threads
+    assert sum(sizes[: 20 // (4 // lanes)]) == 20
+    assert max(sizes) == 4 // lanes
+    for got, want in zip(split, whole, strict=True):
+        assert_same_solution(got, want)
+
+
+def lane_stack(monkeypatch, fail: dict) -> tuple:
+    """Four pin_corner problems as four sub-stacks on two lanes, with b = 1, 2, 3, 4.
+
+    Sub-stack k (b = k + 1) runs as fail[k](real, prob, c, b) if k is in
+    fail, else as itself; each call logs its k.
+    """
+    prob, _ = pin_corner()
+    calls = []
+    real = sdp._solve_stack
+
+    def spy(prob, c, b):
+        k = int(b[0, 0]) - 1
+        calls.append(k)
+        return fail[k](real, prob, c, b) if k in fail else real(prob, c, b)
+
+    monkeypatch.setattr(sdp, "_solve_stack", spy)
+    monkeypatch.setattr(sdp, "SCHUR_STACK_ENTRIES", 2 * prob.m**2)
+    monkeypatch.setattr(sdp, "_lanes", lambda: 2)
+    costs = [np.stack([np.diag([1.0, 2.0])] * 4)]
+    return prob, costs, np.arange(1.0, 5.0)[:, None], calls
+
+
+def test_helper_lane_error_reaches_the_caller(monkeypatch):
+    caller = threading.get_ident()
+    caller_in, helper_ran = threading.Event(), threading.Event()
+    real_schur = sdp._solve_schur
+
+    def singular_off_the_caller(ms, rhs):
+        if threading.get_ident() != caller:
+            helper_ran.set()
+            ms = np.zeros_like(ms)
+        return real_schur(ms, rhs)
+
+    def one_each(real, *args):
+        if threading.get_ident() == caller:
+            caller_in.set()
+            assert helper_ran.wait(10)
+        else:
+            assert caller_in.wait(10)
+        return real(*args)
+
+    monkeypatch.setattr(sdp, "_solve_schur", singular_off_the_caller)
+    # the helper lane starts its sub-stack once the caller has taken one,
+    # and the caller's waits until the helper's has hit its singular Schur
+    # system, so the failure is the helper's and the caller's succeeds
+    prob, costs, b, calls = lane_stack(monkeypatch, dict.fromkeys(range(4), one_each))
+    threads = threading.active_count()
+    with pytest.raises(SolverError, match="numerically singular"):
+        solve(prob, costs, b)
+    assert threading.active_count() == threads
+    assert helper_ran.is_set()
+    # the lanes take no sub-stack after the failure
+    assert sorted(calls) == [0, 1]
+
+
+def test_lowest_failed_sub_stack_raises(monkeypatch):
+    # sub-stack 1 fails only after sub-stack 2 has failed; 1's error wins,
+    # as a serial loop raises it, and no lane takes sub-stack 3
+    started, failed = threading.Event(), threading.Event()
+
+    def first(real, *args):
+        assert started.wait(10)
+        return real(*args)
+
+    def second(real, *args):
+        started.set()
+        assert failed.wait(10)
+        raise SolverError("sub-stack 1")
+
+    def third(real, *args):
+        failed.set()
+        raise SolverError("sub-stack 2")
+
+    prob, costs, b, calls = lane_stack(monkeypatch, {0: first, 1: second, 2: third})
+    threads = threading.active_count()
+    with pytest.raises(SolverError, match="sub-stack 1"):
+        solve(prob, costs, b)
+    assert threading.active_count() == threads
+    assert sorted(calls) == [0, 1, 2]
+
+
+def test_lanes_take_every_item_once():
+    # more lanes than CPUs and a short switch interval: a lost update of the
+    # shared position would run an item twice or never
+    calls = []
+    interval = sys.getswitchinterval()
+    threads = threading.active_count()
+    try:
+        sys.setswitchinterval(1e-6)
+        out = sdp._run_lanes(lambda i: calls.append(i) or np.sqrt(float(i)), range(2000), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert sorted(calls) == list(range(2000))
+    assert out == [np.sqrt(float(i)) for i in range(2000)]
+
+
+@pytest.mark.parametrize("env, lanes", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 3),
+    ({"OMP_NUM_THREADS": "1"}, 3),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 3),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "4"}, 1),
+    ({}, 1),
+])
+def test_lanes_only_over_one_blas_thread(monkeypatch, env, lanes):
+    # OpenBLAS takes the first of these set to a positive integer, and all
+    # CPUs when none is; lanes on top of BLAS threads only compete with them
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(sdp.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert sdp._lanes() == lanes
