@@ -247,9 +247,10 @@ def _fit_witness(rhos: np.ndarray, shape: SystemShape, variables: dict, costs: d
     hs = HermitianSdp(variables)
     for (terms, _, slack), c in zip(equalities, cs):
         hs.add_matrix_equality(terms, np.multiply.outer(c, np.eye(variables.get(slack, 1))))
+    sols = hs.solve(costs)
     fits = []
-    for k, (rho, sol) in enumerate(zip(rhos, hs.solve(costs), strict=True)):
-        ratios = [np.linalg.eigvalsh(img)[-1] / c[k] for img, c in zip(hs.images(sol, slacks), cs)]
+    for k, (rho, sol, imgs) in enumerate(zip(rhos, sols, hs.images(sols, slacks), strict=True)):
+        ratios = [np.linalg.eigvalsh(img)[-1] / c[k] for img, c in zip(imgs, cs)]
         scale = ratios[0] if slacks == [None] else max(1.0, *ratios)
         blocks, duals = hs.blocks(sol)
         w = linear(blocks) / scale

@@ -14,8 +14,10 @@ orthonormal Hermitian basis E_k of hermitian_basis, never as dense
 matrices; only the nonzero ones are kept, per row as indices and values
 padded with zeros to the widest row of the block. Every constraint the
 measures build has one to a few nonzero coordinates per row. A(X) and
-A^T(y) are then a gather and a scatter. The
-Schur matrix M_ij = Re tr(X A_i Z^-1 A_j) is assembled per block as
+A^T(y) are then a gather and a scatter. Every coordinate gather is an
+np.take on index tables built once (those of _Basis and of each block's
+rows); it copies the values that advanced indexing would, in less time.
+The Schur matrix M_ij = Re tr(X A_i Z^-1 A_j) is assembled per block as
 A_b H_b^T, where row i of H_b holds the coordinates of X A_i Z^-1; that
 product is formed from the few nonzero rows of A_i, first A_i Z^-1 and
 then X times it (sparse Schur assembly after Fujisawa, Kojima and Nakata,
@@ -159,12 +161,13 @@ def _svec(tab: _Basis, mats: np.ndarray) -> np.ndarray:
     """
     shape = np.shape(mats)[:-2] + (2 * tab.n2,)
     re = np.ascontiguousarray(mats, dtype=complex).view(float).reshape(shape)
-    return re[..., tab.at[0]] * tab.w[0] + re[..., tab.at[1]] * tab.w[1]
+    return (np.take(re, tab.at[0], axis=-1) * tab.w[0]
+            + np.take(re, tab.at[1], axis=-1) * tab.w[1])
 
 
 def _smat(tab: _Basis, u: np.ndarray) -> np.ndarray:
     """The Hermitian matrix sum_k u_k E_k, over the last axis of u."""
-    parts = u[..., tab.k_of] * tab.coef
+    parts = np.take(u, tab.k_of, axis=-1) * tab.coef
     mat = parts[..., : tab.n2] + 1j * parts[..., tab.n2 :]
     return mat.reshape(np.shape(u)[:-1] + (tab.nb, tab.nb))
 
@@ -172,8 +175,9 @@ def _smat(tab: _Basis, u: np.ndarray) -> np.ndarray:
 def _smat_rows(tab: _Basis, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Rows rows[i] of the Hermitian matrix sum_k u[i, k] E_k, for each i."""
     f = rows[..., None] * tab.nb + np.arange(tab.nb)
-    i = np.arange(len(u))[:, None, None]
-    re, im = (u[i, tab.k_of[g]] * tab.coef[g] for g in (f, tab.n2 + f))
+    offset = np.arange(len(u))[:, None, None] * tab.n2  # of row i in the flat u
+    re, im = (np.take(u, offset + np.take(tab.k_of, g)) * np.take(tab.coef, g)
+              for g in (f, tab.n2 + f))
     return re + 1j * im
 
 
@@ -224,7 +228,8 @@ class _BlockRows:
     covers the rows lo .. lo + span - 1. Row i (relative to lo) keeps its
     nonzero coordinates as indices cols[i] and values vals[i], padded with
     zero indices and zero values to the widest row, so a row sum is a slot
-    sum.
+    sum; cols_t is cols transposed and contiguous, the order in which the
+    Schur assembly gathers and A^T(y) scatters.
 
     Rows equal up to sign (the same cols, and the same or exactly negated
     vals; no other factor, since c x is not exact) give Schur columns equal
@@ -242,6 +247,7 @@ class _BlockRows:
         block = coords[used[0] : used[-1] + 1] if used.size else coords[:0]
         keep = block != 0
         self.cols, real = _padded(keep)
+        self.cols_t = np.ascontiguousarray(self.cols.T)
         self.vals = np.zeros(real.shape)
         self.vals[real] = block[keep]
         # each row signed so that its first value is positive (+ 0.0 turns
@@ -279,12 +285,15 @@ class _BlockRows:
 
         Every kept value is exact; a coordinate -0.0 comes back as 0.0.
         """
-        out = np.zeros((size, self.basis.n2))
+        n2 = self.basis.n2
+        out = np.zeros((size, n2))
         lo, hi = max(start, self.lo), min(start + size, self.lo + self.span)
         if lo < hi:
             vals = self.vals[lo - self.lo : hi - self.lo]
-            i, s = np.nonzero(vals)
-            out[i + lo - start, self.cols[lo - self.lo : hi - self.lo][i, s]] = vals[i, s]
+            flat = np.flatnonzero(vals)
+            rows = flat // vals.shape[1] + lo - start
+            cols = np.take(self.cols[lo - self.lo : hi - self.lo], flat)
+            np.put(out, rows * n2 + cols, np.take(vals, flat))
         return out
 
     def add_schur(self, x: np.ndarray, zi: np.ndarray, out_t: np.ndarray) -> None:
@@ -306,10 +315,11 @@ class _BlockRows:
         step = max(1, SCHUR_SLICE // (len(zi) * nb * nb))
         for j in range(0, count, step):
             stop = min(j + step, count)
-            f = np.matmul(x[:, :, self.nz_rows[j:stop]].transpose(0, 2, 1, 3), v[:, j:stop])
+            f = np.matmul(np.take(x, self.nz_rows[j:stop], axis=2).transpose(0, 2, 1, 3),
+                          v[:, j:stop])
             # coordinates of X A_j Z^-1 at each slot of every row i, scaled
             # in place: a fresh product array costs more
-            h = _svec(self.basis, f)[:, :, self.cols.T]
+            h = np.take(_svec(self.basis, f), self.cols_t, axis=2)
             h *= self.vals.T
             col = _slot_sum(h)
             for row, first, length, add in self.runs:
@@ -381,7 +391,7 @@ def _apply(prob: SdpProblem, mats) -> np.ndarray:
     """A(X)_i = sum_b <A_ib, X_b>, per problem."""
     out = np.zeros((len(mats[0]), prob.m))
     for blk, w in zip(prob.a_rows, mats):
-        t = blk.vals * _svec(blk.basis, w)[:, blk.cols]
+        t = blk.vals * np.take(_svec(blk.basis, w), blk.cols, axis=1)
         out[:, blk.lo : blk.lo + blk.span] += _slot_sum(t)
     return out
 
@@ -398,7 +408,7 @@ def _adjoint(prob: SdpProblem, y: np.ndarray) -> list:
     for blk in prob.a_rows:
         n2 = blk.basis.n2
         t = blk.vals.T * y[:, None, blk.lo : blk.lo + blk.span]
-        idx = (np.arange(count)[:, None] * n2 + blk.cols.T.ravel()).ravel()
+        idx = (np.arange(count)[:, None] * n2 + blk.cols_t.ravel()).ravel()
         u = np.bincount(idx, t.ravel(), minlength=count * n2).reshape(count, n2)
         out.append(_smat(blk.basis, u))
     return out
@@ -750,19 +760,22 @@ class HermitianSdp:
         """The primal blocks X_v and the dual slacks Z_v of sol, each a dict by variable."""
         return dict(zip(self._blocks, sol.x_blocks)), dict(zip(self._blocks, sol.z_blocks))
 
-    def images(self, sol: SdpSolution, skip: list) -> list:
-        """Per equality k, sum_v L_v(X_v) at sol over every v but skip[k] (a name or None).
+    def images(self, sols: list, skip: list) -> list:
+        """Per solution, per equality k, sum_v L_v(X_v) over every v but skip[k] (a name or None).
 
-        sol solves the built rows (solve builds them). Coordinate <E_i,
+        sols solve the built rows (solve builds them). Coordinate <E_i,
         L_v(X_v)> = <L_v*(E_i), X_v> is a row of the built problem times
-        svec(X_v); each equality's rows are made dense for the moment of that
-        product.
+        svec(X_v); each equality's rows are made dense once for every
+        solution, one equality at a time, and multiplied by each solution's
+        svec(X_v) on its own.
         """
         rows = dict(zip(self._blocks, self._problem.a_rows))
-        x = {v: _svec(_basis(nb), xb) for (v, nb), xb in zip(self._blocks.items(), sol.x_blocks)}
-        out = []
+        xs = [{v: _svec(_basis(nb), xb) for (v, nb), xb in zip(self._blocks.items(), sol.x_blocks)}
+              for sol in sols]
+        out = [[] for _ in sols]
         for (names, _, size, start), drop in zip(self._rows, skip, strict=True):
-            u = sum((rows[v].coords(start, size * size) @ x[v] for v in names if v != drop),
-                    np.zeros(size * size))
-            out.append(_smat(_basis(size), u))
+            dense = [(v, rows[v].coords(start, size * size)) for v in names if v != drop]
+            for x, imgs in zip(xs, out):
+                u = sum((a @ x[v] for v, a in dense), np.zeros(size * size))
+                imgs.append(_smat(_basis(size), u))
         return out

@@ -297,6 +297,102 @@ def test_schur_over_distinct_rows(monkeypatch, measure, runs, distinct, width):
         assert np.array_equal(sdp._schur(prob, x, zi), schur)
 
 
+# The solver gathers basis coordinates with np.take; these references gather
+# them with advanced indexing, in the same arithmetic.
+
+
+def _svec_indexed(tab, mats: np.ndarray) -> np.ndarray:
+    shape = np.shape(mats)[:-2] + (2 * tab.n2,)
+    re = np.ascontiguousarray(mats, dtype=complex).view(float).reshape(shape)
+    return re[..., tab.at[0]] * tab.w[0] + re[..., tab.at[1]] * tab.w[1]
+
+
+def _smat_indexed(tab, u: np.ndarray) -> np.ndarray:
+    parts = u[..., tab.k_of] * tab.coef
+    mat = parts[..., : tab.n2] + 1j * parts[..., tab.n2 :]
+    return mat.reshape(np.shape(u)[:-1] + (tab.nb, tab.nb))
+
+
+def _slots_summed(t: np.ndarray) -> np.ndarray:
+    for s in range(1, t.shape[2]):
+        t[:, :, 0] += t[:, :, s]
+    return t[:, :, 0]
+
+
+def _apply_indexed(prob, mats) -> np.ndarray:
+    out = np.zeros((len(mats[0]), prob.m))
+    for blk, w in zip(prob.a_rows, mats):
+        t = blk.vals * _svec_indexed(blk.basis, w)[:, blk.cols]
+        out[:, blk.lo : blk.lo + blk.span] += _slots_summed(t)
+    return out
+
+
+def _schur_indexed(prob, x, zi) -> np.ndarray:
+    """_schur with every distinct row's column formed at once, then added or
+    subtracted, by its sign, into the row of each of its occurrences."""
+    out_t = np.zeros((len(x[0]), prob.m, prob.m))
+    for blk, xb, zib in zip(prob.a_rows, x, zi):
+        nb = blk.basis.nb
+        v = (blk.row_vals.reshape(-1, nb) @ zib).reshape(zib.shape[:1] + blk.row_vals.shape)
+        f = np.matmul(xb[:, :, blk.nz_rows].transpose(0, 2, 1, 3), v)
+        col = _slots_summed(_svec_indexed(blk.basis, f)[:, :, blk.cols.T] * blk.vals.T)
+        filled = blk.vals[:, 0] != 0
+        distinct = np.flatnonzero((blk.first == np.arange(blk.span)) & filled)
+        for r in np.flatnonzero(filled):
+            dst = out_t[:, blk.lo + r, blk.lo : blk.lo + blk.span]
+            src = col[:, np.searchsorted(distinct, blk.first[r])]
+            if blk.sign[r] < 0:
+                dst -= src
+            else:
+                dst += src
+    return out_t.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda: e_nm_ppt(_r22(), [Cut([0])], 2.0, 1.0),
+        lambda: e_nm_ppt(_r23(), [Cut([0])], 2.0, 1.0),
+        lambda: e_nm_ppt(_r22(), [Cut([0])], np.inf, 1.0),
+        lambda: e_nm_ppt(_r23(), [Cut([0])], np.inf, 1.0),
+        # the trace row, six slots wide
+        lambda: rr_ppt(_r23(), Cut([1])),
+        # F's rows repeat permuted, in many short runs
+        lambda: rains_fidelity(random_density(9, 3, SystemShape((3, 3))), Cut([0])),
+        # 1 x 1 blocks
+        lambda: ssr_nonlocality(_r22()),
+        # mixed block sizes and multi-slot rows
+        lambda: rg_dps2(_r22(), Cut([0])),
+    ],
+    ids=["e_nm_ppt-2x2", "e_nm_ppt-2x3", "e_nm_ppt-inf-2x2", "e_nm_ppt-inf-2x3", "rr_ppt",
+         "rains_fidelity-3x3", "ssr_nonlocality", "rg_dps2"],
+)
+def test_take_kernels_match_advanced_indexing(measure):
+    # entry for entry, signed zeros included, on the problems the measures build
+    prob, _, _ = captured_solve(measure)
+    count = 3
+    rng = np.random.default_rng(11)
+    x = [np.stack([rand_pd(rng, nb) for _ in range(count)]) for nb in prob.blocks]
+    zi = [np.stack([rand_pd(rng, nb) for _ in range(count)]) for nb in prob.blocks]
+    # problem 0 is real, so its antisymmetric coordinates are zeros
+    for xb, zib in zip(x, zi):
+        xb[0], zib[0] = xb[0].real, zib[0].real
+    for nb, xb in zip(prob.blocks, x):
+        tab = sdp._basis(nb)
+        u = _svec_indexed(tab, xb)
+        assert _bitwise(sdp._svec(tab, xb), u)
+        # and coordinates, then entries, that are zeros of either sign
+        zeros = np.where(rng.random(u.shape) < 0.3, np.copysign(0.0, rng.standard_normal(u.shape)), u)
+        for w in (u, zeros):
+            assert _bitwise(sdp._smat(tab, w), _smat_indexed(tab, w))
+        mats = _smat_indexed(tab, zeros)
+        assert _bitwise(sdp._svec(tab, mats), _svec_indexed(tab, mats))
+    # A(X) also on the general products X R Z^-1 the solver applies it to
+    for mats in (x, [xb @ zib for xb, zib in zip(x, zi)]):
+        assert _bitwise(sdp._apply(prob, mats), _apply_indexed(prob, mats))
+    assert _bitwise(sdp._schur(prob, x, zi), _schur_indexed(prob, x, zi))
+
+
 def test_singular_schur_stack_raises():
     # one singular matrix fails the whole stack, as does a non-finite solution
     ms = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])])
@@ -449,15 +545,20 @@ def test_builder_images_read_equalities_back():
     hs.add_matrix_equality({"x": lambda e: e * np.eye(3), "v": lambda e: e}, [[2.0]])
     sol, = hs.solve({"x": -np.eye(3), "v": 1.0})
     x, s, v = (hs.blocks(sol)[0][name] for name in ("x", "s", "v"))
-    full = hs.images(sol, [None, None])
+    full, = hs.images([sol], [None, None])
     assert np.abs(full[0] - r).max() < 1e-6
     assert np.abs(full[1] - 2.0).max() < 1e-6
-    pin, row = hs.images(sol, ["s", "v"])
+    (pin, row), = hs.images([sol], ["s", "v"])
     assert np.abs(pin - (r - s)).max() < 1e-6
     assert np.abs(pin - dm @ x @ dm).max() < 1e-12
     assert row.shape == v.shape == (1, 1)
     assert np.abs(row - (2.0 - v)).max() < 1e-6
     assert np.abs(row - np.trace(x)).max() < 1e-12
+    # a stack's images are those of each of its solutions alone, bit for bit
+    sols = hs.solve({"x": np.stack([-np.eye(3), -dm]), "v": [1.0, 2.0]})
+    for sol_k, imgs in zip(sols, hs.images(sols, ["s", None]), strict=True):
+        alone, = hs.images([sol_k], ["s", None])
+        assert all(_bitwise(a, b) for a, b in zip(imgs, alone, strict=True))
     # the built rows are the only copy of the terms: a second build returns
     # them, and an equality added after the build would not be among them
     prob, _ = hs.build()
