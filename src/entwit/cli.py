@@ -21,7 +21,6 @@ from . import __version__
 from .bounds import eof_lower_rr
 from .linalg import Cut, SystemShape
 from .measures import (
-    SDP_TOL,
     MeasureResult,
     concurrence_2q,
     e_nm_ppt,
@@ -56,6 +55,7 @@ from .states import (
 from .witnesses import (
     DECOMPOSABLE_BIPARTITE,
     DECOMPOSABLE_MULTI,
+    SSR_DIAGONAL,
     mc_product_check,
     validate_bounds,
     validate_decomposable,
@@ -75,7 +75,7 @@ MEASURES = {
     "rg-ppt": (1, lambda rho, cuts, n, m: rg_ppt(rho, cuts[0])),
     "e-nm-ppt": (None, e_nm_ppt),
     "rr-ppt": (1, lambda rho, cuts, n, m: rr_ppt(rho, cuts[0])),
-    "rains": (1, lambda rho, cuts, n, m: MeasureResult(rains_fidelity(rho, cuts[0]), SDP_TOL)),
+    "rains": (1, lambda rho, cuts, n, m: rains_fidelity(rho, cuts[0])),
     "concurrence": (0, lambda rho, cuts, n, m: MeasureResult(concurrence_2q(rho), 1e-12)),
     "ssr-nonlocality": (0, lambda rho, cuts, n, m: ssr_nonlocality(rho)),
     "rg-dps2": (1, lambda rho, cuts, n, m: rg_dps2(rho, cuts[0])),
@@ -195,6 +195,8 @@ def cmd_validate_witness(args) -> int:
         w = witness_from_json(fh.read())
     if w.kind in (DECOMPOSABLE_BIPARTITE, DECOMPOSABLE_MULTI) and w.parts:
         rep = validate_decomposable(w)
+    elif w.kind == SSR_DIAGONAL:  # W = I - S with S_ii <= 1: a nonnegative diagonal
+        rep = validate_bounds(w, [("diagonal", max(0.0, -float(np.diag(w.op.mat).real.min())))])
     else:
         rep = validate_bounds(w)
     doc = {

@@ -193,15 +193,23 @@ def _nm_box(n, m) -> tuple:
     return n, m, OP_LEQ_I if (math.isinf(n) and m == 1.0) else None
 
 
-def _state_stack(rhos, shape: SystemShape) -> np.ndarray:
-    """rhos as a complex (K, D, D) array of states of this shape (an empty list: K = 0)."""
+def _stack(rhos, shape: SystemShape, cuts=()) -> tuple:
+    """The prologue of every *_stack body: validated cuts and a checked state stack.
+
+    cuts (one Cut or a list of them) becomes a list, each validated on
+    shape; rhos becomes a complex (K, D, D) array of states of this shape
+    (an empty list: K = 0).
+    """
+    cut_list = [cuts] if isinstance(cuts, Cut) else list(cuts)
+    for c in cut_list:
+        c.validate(shape)
     dd = shape.total_dim
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.shape == (0,):
         rhos = rhos.reshape(0, dd, dd)
     if rhos.ndim != 3 or rhos.shape[1:] != (dd, dd):
         raise ValueError(f"need a stack of {dd} x {dd} states, got shape {rhos.shape}")
-    return rhos
+    return cut_list, rhos
 
 
 def _per_state(value, count: int, what: str) -> np.ndarray:
@@ -313,12 +321,9 @@ def e_nm_ppt_stack(rhos: np.ndarray, shape: SystemShape, cuts, n, m: float) -> l
     each of these groups is built once and its K costs and right-hand sides
     run through one solver loop.
     """
-    cut_list = [cuts] if isinstance(cuts, Cut) else list(cuts)
+    cut_list, rhos = _stack(rhos, shape, cuts)
     if not cut_list:
         raise ValueError("need at least one cut")
-    for c in cut_list:
-        c.validate(shape)
-    rhos = _state_stack(rhos, shape)
     ns = _per_state(n, len(rhos), "n")
     # m, and a scalar n, are checked also when the stack is empty
     for nk in ns if np.ndim(n) else [n]:
@@ -400,39 +405,45 @@ def rg_ppt(rho: DensityMatrix, cut: Cut) -> MeasureResult:
     return e_nm_ppt(rho, [cut], math.inf, 1.0)
 
 
-def rr_ppt(rho: DensityMatrix, cut: Cut) -> MeasureResult:
-    """Optimal decomposable witness normalized by Tr W = D (total dim)."""
-    shape = rho.require_shape()
-    cut.validate(shape)
+def rr_ppt_stack(rhos: np.ndarray, shape: SystemShape, cut: Cut) -> list:
+    """Optimal decomposable witness normalized by Tr W = D (total dim), per state of a stack."""
+    (cut,), rhos = _stack(rhos, shape, cut)
     dd = shape.total_dim
-    return _decomposable(
-        rho.mat[None], shape, [cut], {"P": (), "Q": cut.party_set}, {"P": dd, "Q": dd},
+    return [fit.result for fit in _decomposable(
+        rhos, shape, [cut], {"P": (), "Q": cut.party_set}, {"P": dd, "Q": dd},
         [_scalar_row({"P": np.eye(dd), "Q": np.eye(dd)}, dd)],
-        bounds=(math.inf, math.inf), trace_norm_choice=TRACE_EQUALS_D)[0].result
+        bounds=(math.inf, math.inf), trace_norm_choice=TRACE_EQUALS_D)]
 
 
-def rains_fidelity(rho: DensityMatrix, cut: Cut) -> float:
-    """Best singlet fraction reachable by PPT-preserving maps.
+def rr_ppt(rho: DensityMatrix, cut: Cut) -> MeasureResult:
+    """rr_ppt_stack on a stack of one state."""
+    return rr_ppt_stack(rho.mat[None], rho.require_shape(), cut)[0]
+
+
+def rains_fidelity_stack(rhos: np.ndarray, shape: SystemShape, cut: Cut) -> list:
+    """Best singlet fraction reachable by PPT-preserving maps, per state of a stack.
 
     max Tr(F rho) over 0 <= F <= I with -I/d <= F^{T_cut} <= I/d (W = -F),
-    for a d x d bipartite state. The reported value comes from the rescaled
-    feasible F, clamped below by the always-feasible F = I/d.
+    for d x d bipartite states. Each reported value comes from the rescaled
+    feasible F, clamped below by the always-feasible F = I/d; no witness.
     """
-    shape = rho.require_shape()
-    cut.validate(shape)
+    (cut,), rhos = _stack(rhos, shape, cut)
     dims = shape.local_dims
     if len(dims) != 2 or dims[0] != dims[1]:
         raise ValueError("need a d x d bipartite state")
     d = dims[0]
     ident, pt = _pt_map(dims), _pt_map(dims, cut.party_set)
-    fit, = _fit_witness(
-        rho.mat[None], shape, dict.fromkeys(("F", "S", "G1", "G2"), shape.total_dim),
-        {"F": -rho.mat[None]},
+    return [MeasureResult(max(fit.result.value, 1.0 / d), SDP_TOL) for fit in _fit_witness(
+        rhos, shape, dict.fromkeys(("F", "S", "G1", "G2"), shape.total_dim), {"F": -rhos},
         [({"F": ident, "S": ident}, 1.0, "S"),
          ({"F": pt, "G1": ident}, 1.0 / d, "G1"),
          ({"F": _pt_map(dims, cut.party_set, True), "G2": ident}, 1.0 / d, "G2")],
-        lambda blocks: -blocks["F"])
-    return max(fit.result.value, 1.0 / d)
+        lambda blocks: -blocks["F"])]
+
+
+def rains_fidelity(rho: DensityMatrix, cut: Cut) -> MeasureResult:
+    """rains_fidelity_stack on a stack of one state."""
+    return rains_fidelity_stack(rho.mat[None], rho.require_shape(), cut)[0]
 
 
 def concurrence_2q(rho: DensityMatrix) -> float:
@@ -459,20 +470,25 @@ def concurrence_2q(rho: DensityMatrix) -> float:
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def ssr_nonlocality(rho: DensityMatrix) -> MeasureResult:
-    """Witness optimization over G <= I with nonnegative diagonal.
+def ssr_nonlocality_stack(rhos: np.ndarray, shape: SystemShape) -> list:
+    """Witness optimization over G <= I with nonnegative diagonal, per state of a stack.
 
     Detects states that need coherence between local particle-number
     sectors; separable states can score nonzero here. G = I - S, S psd.
     """
-    shape = rho.require_shape()
+    _, rhos = _stack(rhos, shape)
     dd = shape.total_dim
     variables = {"S": dd, **{f"t{i}": 1 for i in range(dd)}}
     rows = [_scalar_row({"S": np.diag(np.eye(dd)[i]), f"t{i}": 1.0}, 1.0, f"t{i}")
             for i in range(dd)]
-    return _fit_witness(rho.mat[None], shape, variables, {"S": -rho.mat[None]}, rows,
-                        lambda blocks: -blocks["S"], offset=np.eye(dd),
-                        kind=SSR_DIAGONAL, bounds=(math.inf, 1.0))[0].result
+    return [fit.result for fit in _fit_witness(
+        rhos, shape, variables, {"S": -rhos}, rows, lambda blocks: -blocks["S"],
+        offset=np.eye(dd), kind=SSR_DIAGONAL, bounds=(math.inf, 1.0))]
+
+
+def ssr_nonlocality(rho: DensityMatrix) -> MeasureResult:
+    """ssr_nonlocality_stack on a stack of one state."""
+    return ssr_nonlocality_stack(rho.mat[None], rho.require_shape())[0]
 
 
 def _sym_isometry(b: int) -> np.ndarray:
@@ -500,7 +516,7 @@ def rg_dps2_stack(rhos: np.ndarray, shape: SystemShape, cut: Cut) -> list:
     constraints do not depend on the states, so the SDP is built once and
     its K costs run through one solver loop.
     """
-    cut.validate(shape)
+    (cut,), rhos = _stack(rhos, shape, cut)
     if len(shape) != 2:
         raise ValueError("need a bipartite state")
     if shape.total_dim > DPS2_DIM_CAP:
@@ -509,7 +525,6 @@ def rg_dps2_stack(rhos: np.ndarray, shape: SystemShape, cut: Cut) -> list:
     dims = shape.local_dims[::-1] if swap else shape.local_dims
     a, b = dims
     dd = a * b
-    rhos = _state_stack(rhos, shape)
 
     def to_cut(mats, first):
         # reorder the last two axes so that the cut side comes first, or back

@@ -742,18 +742,18 @@ class HermitianSdp:
         (one nb x nb matrix, or a number for a 1 x 1 block, is K = 1); an
         absent variable costs zero. An equality whose rhs is a stack gives
         problem k its entry k. Returns the K solutions, all OPTIMAL:
-        any other status raises SolverError naming the problem's index in
-        the stack.
+        any other status fails the whole stack with a SolverError that names
+        every such problem's index and status.
         """
         costs = {name: np.reshape(c, (-1,) + (self._size(name),) * 2) for name, c in costs.items()}
         count = len(next(iter(costs.values()))) if costs else 1
         c_blocks = [costs.get(name, np.zeros((count, nb, nb))) for name, nb in self._blocks.items()]
         prob, b = self.build()
         sols = solve(prob, c_blocks, b)
-        for k, sol in enumerate(sols):
-            if sol.status is not SdpStatus.OPTIMAL:
-                raise SolverError(f"solver ended with status {sol.status.value} "
-                                  f"on problem {k} of {len(sols)}")
+        failed = [f"{sol.status.value} on problem {k} of {len(sols)}"
+                  for k, sol in enumerate(sols) if sol.status is not SdpStatus.OPTIMAL]
+        if failed:
+            raise SolverError(f"solver ended with status {'; '.join(failed)}")
         return sols
 
     def blocks(self, sol: SdpSolution) -> tuple:

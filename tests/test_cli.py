@@ -92,7 +92,37 @@ def test_validate_rejects_bound_violation(tmp_path, capsys):
     assert rc == 1
     doc = json.loads(out)
     assert doc["ok"] is False
-    assert doc["worst"] == pytest.approx(1.0, abs=1e-12)
+    assert doc["worst"] == pytest.approx(2.0, abs=1e-12)  # the diagonal entry -2
+
+
+def test_validate_rejects_ssr_negative_diagonal(tmp_path, capsys):
+    # inside W <= I, but outside the SSR class W = I - S with S_ii <= 1
+    w = Witness(
+        op=HermitianMatrix(np.diag([-0.5, 1.0]), SystemShape([2])),
+        kind=SSR_DIAGONAL,
+        bounds=(math.inf, 1.0),
+    )
+    path = tmp_path / "bad.json"
+    path.write_text(witness_to_json(w))
+    rc, out = run(capsys, "validate-witness", "--witness", str(path))
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["violations"] == [["diagonal", 0.5], ["upper bound", 0.0]]
+
+
+def test_validate_accepts_computed_ssr_witness(tmp_path, capsys):
+    st = tmp_path / "r.json"
+    wt = tmp_path / "w.json"
+    main(["gen-state", "--kind", "random", "--dims", "3x3", "--seed", "5", "--out", str(st)])
+    rc, _ = run(capsys, "compute", "--measure", "ssr-nonlocality", "--state", str(st),
+                "--witness-out", str(wt))
+    assert rc == 0
+    rc, out = run(capsys, "validate-witness", "--witness", str(wt))
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["ok"] is True
+    assert [name for name, _ in doc["violations"]] == ["diagonal", "upper bound"]
 
 
 def test_gen_state_random_round_trip(tmp_path, capsys):

@@ -16,13 +16,17 @@ from entwit.measures import (
     pure_rg,
     pure_rr,
     rains_fidelity,
+    rains_fidelity_stack,
     rg_dps2,
     rg_dps2_stack,
     rg_ppt,
     rg_ppt_closed,
     rr_ppt,
+    rr_ppt_stack,
     ssr_nonlocality,
+    ssr_nonlocality_stack,
 )
+from entwit.sdp import SolverError
 from entwit.states import (
     DensityMatrix,
     PureState,
@@ -32,6 +36,8 @@ from entwit.states import (
     random_density,
     random_pure,
     schmidt,
+    stream_densities,
+    stream_seeds,
     vc_ssr_state,
 )
 from entwit.witnesses import OP_LEQ_I, evaluate, validate_decomposable
@@ -51,7 +57,7 @@ def test_bell_pins():
     assert rg_ppt(rho, CUT_A).value == pytest.approx(1.0, abs=1e-6)
     assert e_nm_ppt(rho, [CUT_A], 1.0, 1.0).value == pytest.approx(1.0, abs=1e-6)
     assert rr_ppt(rho, CUT_A).value == pytest.approx(2.0, abs=1e-6)
-    assert rains_fidelity(rho, CUT_A) == pytest.approx(1.0, abs=1e-6)
+    assert rains_fidelity(rho, CUT_A).value == pytest.approx(1.0, abs=1e-6)
     assert concurrence_2q(rho) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -205,18 +211,72 @@ def test_e_nm_stack_with_per_state_n_matches_per_n_calls():
             e_nm_ppt_stack(rhos, shape, [CUT_A], bad, 1.0)
 
 
-def test_rg_dps2_stack_matches_single_calls():
-    # fig7q's states: Horodecki 3x3 states mixed with white noise
-    shape = SystemShape([3, 3])
-    rhos = np.stack([e * horodecki_3x3(a).mat + (1.0 - e) * np.eye(9) / 9.0
-                     for a in (0.3, 0.9) for e in (0.9, 1.0)])
-    for cut in (CUT_A, Cut([1])):
-        got = rg_dps2_stack(rhos, shape, cut)
-        for rho, res in zip(rhos, got, strict=True):
-            want = rg_dps2(DensityMatrix(rho, shape), cut)
-            assert res.value == want.value
+SHAPE33 = SystemShape([3, 3])
+
+# (stack form, its single-state call, cut) for every SDP measure
+STACK_FORMS = {
+    "e_nm_ppt": (lambda rhos, shape, cut: e_nm_ppt_stack(rhos, shape, cut, 2.0, 1.0),
+                 lambda rho, cut: e_nm_ppt(rho, cut, 2.0, 1.0), CUT_A),
+    "rg_dps2-A": (rg_dps2_stack, rg_dps2, CUT_A),
+    "rg_dps2-B": (rg_dps2_stack, rg_dps2, Cut([1])),
+    "rr_ppt": (rr_ppt_stack, rr_ppt, CUT_A),
+    "rains_fidelity": (rains_fidelity_stack, rains_fidelity, CUT_A),
+    "ssr_nonlocality": (lambda rhos, shape, cut: ssr_nonlocality_stack(rhos, shape),
+                        lambda rho, cut: ssr_nonlocality(rho), None),
+}
+
+
+@pytest.mark.parametrize("form", STACK_FORMS.values(), ids=STACK_FORMS.keys())
+def test_stack_matches_single_calls(form):
+    stack, single, cut = form
+    # fig7q's states (Horodecki 3x3 states mixed with white noise) and two random ones
+    rhos = np.concatenate([
+        np.stack([e * horodecki_3x3(a).mat + (1.0 - e) * np.eye(9) / 9.0
+                  for a in (0.3, 0.9) for e in (0.9, 1.0)]),
+        stream_densities(9, stream_seeds(4, 0, 2))])
+    got = stack(rhos, SHAPE33, cut)
+    for rho, res in zip(rhos, got, strict=True):
+        want = single(DensityMatrix(rho, SHAPE33), cut)
+        assert res.value == want.value
+        if want.witness is None:  # rains_fidelity reports no witness
+            assert res.witness is None
+        else:
             assert np.array_equal(res.witness.op.mat, want.witness.op.mat)
-    assert rg_dps2_stack([], shape, CUT_A) == []
+    assert stack([], SHAPE33, cut) == []
+    for bad in (np.zeros((2, 4, 4)), np.zeros((9, 9))):
+        with pytest.raises(ValueError, match="need a stack of 9 x 9 states"):
+            stack(bad, SHAPE33, cut)
+
+
+# The random-state gate: one seeded stack of random 3x3 states per SDP
+# measure must end OPTIMAL on every solve within GATE_ITER iterations (any
+# other status raises SolverError). These stacks need at most 16, 15, 9,
+# 14, 12 and 18 iterations; other seeds' rg_dps2 states have needed 22.
+GATE_ITER = 25
+GATE_STACKS = {
+    "rg_ppt": (300, lambda rhos: e_nm_ppt_stack(rhos, SHAPE33, CUT_A, math.inf, 1.0)),
+    "e_nm_ppt": (200, lambda rhos: e_nm_ppt_stack(rhos, SHAPE33, CUT_A, 2.0, 1.0)),
+    "rr_ppt": (200, lambda rhos: rr_ppt_stack(rhos, SHAPE33, CUT_A)),
+    "rains_fidelity": (100, lambda rhos: rains_fidelity_stack(rhos, SHAPE33, CUT_A)),
+    "ssr_nonlocality": (100, lambda rhos: ssr_nonlocality_stack(rhos, SHAPE33)),
+    "rg_dps2": (30, lambda rhos: rg_dps2_stack(rhos, SHAPE33, CUT_A)),
+}
+
+
+@pytest.mark.parametrize("count, stack", GATE_STACKS.values(), ids=GATE_STACKS.keys())
+def test_random_state_gate(monkeypatch, count, stack):
+    monkeypatch.setattr(sdp, "MAX_ITER", GATE_ITER)
+    got = stack(stream_densities(9, stream_seeds(3, 0, count)))
+    assert len(got) == count
+    assert all(0.0 <= res.value < math.inf for res in got)
+
+
+def test_random_state_gate_fails_below_the_iterations_needed(monkeypatch):
+    # one rg_dps2 state of the gate needs 18 iterations
+    count, stack = GATE_STACKS["rg_dps2"]
+    monkeypatch.setattr(sdp, "MAX_ITER", 17)
+    with pytest.raises(SolverError, match=r"iteration-limit on problem \d+ of 30"):
+        stack(stream_densities(9, stream_seeds(3, 0, count)))
 
 
 def test_e_nm_monotone_in_n():
@@ -314,16 +374,16 @@ def test_rr_ppt_matches_eigenvalue_form():
 
 
 def test_rains_pins():
-    assert rains_fidelity(bell(), CUT_A) == pytest.approx(1.0, abs=1e-6)
-    assert rains_fidelity(isotropic(2, 0.0), CUT_A) == pytest.approx(0.5, abs=1e-6)
+    assert rains_fidelity(bell(), CUT_A).value == pytest.approx(1.0, abs=1e-6)
+    assert rains_fidelity(isotropic(2, 0.0), CUT_A).value == pytest.approx(0.5, abs=1e-6)
     prod = PureState([1, 0, 0, 0], Q22).density()
-    assert rains_fidelity(prod, CUT_A) == pytest.approx(0.5, abs=1e-6)
+    assert rains_fidelity(prod, CUT_A).value == pytest.approx(0.5, abs=1e-6)
 
 
 def test_rains_range_and_dims():
     for seed in range(5):
         rho = random_density(4, seed + 90, Q22)
-        f = rains_fidelity(rho, CUT_A)
+        f = rains_fidelity(rho, CUT_A).value
         assert 0.5 - 1e-9 <= f <= 1.0 + 1e-6
     with pytest.raises(ValueError):
         rains_fidelity(random_density(6, 1, SystemShape([2, 3])), CUT_A)

@@ -805,6 +805,10 @@ def test_stacked_builder_names_the_failing_problem():
     # problem 1 of the stack is unbounded below
     with pytest.raises(SolverError, match=r"dual-infeasible on problem 1 of 3"):
         hs.solve({"x": np.stack([np.eye(2), -np.eye(2), np.diag([1.0, 2.0])])})
+    # every failing problem is named, and the stack fails as a whole
+    with pytest.raises(SolverError, match=r"status dual-infeasible on problem 1 of 3; "
+                                          r"dual-infeasible on problem 2 of 3$"):
+        hs.solve({"x": np.stack([np.eye(2), -np.eye(2), -np.eye(2)])})
 
 
 def test_dependent_rows_raise_on_every_build():
