@@ -28,9 +28,17 @@ carry it into every entry. Rows equal up to sign (e_nm_ppt's two bounds
 repeat P and Q^Gamma negated) give Schur columns equal up to sign, so only
 the distinct ones are formed. The Schur system itself is dense, and each
 Schur matrix is stored column-major, LAPACK's order: column j is written as
-one contiguous row of a transposed buffer; a stack's systems are factored
-in one stacked LU call. Every step is deterministic, so a rerun on the same
-inputs is bit-identical.
+one contiguous row of a transposed buffer. Each iteration factors every
+Schur matrix once, in place, with numpy's own LAPACK dgetrf, and solves the
+predictor's and the corrector's right-hand sides from those factors with
+dgetrs; these are the two routines of the dgesv behind np.linalg.solve, so
+the bits are those of two solves. Three conditions fall back to one stacked
+np.linalg.solve per right-hand side, which factors each matrix again: the
+routines do not resolve through numpy's linalg extension, they fail a
+one-time check against np.linalg.solve on a fixed system, or the BLAS may
+run more than one thread per call (there dgetrf then dgetrs can round
+differently from dgesv). Every step is deterministic, so a rerun on the
+same inputs is bit-identical.
 
 Constraints reach the solver only through the HermitianSdp builder, which
 holds the variables, declared once as a dict of block sizes, and the
@@ -64,6 +72,7 @@ the only copy of the coordinates once built.
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import functools
 import os
@@ -448,19 +457,102 @@ def _max_step(isqrts, ds_blocks) -> np.ndarray:
     return t
 
 
-def _solve_schur(ms: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The Schur system of each problem of the stack, in one stacked LU call.
+def _schur_solver(schur_t: np.ndarray, lu):
+    """The function rhs -> dy, with M_k dy_k = rhs_k for each Schur matrix M_k of the stack.
 
-    Each matrix gets the same LAPACK factorization as on its own, so a
-    problem's step does not depend on the rest of the stack.
+    schur_t is the C-contiguous (K, m, m) buffer that _schur fills, each M_k
+    column-major. With lu, the routines of _lapack, each M_k is factored
+    here, once and in place, and each call runs only the triangular solves,
+    one LAPACK call per problem; without it, each call is one stacked
+    np.linalg.solve on the matrices as they stand. Either way each problem's
+    dy does not depend on the rest of the stack, and a singular matrix or a
+    non-finite dy raises SolverError.
+    """
+    if lu is None:
+        ms = schur_t.transpose(0, 2, 1)
+
+        def solve_each(rhs):
+            try:
+                return _finite(np.linalg.solve(ms, rhs[..., None])[..., 0])
+            except np.linalg.LinAlgError as err:
+                raise SolverError("schur system is numerically singular") from err
+
+        return solve_each
+    getrf, getrs, itype = lu
+    count, m = schur_t.shape[:2]
+    # LAPACK reads and writes through raw addresses
+    if schur_t.dtype != np.float64 or schur_t.shape != (count, m, m) or not schur_t.flags.c_contiguous:
+        raise ValueError("the Schur stack must be a C-contiguous (K, m, m) float64 array")
+    size = np.dtype(itype).itemsize
+    # the order m, one right-hand side, then an info slot per problem
+    ints = np.zeros(2 + count, dtype=itype)
+    ints[:2] = m, 1
+    pivots = np.empty((count, m), dtype=itype)
+    n, nrhs = ints.ctypes.data, ints.ctypes.data + size
+    per_problem = [(schur_t.ctypes.data + k * schur_t.strides[0],
+                    pivots.ctypes.data + k * m * size, n + (2 + k) * size) for k in range(count)]
+    for a, piv, info in per_problem:
+        getrf(n, n, a, n, piv, info)
+    if ints[2:].any():
+        raise SolverError("schur system is numerically singular")
+
+    # held keeps the arrays behind the addresses alive as long as solve_each
+    def solve_each(rhs, held=(schur_t, ints, pivots)):
+        dy = np.array(rhs, dtype=float, order="C")
+        if dy.shape != (count, m):
+            raise ValueError(f"right-hand sides have shape {dy.shape}, not {(count, m)}")
+        at, step = dy.ctypes.data, dy.strides[0]
+        for k, (a, piv, info) in enumerate(per_problem):
+            getrs(b"N", n, nrhs, a, n, piv, at + k * step, n, info, 1)
+        return _finite(dy)
+
+    return solve_each
+
+
+def _finite(dy: np.ndarray) -> np.ndarray:
+    if not np.isfinite(dy).all():
+        raise SolverError("schur system is numerically singular")
+    return dy
+
+
+@functools.lru_cache(maxsize=None)
+def _lapack():
+    """numpy's own LAPACK dgetrf and dgetrs, as (dgetrf, dgetrs, integer dtype), or None.
+
+    They resolve through numpy's linalg extension, so they are the routines
+    of the dgesv (dgetrf, then dgetrs) behind np.linalg.solve: numpy 2 wheels
+    name them scipy_dgetrf_64_, numpy 1 wheels dgetrf_64_, and the
+    extension's _ilp64 gives the integer width. Looked up at the first solve,
+    not at import. None where neither name resolves, or where factoring a
+    fixed pair of systems once and solving two right-hand sides each does
+    not give np.linalg.solve's bits.
     """
     try:
-        sol = np.linalg.solve(ms, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as err:
-        raise SolverError("schur system is numerically singular") from err
-    if not np.isfinite(sol).all():
-        raise SolverError("schur system is numerically singular")
-    return sol
+        from numpy.linalg import _umath_linalg as ext
+        lib = ctypes.CDLL(ext.__file__)
+        ilp64 = bool(ext._ilp64)
+    except (ImportError, AttributeError, OSError):
+        return None
+    suffix = "_64_" if ilp64 else "_"
+    for prefix in ("scipy_", ""):
+        getrf, getrs = (getattr(lib, f"{prefix}{name}{suffix}", None) for name in ("dgetrf", "dgetrs"))
+        if getrf is not None and getrs is not None:
+            break
+    else:
+        return None
+    getrf.argtypes = [ctypes.c_void_p] * 6
+    # the trailing length of the character argument, for Fortran-built LAPACKs
+    getrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 8 + [ctypes.c_size_t]
+    getrf.restype = getrs.restype = None
+    lu = getrf, getrs, np.int64 if ilp64 else np.intc
+    # two well-conditioned nonsymmetric systems, large enough for dgetrf's
+    # blocked path, and two right-hand sides for each
+    k = np.arange(2 * 96 * 96 + 4 * 96)
+    draws = np.cos(0.37 * k * k)
+    ms_t, rhs = draws[: 2 * 96 * 96].reshape(2, 96, 96), draws[2 * 96 * 96 :].reshape(2, 2, 96)
+    want = [np.linalg.solve(ms_t.transpose(0, 2, 1), r[..., None])[..., 0] for r in rhs]
+    solve_each = _schur_solver(ms_t, lu)
+    return lu if all(np.array_equal(solve_each(r), w) for r, w in zip(rhs, want)) else None
 
 
 def solve(prob: SdpProblem, costs, b) -> list:
@@ -496,18 +588,26 @@ def solve(prob: SdpProblem, costs, b) -> list:
     return [sol for stack in stacks for sol in stack]
 
 
+def _one_blas_thread() -> bool:
+    """Whether the BLAS runs one thread per call.
+
+    OpenBLAS takes its thread count from the first of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS set to a positive integer, and
+    from the CPU count when none is.
+    """
+    values = (os.environ.get(name, "").strip()
+              for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    return next((int(v) for v in values if v.isdigit() and int(v) > 0), None) == 1
+
+
 def _lanes() -> int:
     """How many sub-stacks solve may run at once: one per usable CPU when
     the BLAS runs one thread per call, else one.
 
-    OpenBLAS takes its thread count from the first of OPENBLAS_NUM_THREADS,
-    GOTO_NUM_THREADS and OMP_NUM_THREADS set to a positive integer, and
-    from the CPU count when none is. Lanes on top of BLAS threads compete
-    with them for the CPUs and ran slower than one lane.
+    Lanes on top of BLAS threads compete with them for the CPUs and ran
+    slower than one lane.
     """
-    values = (os.environ.get(name, "").strip()
-              for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
-    if next((int(v) for v in values if v.isdigit() and int(v) > 0), None) != 1:
+    if not _one_blas_thread():
         return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -568,6 +668,9 @@ def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
     z = [tau * np.eye(nb, dtype=complex) for nb in prob.blocks]
     y = np.zeros((count, prob.m))
     schur_t = np.empty((count, prob.m, prob.m))
+    # under several BLAS threads dgetrf then dgetrs can round differently
+    # from the dgesv of np.linalg.solve (m = 128 on two OpenBLAS threads)
+    lu = _lapack() if _one_blas_thread() else None
 
     # per problem of the active stack, in stack order
     ids = list(range(count))
@@ -621,12 +724,13 @@ def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
             break
 
         zi = [_herm(np.linalg.inv(zb)) for zb in z]
-        schur = _schur(prob, x, zi, schur_t)
+        _schur(prob, x, zi, schur_t)
+        solve_schur = _schur_solver(schur_t, lu)
 
         a_xrz = _apply(prob, [xb @ r @ zib for xb, r, zib in zip(x, rd, zi)])
         x_isqrt, z_isqrt = [_isqrt(xb) for xb in x], [_isqrt(zb) for zb in z]
         rhs_aff = b + a_xrz
-        dy_aff = _solve_schur(schur, rhs_aff)
+        dy_aff = solve_schur(rhs_aff)
         ady_aff = _adjoint(prob, dy_aff)
         dz_aff = [r - a for r, a in zip(rd, ady_aff)]
         dx_aff = [
@@ -647,7 +751,7 @@ def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
 
         cross = [dxb @ dzb @ zib for dxb, dzb, zib in zip(dx_aff, dz_aff, zi)]
         rhs = b - sigma_mu[:, None] * _apply(prob, zi) + a_xrz + _apply(prob, cross)
-        dy = _solve_schur(schur, rhs)
+        dy = solve_schur(rhs)
         ady2 = _adjoint(prob, dy)
         dz = [r - a for r, a in zip(rd, ady2)]
         dx = [

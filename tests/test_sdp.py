@@ -348,25 +348,24 @@ def _schur_indexed(prob, x, zi) -> np.ndarray:
     return out_t.transpose(0, 2, 1)
 
 
-@pytest.mark.parametrize(
-    "measure",
-    [
-        lambda: e_nm_ppt(_r22(), [Cut([0])], 2.0, 1.0),
-        lambda: e_nm_ppt(_r23(), [Cut([0])], 2.0, 1.0),
-        lambda: e_nm_ppt(_r22(), [Cut([0])], np.inf, 1.0),
-        lambda: e_nm_ppt(_r23(), [Cut([0])], np.inf, 1.0),
-        # the trace row, six slots wide
-        lambda: rr_ppt(_r23(), Cut([1])),
-        # F's rows repeat permuted, in many short runs
-        lambda: rains_fidelity(random_density(9, 3, SystemShape((3, 3))), Cut([0])),
-        # 1 x 1 blocks
-        lambda: ssr_nonlocality(_r22()),
-        # mixed block sizes and multi-slot rows
-        lambda: rg_dps2(_r22(), Cut([0])),
-    ],
-    ids=["e_nm_ppt-2x2", "e_nm_ppt-2x3", "e_nm_ppt-inf-2x2", "e_nm_ppt-inf-2x3", "rr_ppt",
-         "rains_fidelity-3x3", "ssr_nonlocality", "rg_dps2"],
-)
+# One problem of each kind the measures ship, by its test id.
+SHIPPED_PROBLEMS = {
+    "e_nm_ppt-2x2": lambda: e_nm_ppt(_r22(), [Cut([0])], 2.0, 1.0),
+    "e_nm_ppt-2x3": lambda: e_nm_ppt(_r23(), [Cut([0])], 2.0, 1.0),
+    "e_nm_ppt-inf-2x2": lambda: e_nm_ppt(_r22(), [Cut([0])], np.inf, 1.0),
+    "e_nm_ppt-inf-2x3": lambda: e_nm_ppt(_r23(), [Cut([0])], np.inf, 1.0),
+    # the trace row, six slots wide
+    "rr_ppt": lambda: rr_ppt(_r23(), Cut([1])),
+    # F's rows repeat permuted, in many short runs
+    "rains_fidelity-3x3": lambda: rains_fidelity(random_density(9, 3, SystemShape((3, 3))), Cut([0])),
+    # 1 x 1 blocks
+    "ssr_nonlocality": lambda: ssr_nonlocality(_r22()),
+    # mixed block sizes and multi-slot rows
+    "rg_dps2": lambda: rg_dps2(_r22(), Cut([0])),
+}
+
+
+@pytest.mark.parametrize("measure", SHIPPED_PROBLEMS.values(), ids=SHIPPED_PROBLEMS.keys())
 def test_take_kernels_match_advanced_indexing(measure):
     # entry for entry, signed zeros included, on the problems the measures build
     prob, _, _ = captured_solve(measure)
@@ -394,12 +393,153 @@ def test_take_kernels_match_advanced_indexing(measure):
 
 
 def test_singular_schur_stack_raises():
-    # one singular matrix fails the whole stack, as does a non-finite solution
-    ms = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])])
-    with pytest.raises(SolverError, match="numerically singular"):
-        sdp._solve_schur(ms, np.ones((2, 3)))
-    with pytest.raises(SolverError, match="numerically singular"):
-        sdp._solve_schur(np.stack([np.eye(3)] * 2), np.array([[1.0, 2.0, 3.0], [np.inf, 0, 0]]))
+    # one singular matrix fails the whole stack, as does a non-finite
+    # solution, through numpy's LU routines and through np.linalg.solve
+    for lu in (sdp._lapack(), None):
+        ms = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])])
+        with pytest.raises(SolverError, match="numerically singular"):
+            sdp._schur_solver(ms, lu)(np.ones((2, 3)))
+        with pytest.raises(SolverError, match="numerically singular"):
+            sdp._schur_solver(np.stack([np.eye(3)] * 2), lu)(
+                np.array([[1.0, 2.0, 3.0], [np.inf, 0, 0]]))
+
+
+def test_factor_once_checks_its_buffers():
+    # LAPACK works on raw addresses, so a stack or right-hand side of
+    # another layout is refused before any call
+    lu = sdp._lapack()
+    if lu is None:
+        pytest.skip("numpy's LU routines do not resolve here")
+    for bad in (np.ones((2, 3, 3), dtype=np.float32), np.asfortranarray(np.ones((2, 3, 3))),
+                np.ones((2, 3, 4))):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            sdp._schur_solver(bad, lu)
+    solve_each = sdp._schur_solver(np.stack([np.eye(3)] * 2), lu)
+    with pytest.raises(ValueError, match="right-hand sides"):
+        solve_each(np.ones((2, 4)))
+    with pytest.raises(ValueError, match="right-hand sides"):
+        solve_each(np.ones((1, 3)))
+
+
+def skip_unless_factored_once():
+    """Skip the test where the solver does not factor each Schur matrix once."""
+    if not sdp._one_blas_thread() or sdp._lapack() is None:
+        pytest.skip("the Schur systems are solved by np.linalg.solve here")
+
+
+def openblas_lapack() -> bool:
+    """Whether numpy's build names an OpenBLAS LAPACK."""
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in lapack.get("name", "").lower()
+
+
+def schur_spy(monkeypatch, at: int) -> list:
+    """Record the Schur stack of the at-th _schur_solver call, before it is factored,
+    with every (rhs, dy) solved from it; the list holds them as [stack, [(rhs, dy), ...]]."""
+    real = sdp._schur_solver
+    seen, calls = [], []
+
+    def spy(schur_t, lu):
+        calls.append(None)
+        if len(calls) != at:
+            return real(schur_t, lu)
+        seen[:] = [schur_t.copy(), []]
+        solve_each = real(schur_t, lu)
+
+        def logged(rhs):
+            dy = solve_each(rhs)
+            seen[1].append((rhs.copy(), dy))
+            return dy
+
+        return logged
+
+    monkeypatch.setattr(sdp, "_schur_solver", spy)
+    return seen
+
+
+def stacked_problem() -> list:
+    """e_nm_ppt at n = 2, m = 1 on a stack of three 2x3 states."""
+    shape = SystemShape((2, 3))
+    rhos = np.stack([random_density(6, 40 + s, shape).mat for s in range(3)])
+    return e_nm_ppt_stack(rhos, shape, [Cut([0])], 2.0, 1.0)
+
+
+@pytest.mark.parametrize("measure", [*SHIPPED_PROBLEMS.values(), stacked_problem],
+                         ids=[*SHIPPED_PROBLEMS, "e_nm_ppt-2x3-stack-of-3"])
+def test_factor_once_matches_np_linalg_solve(monkeypatch, measure):
+    # on an iterate from the middle of the run, the predictor's and the
+    # corrector's dy from one factorization have np.linalg.solve's bits
+    skip_unless_factored_once()
+    seen = schur_spy(monkeypatch, 5)
+    measure()
+    stack, solved = seen
+    assert len(solved) == 2
+    for rhs, dy in solved:
+        assert dy.shape == rhs.shape == (len(stack), len(stack[0]))
+        assert np.array_equal(dy, np.linalg.solve(stack.transpose(0, 2, 1), rhs[..., None])[..., 0])
+
+
+def test_solve_without_lapack_is_bit_identical(monkeypatch):
+    # rg_ppt on 2x3 states, which leave the stack at different iterations
+    shape = SystemShape((2, 3))
+    rhos = np.stack([random_density(6, 700 + s, shape).mat for s in range(6)])
+    prob, costs, b = captured_solve(
+        lambda: e_nm_ppt_stack(rhos, shape, [Cut([0])], np.inf, 1.0))
+    factored = solve(prob, costs, b)
+    assert len({sol.iterations for sol in factored}) > 1
+    monkeypatch.setattr(sdp, "_lapack", lambda: None)
+    for got, want in zip(solve(prob, costs, b), factored, strict=True):
+        assert_same_solution(got, want)
+
+
+def counted_lapack(monkeypatch) -> dict:
+    """Count the solver's calls of numpy's dgetrf and dgetrs, and of np.linalg.solve."""
+    calls = dict.fromkeys(("getrf", "getrs", "np.linalg.solve"), 0)
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    lu = sdp._lapack()
+    if lu is not None:
+        getrf, getrs, itype = lu
+        monkeypatch.setattr(sdp, "_lapack",
+                            lambda: (counted("getrf", getrf), counted("getrs", getrs), itype))
+    monkeypatch.setattr(np.linalg, "solve", counted("np.linalg.solve", np.linalg.solve))
+    return calls
+
+
+@pytest.mark.skipif(not openblas_lapack(), reason="numpy's LAPACK is not OpenBLAS")
+def test_factor_once_runs_on_openblas(monkeypatch):
+    if not sdp._one_blas_thread():
+        pytest.skip("the BLAS may run several threads per call")
+    # the lookup and the self-check succeed, and the solver uses them
+    assert sdp._lapack() is not None
+    prob, costs, b = captured_solve(stacked_problem)
+    calls = counted_lapack(monkeypatch)
+    sols = solve(prob, costs, b)
+    iterations = sum(sol.iterations for sol in sols)
+    assert iterations > len(sols)
+    # one factorization per problem per iteration, and two triangular solves
+    assert calls == {"getrf": iterations, "getrs": 2 * iterations, "np.linalg.solve": 0}
+
+
+def test_two_blas_threads_solve_with_np_linalg_solve(monkeypatch):
+    prob, costs, b = captured_solve(stacked_problem)
+    calls = counted_lapack(monkeypatch)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert not sdp._one_blas_thread()
+    assert sdp._lanes() == 1
+    sols = solve(prob, costs, b)
+    # one stacked np.linalg.solve per right-hand side and iteration of the
+    # stack, and no LAPACK call
+    iterations = max(sol.iterations for sol in sols)
+    assert calls == {"getrf": 0, "getrs": 0, "np.linalg.solve": 2 * iterations}
 
 
 def test_multi_block_lp():
@@ -967,13 +1107,14 @@ def lane_stack(monkeypatch, fail: dict) -> tuple:
 def test_helper_lane_error_reaches_the_caller(monkeypatch):
     caller = threading.get_ident()
     caller_in, helper_ran = threading.Event(), threading.Event()
-    real_schur = sdp._solve_schur
+    real_schur = sdp._schur_solver
+    sdp._lapack()  # its self-check runs before the spy goes in
 
-    def singular_off_the_caller(ms, rhs):
+    def singular_off_the_caller(schur_t, lu):
         if threading.get_ident() != caller:
             helper_ran.set()
-            ms = np.zeros_like(ms)
-        return real_schur(ms, rhs)
+            schur_t = np.zeros_like(schur_t)
+        return real_schur(schur_t, lu)
 
     def one_each(real, *args):
         if threading.get_ident() == caller:
@@ -983,7 +1124,7 @@ def test_helper_lane_error_reaches_the_caller(monkeypatch):
             assert caller_in.wait(10)
         return real(*args)
 
-    monkeypatch.setattr(sdp, "_solve_schur", singular_off_the_caller)
+    monkeypatch.setattr(sdp, "_schur_solver", singular_off_the_caller)
     # the helper lane starts its sub-stack once the caller has taken one,
     # and the caller's waits until the helper's has hit its singular Schur
     # system, so the failure is the helper's and the caller's succeeds
