@@ -55,6 +55,7 @@ from .states import (
 from .witnesses import (
     DECOMPOSABLE_BIPARTITE,
     DECOMPOSABLE_MULTI,
+    DPS2_CERTIFIED,
     SSR_DIAGONAL,
     mc_product_check,
     validate_bounds,
@@ -195,7 +196,9 @@ def cmd_validate_witness(args) -> int:
         w = witness_from_json(fh.read())
     if w.kind in (DECOMPOSABLE_BIPARTITE, DECOMPOSABLE_MULTI) and w.parts:
         rep = validate_decomposable(w)
-    elif w.kind == SSR_DIAGONAL:  # W = I - S with S_ii <= 1: a nonnegative diagonal
+    elif w.kind in (SSR_DIAGONAL, DPS2_CERTIFIED):
+        # SSR: W = I - S with S_ii <= 1. DPS2: any witness has <ij|W|ij> >= 0, a
+        # necessary condition only, since the file carries no level-2 certificate
         rep = validate_bounds(w, [("diagonal", max(0.0, -float(np.diag(w.op.mat).real.min())))])
     else:
         rep = validate_bounds(w)

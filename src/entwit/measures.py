@@ -256,10 +256,11 @@ def _fit_witness(rhos: np.ndarray, shape: SystemShape, variables: dict, costs: d
     for (terms, _, slack), c in zip(equalities, cs):
         hs.add_matrix_equality(terms, np.multiply.outer(c, np.eye(variables.get(slack, 1))))
     sols = hs.solve(costs)
+    ratios = np.array([np.linalg.eigvalsh(img)[:, -1] / c
+                       for img, c in zip(hs.images(sols, slacks), cs)])
+    scales = ratios[0] if slacks == [None] else np.maximum(1.0, ratios.max(axis=0))
     fits = []
-    for k, (rho, sol, imgs) in enumerate(zip(rhos, sols, hs.images(sols, slacks), strict=True)):
-        ratios = [np.linalg.eigvalsh(img)[-1] / c[k] for img, c in zip(imgs, cs)]
-        scale = ratios[0] if slacks == [None] else max(1.0, *ratios)
+    for rho, sol, scale in zip(rhos, sols, scales, strict=True):
         blocks, duals = hs.blocks(sol)
         w = linear(blocks) / scale
         op = HermitianMatrix(w if offset is None else offset + w, shape)

@@ -32,13 +32,12 @@ one contiguous row of a transposed buffer. Each iteration factors every
 Schur matrix once, in place, with numpy's own LAPACK dgetrf, and solves the
 predictor's and the corrector's right-hand sides from those factors with
 dgetrs; these are the two routines of the dgesv behind np.linalg.solve, so
-the bits are those of two solves. Three conditions fall back to one stacked
-np.linalg.solve per right-hand side, which factors each matrix again: the
-routines do not resolve through numpy's linalg extension, they fail a
-one-time check against np.linalg.solve on a fixed system, or the BLAS may
-run more than one thread per call (there dgetrf then dgetrs can round
-differently from dgesv). Every step is deterministic, so a rerun on the
-same inputs is bit-identical.
+on one BLAS thread the bits are those of two solves. Two conditions fall
+back to one stacked np.linalg.solve per right-hand side, which factors each
+matrix again: the routines do not resolve through numpy's linalg extension,
+or they fail a one-time check against np.linalg.solve on a fixed system.
+Every step is deterministic, so a rerun on the same inputs, at the same BLAS
+thread count, is bit-identical.
 
 Constraints reach the solver only through the HermitianSdp builder, which
 holds the variables, declared once as a dict of block sizes, and the
@@ -66,8 +65,9 @@ OPTIMAL only when the residuals and the relative gap meet DEFAULT_TOL;
 otherwise a run ends when its iterates diverge or after MAX_ITER
 iterations. HermitianSdp.solve returns only OPTIMAL solutions. The builder
 reads the primal and dual-slack blocks back from a solution, and each
-equality's image sum_v L_v(X_v) from the built problem's rows, which are
-the only copy of the coordinates once built.
+equality's image sum_v L_v(X_v), over a stack of solutions at once, by
+applying the built problem's rows with _apply, the gather and slot sum of
+the solve; those rows are the only copy of the coordinates once built.
 """
 
 from __future__ import annotations
@@ -288,22 +288,6 @@ class _BlockRows:
         self.basis = tab
         self.lo = int(used[0]) if used.size else 0
         self.span = block.shape[0]
-
-    def coords(self, start: int, size: int) -> np.ndarray:
-        """The (size, n2) basis coordinates of rows start .. start + size - 1, as built.
-
-        Every kept value is exact; a coordinate -0.0 comes back as 0.0.
-        """
-        n2 = self.basis.n2
-        out = np.zeros((size, n2))
-        lo, hi = max(start, self.lo), min(start + size, self.lo + self.span)
-        if lo < hi:
-            vals = self.vals[lo - self.lo : hi - self.lo]
-            flat = np.flatnonzero(vals)
-            rows = flat // vals.shape[1] + lo - start
-            cols = np.take(self.cols[lo - self.lo : hi - self.lo], flat)
-            np.put(out, rows * n2 + cols, np.take(vals, flat))
-        return out
 
     def add_schur(self, x: np.ndarray, zi: np.ndarray, out_t: np.ndarray) -> None:
         """out_t[k, j, i] += Re tr(X_k A_i Z_k^-1 A_j) over this block's rows.
@@ -668,9 +652,7 @@ def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
     z = [tau * np.eye(nb, dtype=complex) for nb in prob.blocks]
     y = np.zeros((count, prob.m))
     schur_t = np.empty((count, prob.m, prob.m))
-    # under several BLAS threads dgetrf then dgetrs can round differently
-    # from the dgesv of np.linalg.solve (m = 128 on two OpenBLAS threads)
-    lu = _lapack() if _one_blas_thread() else None
+    lu = _lapack()
 
     # per problem of the active stack, in stack order
     ids = list(range(count))
@@ -788,7 +770,7 @@ class HermitianSdp:
 
     def __init__(self, variables: dict):
         self._blocks = {name: int(nb) for name, nb in variables.items()}
-        self._rows = []  # per equality: (term names, (1 or K, r*r) rhs coords, r, first row)
+        self._rows = []  # per equality: ((1 or K, r*r) rhs coords, r, first row)
         self._terms = []  # per equality, until build: {var: (r*r, nb*nb) row coords}
         self._problem = None
 
@@ -817,8 +799,8 @@ class HermitianSdp:
                                                         f"term of {name}"))
         lead = np.shape(rhs)[:-2][-1:]  # the problem axis of a stack, if any; one at most
         rhs = _svec(tab, _hermitian(rhs, lead + (tab.nb,) * 2, "equality rhs")).reshape(-1, tab.n2)
-        start = sum(size * size for _, _, size, _ in self._rows)
-        self._rows.append((tuple(coords), rhs, tab.nb, start))
+        start = sum(size * size for _, size, _ in self._rows)
+        self._rows.append((rhs, tab.nb, start))
         self._terms.append(coords)
 
     def build(self) -> tuple:
@@ -827,12 +809,12 @@ class HermitianSdp:
         The rows are built and checked on the first call, which drops the
         terms' coordinates; later calls return the same SdpProblem.
         """
-        count = max((len(rhs) for _, rhs, _, _ in self._rows), default=1)
+        count = max((len(rhs) for rhs, _, _ in self._rows), default=1)
         b = np.concatenate([np.zeros((count, 0))] + [np.broadcast_to(rhs, (count, rhs.shape[1]))
-                                                     for _, rhs, _, _ in self._rows], axis=1)
+                                                     for rhs, _, _ in self._rows], axis=1)
         if self._problem is None:
             coords = {name: np.zeros((b.shape[1], nb * nb)) for name, nb in self._blocks.items()}
-            for (_, _, size, start), terms in zip(self._rows, self._terms):
+            for (_, size, start), terms in zip(self._rows, self._terms):
                 for name, u in terms.items():
                     coords[name][start : start + size * size] = u
             self._problem = SdpProblem(self._blocks.values(), list(coords.values()))
@@ -865,21 +847,18 @@ class HermitianSdp:
         return dict(zip(self._blocks, sol.x_blocks)), dict(zip(self._blocks, sol.z_blocks))
 
     def images(self, sols: list, skip: list) -> list:
-        """Per solution, per equality k, sum_v L_v(X_v) over every v but skip[k] (a name or None).
+        """Per equality e, the (K, r, r) stack of sum_v L_v(X_v) over every v but skip[e]
+        (a name or None), for the K solutions sols of the built rows (solve builds them).
 
-        sols solve the built rows (solve builds them). Coordinate <E_i,
-        L_v(X_v)> = <L_v*(E_i), X_v> is a row of the built problem times
-        svec(X_v); each equality's rows are made dense once for every
-        solution, one equality at a time, and multiplied by each solution's
-        svec(X_v) on its own.
+        Coordinate <E_i, L_v(X_v)> = <L_v*(E_i), X_v> is row i of the built
+        problem applied to X_v, so each distinct skip value takes one _apply,
+        the solver's own kernel, with that block set to zero. Each problem's
+        images do not depend on the rest of the stack.
         """
-        rows = dict(zip(self._blocks, self._problem.a_rows))
-        xs = [{v: _svec(_basis(nb), xb) for (v, nb), xb in zip(self._blocks.items(), sol.x_blocks)}
-              for sol in sols]
-        out = [[] for _ in sols]
-        for (names, _, size, start), drop in zip(self._rows, skip, strict=True):
-            dense = [(v, rows[v].coords(start, size * size)) for v in names if v != drop]
-            for x, imgs in zip(xs, out):
-                u = sum((a @ x[v] for v, a in dense), np.zeros(size * size))
-                imgs.append(_smat(_basis(size), u))
-        return out
+        x = {v: np.reshape([sol.x_blocks[j] for sol in sols], (len(sols), nb, nb))
+             for j, (v, nb) in enumerate(self._blocks.items())}
+        applied = {drop: _apply(self._problem, [np.zeros_like(xb) if v == drop else xb
+                                                for v, xb in x.items()])
+                   for drop in dict.fromkeys(skip)}
+        return [_smat(_basis(size), applied[drop][:, start : start + size * size])
+                for (_, size, start), drop in zip(self._rows, skip, strict=True)]

@@ -9,7 +9,7 @@ from entwit.cli import main
 from entwit.linalg import Cut, HermitianMatrix, SystemShape
 from entwit.measures import e_nm_ppt, isotropic_e_n1, negativity, rg_from_negativity
 from entwit.states import isotropic, random_density, state_from_json, w_ghz_mix
-from entwit.witnesses import SSR_DIAGONAL, Witness, witness_to_json
+from entwit.witnesses import SSR_DIAGONAL, Witness, witness_from_json, witness_to_json
 
 
 def run(capsys, *argv):
@@ -123,6 +123,31 @@ def test_validate_accepts_computed_ssr_witness(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert [name for name, _ in doc["violations"]] == ["diagonal", "upper bound"]
+
+
+def test_validate_checks_dps2_diagonal(tmp_path, capsys):
+    # a computed DPS2 witness passes; W = -I meets the bound W <= I it
+    # declares, but is negative on every product state: <ij|W|ij> = -1
+    st = tmp_path / "r.json"
+    wt = tmp_path / "w.json"
+    main(["gen-state", "--kind", "random", "--dims", "2x3", "--seed", "5", "--out", str(st)])
+    rc, _ = run(capsys, "compute", "--measure", "rg-dps2", "--state", str(st),
+                "--witness-out", str(wt))
+    assert rc == 0
+    rc, out = run(capsys, "validate-witness", "--witness", str(wt))
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["ok"] is True
+    assert [name for name, _ in doc["violations"]] == ["diagonal", "upper bound"]
+    w = witness_from_json(wt.read_text())
+    w.op = HermitianMatrix(-np.eye(6), w.op.shape)
+    bad = tmp_path / "minus-identity.json"
+    bad.write_text(witness_to_json(w))
+    rc, out = run(capsys, "validate-witness", "--witness", str(bad))
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["violations"] == [["diagonal", 1.0], ["upper bound", 0.0]]
 
 
 def test_gen_state_random_round_trip(tmp_path, capsys):

@@ -392,6 +392,47 @@ def test_take_kernels_match_advanced_indexing(measure):
     assert _bitwise(sdp._schur(prob, x, zi), _schur_indexed(prob, x, zi))
 
 
+def captured_images(measure) -> tuple:
+    """The builder, solutions, skip list and images of the one images call measure() makes."""
+    calls = []
+    real = HermitianSdp.images
+
+    def spy(self, sols, skip):
+        out = real(self, sols, skip)
+        calls.append((self, sols, skip, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HermitianSdp, "images", spy)
+        measure()
+    assert len(calls) == 1
+    return calls[0]
+
+
+@pytest.mark.parametrize("measure", SHIPPED_PROBLEMS.values(), ids=SHIPPED_PROBLEMS.keys())
+def test_images_match_dense_rows(measure):
+    # each equality's image, from the solver's sparse rows, against the dense
+    # constraint matrices applied to each solution's blocks
+    hs, sols, skip, got = captured_images(measure)
+    prob, _ = hs.build()
+    names = list(hs._blocks)
+    for (_, size, start), drop, img in zip(hs._rows, skip, got, strict=True):
+        u = np.zeros((len(sols), size * size))
+        for j, (name, nb, blk) in enumerate(zip(names, prob.blocks, prob.a_rows)):
+            if name == drop:
+                continue
+            a = np.zeros((prob.m, nb, nb), dtype=complex)
+            a[blk.lo : blk.lo + blk.span] = dense_rows(blk)
+            x = np.stack([sol.x_blocks[j] for sol in sols])
+            u += np.einsum("iab,kba->ki", a[start : start + size * size], x).real
+        want = np.einsum("ki,iab->kab", u, np.array(hermitian_basis(size)))
+        assert img.shape == want.shape
+        assert (np.abs(img - want) <= 1e-14 * (1.0 + np.abs(want))).all()
+    # an empty stack has empty images
+    assert [img.shape for img in hs.images([], skip)] == [(0, size, size)
+                                                          for _, size, _ in hs._rows]
+
+
 def test_singular_schur_stack_raises():
     # one singular matrix fails the whole stack, as does a non-finite
     # solution, through numpy's LU routines and through np.linalg.solve
@@ -422,9 +463,12 @@ def test_factor_once_checks_its_buffers():
 
 
 def skip_unless_factored_once():
-    """Skip the test where the solver does not factor each Schur matrix once."""
-    if not sdp._one_blas_thread() or sdp._lapack() is None:
+    """Skip the test unless the solver factors each Schur matrix once on one BLAS
+    thread, the only place where its solves must have the bits of np.linalg.solve."""
+    if sdp._lapack() is None:
         pytest.skip("the Schur systems are solved by np.linalg.solve here")
+    if not sdp._one_blas_thread():
+        pytest.skip("threaded BLAS may round dgetrf then dgetrs differently from dgesv")
 
 
 def openblas_lapack() -> bool:
@@ -514,10 +558,9 @@ def counted_lapack(monkeypatch) -> dict:
     return calls
 
 
-@pytest.mark.skipif(not openblas_lapack(), reason="numpy's LAPACK is not OpenBLAS")
-def test_factor_once_runs_on_openblas(monkeypatch):
-    if not sdp._one_blas_thread():
-        pytest.skip("the BLAS may run several threads per call")
+def assert_factored_once(monkeypatch):
+    """Solve the stacked problem: each Schur matrix factored once per iteration,
+    with two triangular solves from it, and no np.linalg.solve."""
     # the lookup and the self-check succeed, and the solver uses them
     assert sdp._lapack() is not None
     prob, costs, b = captured_solve(stacked_problem)
@@ -529,17 +572,18 @@ def test_factor_once_runs_on_openblas(monkeypatch):
     assert calls == {"getrf": iterations, "getrs": 2 * iterations, "np.linalg.solve": 0}
 
 
-def test_two_blas_threads_solve_with_np_linalg_solve(monkeypatch):
-    prob, costs, b = captured_solve(stacked_problem)
-    calls = counted_lapack(monkeypatch)
+@pytest.mark.skipif(not openblas_lapack(), reason="numpy's LAPACK is not OpenBLAS")
+def test_factor_once_runs_on_openblas(monkeypatch):
+    assert_factored_once(monkeypatch)
+
+
+@pytest.mark.skipif(not openblas_lapack(), reason="numpy's LAPACK is not OpenBLAS")
+def test_two_blas_threads_factor_once_on_one_lane(monkeypatch):
+    # the BLAS thread count sets the lanes only, not how the Schur systems are solved
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     assert not sdp._one_blas_thread()
     assert sdp._lanes() == 1
-    sols = solve(prob, costs, b)
-    # one stacked np.linalg.solve per right-hand side and iteration of the
-    # stack, and no LAPACK call
-    iterations = max(sol.iterations for sol in sols)
-    assert calls == {"getrf": 0, "getrs": 0, "np.linalg.solve": 2 * iterations}
+    assert_factored_once(monkeypatch)
 
 
 def test_multi_block_lp():
@@ -685,10 +729,11 @@ def test_builder_images_read_equalities_back():
     hs.add_matrix_equality({"x": lambda e: e * np.eye(3), "v": lambda e: e}, [[2.0]])
     sol, = hs.solve({"x": -np.eye(3), "v": 1.0})
     x, s, v = (hs.blocks(sol)[0][name] for name in ("x", "s", "v"))
-    full, = hs.images([sol], [None, None])
-    assert np.abs(full[0] - r).max() < 1e-6
-    assert np.abs(full[1] - 2.0).max() < 1e-6
-    (pin, row), = hs.images([sol], ["s", "v"])
+    full = hs.images([sol], [None, None])
+    assert [img.shape for img in full] == [(1, 3, 3), (1, 1, 1)]
+    assert np.abs(full[0][0] - r).max() < 1e-6
+    assert np.abs(full[1][0] - 2.0).max() < 1e-6
+    (pin,), (row,) = hs.images([sol], ["s", "v"])
     assert np.abs(pin - (r - s)).max() < 1e-6
     assert np.abs(pin - dm @ x @ dm).max() < 1e-12
     assert row.shape == v.shape == (1, 1)
@@ -696,9 +741,11 @@ def test_builder_images_read_equalities_back():
     assert np.abs(row - np.trace(x)).max() < 1e-12
     # a stack's images are those of each of its solutions alone, bit for bit
     sols = hs.solve({"x": np.stack([-np.eye(3), -dm]), "v": [1.0, 2.0]})
-    for sol_k, imgs in zip(sols, hs.images(sols, ["s", None]), strict=True):
-        alone, = hs.images([sol_k], ["s", None])
-        assert all(_bitwise(a, b) for a, b in zip(imgs, alone, strict=True))
+    stacked = hs.images(sols, ["s", None])
+    assert [img.shape for img in stacked] == [(2, 3, 3), (2, 1, 1)]
+    for k, sol_k in enumerate(sols):
+        alone = hs.images([sol_k], ["s", None])
+        assert all(_bitwise(a[k : k + 1], b) for a, b in zip(stacked, alone, strict=True))
     # the built rows are the only copy of the terms: a second build returns
     # them, and an equality added after the build would not be among them
     prob, _ = hs.build()
