@@ -194,7 +194,7 @@ def cmd_gen_state(args) -> int:
 def cmd_validate_witness(args) -> int:
     with open(args.witness) as fh:
         w = witness_from_json(fh.read())
-    if w.kind in (DECOMPOSABLE_BIPARTITE, DECOMPOSABLE_MULTI) and w.parts:
+    if w.kind in (DECOMPOSABLE_BIPARTITE, DECOMPOSABLE_MULTI):
         rep = validate_decomposable(w)
     elif w.kind in (SSR_DIAGONAL, DPS2_CERTIFIED):
         # SSR: W = I - S with S_ii <= 1. DPS2: any witness has <ij|W|ij> >= 0, a

@@ -7,7 +7,9 @@ Standard form over block-diagonal complex Hermitian matrices:
 
 with <A, X> = Re tr(AX), the real inner product on Hermitian matrices;
 real symmetric data is the special case with zero imaginary part. The
-search direction is the HKM/HRVW one with a Mehrotra predictor-corrector.
+search direction is the HKM/HRVW one with a Mehrotra predictor-corrector;
+one routine, _direction, forms the Newton step and its step lengths for
+both the predictor and the corrector.
 
 Constraints are declared and stored by their coordinates in the
 orthonormal Hermitian basis E_k of hermitian_basis, never as dense
@@ -60,14 +62,16 @@ BLAS and ufunc calls release the interpreter lock. The Schur matrices of
 the sub-stacks that run at once hold at most SCHUR_STACK_ENTRIES doubles
 together, which caps the memory at large m, and every problem's bytes are
 those of its solve alone, whatever the lane count. A problem leaves the stack
-when it ends, and solve returns the iterate it stopped at. It reports
-OPTIMAL only when the residuals and the relative gap meet DEFAULT_TOL;
-otherwise a run ends when its iterates diverge or after MAX_ITER
-iterations. HermitianSdp.solve returns only OPTIMAL solutions. The builder
-reads the primal and dual-slack blocks back from a solution, and each
-equality's image sum_v L_v(X_v), over a stack of solutions at once, by
-applying the built problem's rows with _apply, the gather and slot sum of
-the solve; those rows are the only copy of the coordinates once built.
+when it ends, and solve returns the iterate it stopped at. One rule,
+_status, ends a run, read from the history record of each iterate: it
+reports OPTIMAL only when the residuals and the relative gap meet
+DEFAULT_TOL; otherwise a run ends when its iterates diverge or after
+MAX_ITER iterations. HermitianSdp.solve returns only OPTIMAL solutions.
+The builder reads the primal and dual-slack blocks back from a solution,
+and each equality's image sum_v L_v(X_v), over a stack of solutions at
+once, by applying the built problem's rows with _apply, the gather and
+slot sum of the solve; those rows are the only copy of the coordinates
+once built.
 """
 
 from __future__ import annotations
@@ -606,6 +610,14 @@ def _run_lanes(work, items, lanes: int) -> list:
     they still run, and the error of the first failed item is raised, as a
     serial loop would raise it. Every helper is joined before this returns
     or raises.
+
+    The calling thread runs a lane so that no thread more than the lanes
+    holds a heap of its own. A concurrent.futures.ThreadPoolExecutor whose
+    workers ran every lane gave the same bytes, but raised the peak resident
+    memory (VmHWM) of `reproduce isotropic --d 4` from 50.4-50.6 to
+    54.6-54.8 MB at --p-count 2 and from 55.1-55.3 to 59.8-60.0 MB at
+    --p-count 8 (5 runs each, two lanes on a 2-vCPU AMD EPYC, one BLAS
+    thread), most likely through that extra thread's own malloc arena.
     """
     items = list(items)
     if lanes <= 1:
@@ -641,6 +653,48 @@ def _run_lanes(work, items, lanes: int) -> list:
     return out
 
 
+def _status(rec: dict, norm: float, norm_b: float, norm_c: float):
+    """How a run ends at the iterate of its history record rec, or None while it goes on.
+
+    norm is the largest entry of that iterate's X, Z and y; norm_b and norm_c
+    are the norms of the problem's b and cost. OPTIMAL when the residuals and
+    the relative gap meet DEFAULT_TOL, even on a diverged iterate; past
+    DIVERGE_NORM, an infeasibility when one side meets its residual bar and
+    the other's objective has run away, else ITERATION_LIMIT; ITERATION_LIMIT
+    at iteration MAX_ITER.
+    """
+    rel_gap = rec["conic"] / (1.0 + max(abs(rec["pobj"]), abs(rec["dobj"])))
+    rp_ok = rec["rp"] <= DEFAULT_TOL * (1.0 + norm_b)
+    rd_ok = rec["rd"] <= DEFAULT_TOL * (1.0 + norm_c)
+    if rp_ok and rd_ok and rel_gap <= DEFAULT_TOL:
+        return SdpStatus.OPTIMAL
+    if norm > DIVERGE_NORM:
+        if rp_ok and not rd_ok and rec["pobj"] < -DIVERGE_OBJ * (1.0 + norm_c):
+            return SdpStatus.DUAL_INFEASIBLE
+        if rd_ok and not rp_ok and rec["dobj"] > DIVERGE_OBJ * (1.0 + norm_b):
+            return SdpStatus.PRIMAL_INFEASIBLE
+        return SdpStatus.ITERATION_LIMIT
+    return SdpStatus.ITERATION_LIMIT if rec["iter"] == MAX_ITER else None
+
+
+def _direction(prob, solve_schur, rhs, rd, x, zi, lead, cross, isqrts, gamma) -> tuple:
+    """The Newton step (dx, dy, dz) for the Schur right-hand side rhs, and its step lengths.
+
+    dy comes from solve_schur, dZ = R_d - A^T(dy) and dX = herm(lead - X dZ
+    Z^-1 - cross), with no cross term for cross None. The primal and dual
+    step lengths ap and ad are, per problem, min(1, gamma times the largest
+    step that keeps X, resp. Z, psd), given isqrts = (_isqrt(X), _isqrt(Z)).
+    """
+    dy = solve_schur(rhs)
+    dz = [r - a for r, a in zip(rd, _adjoint(prob, dy))]
+    dx = [lb - xb @ dzb @ zib for lb, xb, dzb, zib in zip(lead, x, dz, zi)]
+    if cross is not None:
+        dx = [d - cr for d, cr in zip(dx, cross)]
+    dx = [_herm(d) for d in dx]
+    ap, ad = (np.minimum(1.0, gamma * _max_step(isqrt, ds)) for isqrt, ds in zip(isqrts, (dx, dz)))
+    return dx, dy, dz, ap, ad
+
+
 def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
     """solve on one sub-stack of validated, Hermitian cost blocks and its (K, m) b."""
     count = len(c[0])
@@ -654,7 +708,8 @@ def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
     schur_t = np.empty((count, prob.m, prob.m))
     lu = _lapack()
 
-    # per problem of the active stack, in stack order
+    # every per-problem array and list runs over the active stack, in stack
+    # order; ids maps each active problem to its slot in out
     ids = list(range(count))
     history = [[] for _ in ids]
     out = [None] * count
@@ -672,33 +727,19 @@ def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
                          + [np.abs(zb).max(axis=(1, 2)) for zb in z], axis=0).tolist()
         ended = {}
         for i in live:
-            j = ids[i]
-            mu = conic[i] / n_tot
-            history[j].append({"iter": k, "mu": mu, "pobj": pobj[i], "dobj": dobj[i],
+            history[i].append({"iter": k, "mu": conic[i] / n_tot, "pobj": pobj[i], "dobj": dobj[i],
                                "rp": rp_norm[i], "rd": rd_norm[i], "conic": conic[i]})
-            rel_gap = conic[i] / (1.0 + max(abs(pobj[i]), abs(dobj[i])))
-            rp_ok = rp_norm[i] <= DEFAULT_TOL * (1.0 + norm_b[j])
-            rd_ok = rd_norm[i] <= DEFAULT_TOL * (1.0 + norm_c[j])
-            if rp_ok and rd_ok and rel_gap <= DEFAULT_TOL:
-                ended[i] = SdpStatus.OPTIMAL
-                continue
-            if max(norm_x[i], norm_zy[i]) > DIVERGE_NORM:
-                ended[i] = (
-                    SdpStatus.DUAL_INFEASIBLE
-                    if rp_ok and not rd_ok and pobj[i] < -DIVERGE_OBJ * (1.0 + norm_c[j])
-                    else SdpStatus.PRIMAL_INFEASIBLE
-                    if rd_ok and not rp_ok and dobj[i] > DIVERGE_OBJ * (1.0 + norm_b[j])
-                    else SdpStatus.ITERATION_LIMIT)
-            elif k == MAX_ITER:
-                ended[i] = SdpStatus.ITERATION_LIMIT
+            status = _status(history[i][-1], max(norm_x[i], norm_zy[i]), norm_b[i], norm_c[i])
+            if status is not None:
+                ended[i] = status
         for i, status in ended.items():
             out[ids[i]] = SdpSolution(
                 status=status, x_blocks=[xb[i] for xb in x], y=y[i], z_blocks=[zb[i] for zb in z],
-                pobj=pobj[i], dobj=dobj[i], gap=conic[i], iterations=k, history=history[ids[i]])
+                pobj=pobj[i], dobj=dobj[i], gap=conic[i], iterations=k, history=history[i])
         if ended:
             keep = [i for i in live if i not in ended]
-            ids = [ids[i] for i in keep]
-            conic = [conic[i] for i in keep]
+            ids, conic, norm_b, norm_c, history = ([a[i] for i in keep]
+                                                   for a in (ids, conic, norm_b, norm_c, history))
             x, z, c, rd = ([a[keep] for a in arrs] for arrs in (x, z, c, rd))
             y, b = y[keep], b[keep]
             schur_t = schur_t[: len(keep)]
@@ -708,20 +749,14 @@ def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
         zi = [_herm(np.linalg.inv(zb)) for zb in z]
         _schur(prob, x, zi, schur_t)
         solve_schur = _schur_solver(schur_t, lu)
-
         a_xrz = _apply(prob, [xb @ r @ zib for xb, r, zib in zip(x, rd, zi)])
-        x_isqrt, z_isqrt = [_isqrt(xb) for xb in x], [_isqrt(zb) for zb in z]
-        rhs_aff = b + a_xrz
-        dy_aff = solve_schur(rhs_aff)
-        ady_aff = _adjoint(prob, dy_aff)
-        dz_aff = [r - a for r, a in zip(rd, ady_aff)]
-        dx_aff = [
-            _herm(-xb - xb @ dzb @ zib) for xb, dzb, zib in zip(x, dz_aff, zi)
-        ]
-        ap_aff = np.minimum(1.0, _max_step(x_isqrt, dx_aff))[:, None, None]
-        ad_aff = np.minimum(1.0, _max_step(z_isqrt, dz_aff))[:, None, None]
-        x_aff = [xb + ap_aff * dxb for xb, dxb in zip(x, dx_aff)]
-        z_aff = [zb + ad_aff * dzb for zb, dzb in zip(z, dz_aff)]
+        isqrts = [_isqrt(xb) for xb in x], [_isqrt(zb) for zb in z]
+
+        # predictor: the affine-scaling step, up to the psd boundary
+        dx, _, dz, ap, ad = _direction(prob, solve_schur, b + a_xrz, rd, x, zi,
+                                       [-xb for xb in x], None, isqrts, 1.0)
+        x_aff = [xb + ap[:, None, None] * dxb for xb, dxb in zip(x, dx)]
+        z_aff = [zb + ad[:, None, None] * dzb for zb, dzb in zip(z, dz)]
         sigma_mu = []
         for i in range(len(ids)):
             mu = conic[i] / n_tot
@@ -731,17 +766,12 @@ def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
             sigma_mu.append(sigma * mu)
         sigma_mu = np.array(sigma_mu)
 
-        cross = [dxb @ dzb @ zib for dxb, dzb, zib in zip(dx_aff, dz_aff, zi)]
+        # corrector: centred on sigma mu, with the predictor's second-order term
+        cross = [dxb @ dzb @ zib for dxb, dzb, zib in zip(dx, dz, zi)]
         rhs = b - sigma_mu[:, None] * _apply(prob, zi) + a_xrz + _apply(prob, cross)
-        dy = solve_schur(rhs)
-        ady2 = _adjoint(prob, dy)
-        dz = [r - a for r, a in zip(rd, ady2)]
-        dx = [
-            _herm(sigma_mu[:, None, None] * zib - xb - xb @ dzb @ zib - cr)
-            for zib, xb, dzb, cr in zip(zi, x, dz, cross)
-        ]
-        ap = np.minimum(1.0, 0.98 * _max_step(x_isqrt, dx))
-        ad = np.minimum(1.0, 0.98 * _max_step(z_isqrt, dz))
+        lead = [sigma_mu[:, None, None] * zib - xb for zib, xb in zip(zi, x)]
+        dx, dy, dz, ap, ad = _direction(prob, solve_schur, rhs, rd, x, zi,
+                                        lead, cross, isqrts, 0.98)
         x = [xb + ap[:, None, None] * dxb for xb, dxb in zip(x, dx)]
         y = y + ad[:, None] * dy
         z = [zb + ad[:, None, None] * dzb for zb, dzb in zip(z, dz)]

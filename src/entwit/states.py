@@ -309,9 +309,19 @@ def _mat_doc(m: HermitianMatrix) -> dict:
 
 
 def _mat_from_doc(doc: dict, cls=HermitianMatrix):
-    """The matrix of a _mat_doc document, as cls (HermitianMatrix or DensityMatrix)."""
-    m = np.array(doc["re"], dtype=float) + 1j * np.array(doc["im"], dtype=float)
-    return cls(m, SystemShape(doc["dims"]))
+    """The matrix of a _mat_doc document, as cls (HermitianMatrix or DensityMatrix).
+
+    ValueError for a document of the wrong shape: not a JSON object, or a
+    field that numbers and dimensions cannot be read from.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a matrix document is a JSON object, not {type(doc).__name__}")
+    try:
+        m = np.array(doc["re"], dtype=float) + 1j * np.array(doc["im"], dtype=float)
+        shape = SystemShape(doc["dims"])
+    except TypeError as err:
+        raise ValueError(f"matrix document has a field of the wrong type: {err}") from err
+    return cls(m, shape)
 
 
 def state_to_json(rho: HermitianMatrix) -> str:
@@ -319,4 +329,5 @@ def state_to_json(rho: HermitianMatrix) -> str:
 
 
 def state_from_json(text: str) -> DensityMatrix:
+    """The state of a state_to_json document; ValueError for a document of the wrong shape."""
     return _mat_from_doc(json.loads(text), DensityMatrix)

@@ -173,22 +173,29 @@ def witness_to_json(w: Witness) -> str:
 
 
 def witness_from_json(text: str) -> Witness:
+    """The witness of a witness_to_json document; ValueError for a document of the wrong shape."""
     doc = json.loads(text)
-    parts = None
-    if doc.get("parts") is not None:
-        p = doc["parts"].get("P")
-        parts = {
-            "P": None if p is None else _mat_from_doc(p),
-            "Q": [_mat_from_doc(q) for q in doc["parts"].get("Q", [])],
-        }
-    return Witness(
-        op=_mat_from_doc(doc["op"]),
-        kind=doc["class"],
-        bounds=(
-            math.inf if doc.get("n") is None else float(doc["n"]),
-            math.inf if doc.get("m") is None else float(doc["m"]),
-        ),
-        parts=parts,
-        cuts=[Cut(c) for c in doc.get("cuts", [])],
-        trace_norm_choice=doc.get("trace_norm_choice"),
-    )
+    if not isinstance(doc, dict):
+        raise ValueError(f"a witness document is a JSON object, not {type(doc).__name__}")
+    try:
+        parts = None
+        if doc.get("parts") is not None:
+            p = doc["parts"].get("P")
+            parts = {
+                "P": None if p is None else _mat_from_doc(p),
+                "Q": [_mat_from_doc(q) for q in doc["parts"].get("Q", [])],
+            }
+        return Witness(
+            op=_mat_from_doc(doc["op"]),
+            kind=doc["class"],
+            bounds=(
+                math.inf if doc.get("n") is None else float(doc["n"]),
+                math.inf if doc.get("m") is None else float(doc["m"]),
+            ),
+            parts=parts,
+            cuts=[Cut(c) for c in doc.get("cuts", [])],
+            trace_norm_choice=doc.get("trace_norm_choice"),
+        )
+    except (TypeError, AttributeError) as err:
+        # parts that is no object, or parts' Q, cuts, a cut or a bound of the wrong type
+        raise ValueError(f"witness document has a field of the wrong type: {err}") from err

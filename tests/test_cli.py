@@ -9,7 +9,13 @@ from entwit.cli import main
 from entwit.linalg import Cut, HermitianMatrix, SystemShape
 from entwit.measures import e_nm_ppt, isotropic_e_n1, negativity, rg_from_negativity
 from entwit.states import isotropic, random_density, state_from_json, w_ghz_mix
-from entwit.witnesses import SSR_DIAGONAL, Witness, witness_from_json, witness_to_json
+from entwit.witnesses import (
+    DECOMPOSABLE_BIPARTITE,
+    SSR_DIAGONAL,
+    Witness,
+    witness_from_json,
+    witness_to_json,
+)
 
 
 def run(capsys, *argv):
@@ -93,6 +99,61 @@ def test_validate_rejects_bound_violation(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["ok"] is False
     assert doc["worst"] == pytest.approx(2.0, abs=1e-12)  # the diagonal entry -2
+
+
+@pytest.mark.parametrize("parts", [None, {"P": None, "Q": []}])
+def test_validate_recomposes_decomposable_witness_without_parts(tmp_path, capsys, parts):
+    # W = -I declares no bounds, and no parts or empty ones: nothing
+    # recomposes it, so it is rejected whether "parts" is null or not
+    w = Witness(op=HermitianMatrix(-np.eye(4), SystemShape((2, 2))),
+                kind=DECOMPOSABLE_BIPARTITE, parts=parts, cuts=[Cut([0])])
+    path = tmp_path / "minus-identity.json"
+    path.write_text(witness_to_json(w))
+    assert json.loads(path.read_text())["parts"] == parts
+    rc, out = run(capsys, "validate-witness", "--witness", str(path))
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["violations"] == [["recomposition", 1.0]]
+
+
+def identity_doc() -> dict:
+    """The JSON document of a valid decomposable witness, I = Q^Gamma with Q = I on 2x2."""
+    q = HermitianMatrix(np.eye(4), SystemShape((2, 2)))
+    w = Witness(op=q, kind=DECOMPOSABLE_BIPARTITE, parts={"P": None, "Q": [q]}, cuts=[Cut([0])])
+    return json.loads(witness_to_json(w))
+
+
+def test_identity_doc_is_a_valid_witness(tmp_path, capsys):
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(identity_doc()))
+    rc, out = run(capsys, "validate-witness", "--witness", str(path))
+    assert rc == 0
+    assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("compute", [1, 2]),
+    ("compute", {"re": [[1.0]], "im": [[0.0]], "dims": 1}),
+    ("validate-witness", "x"),
+    ("validate-witness", {"op": 3}),
+    ("validate-witness", {"cuts": 5}),
+    ("validate-witness", {"cuts": [[None]]}),
+    ("validate-witness", {"parts": []}),
+    ("validate-witness", {"parts": {"P": None, "Q": 5}}),
+    ("validate-witness", {"n": [2.0]}),
+])
+def test_malformed_json_is_bad_input(tmp_path, capsys, command, doc):
+    if command == "validate-witness" and isinstance(doc, dict):
+        doc = {**identity_doc(), **doc}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    flag = "--state" if command == "compute" else "--witness"
+    extra = ["--measure", "negativity"] if command == "compute" else []
+    assert main([command, *extra, flag, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_validate_rejects_ssr_negative_diagonal(tmp_path, capsys):

@@ -628,6 +628,36 @@ def test_statuses(monkeypatch):
     assert sol.status is SdpStatus.ITERATION_LIMIT
 
 
+FAR = 2 * sdp.DIVERGE_NORM  # the largest entry of a diverged iterate
+RAY = 2 * sdp.DIVERGE_OBJ  # an objective run past the ray bar, at zero data norms
+
+
+@pytest.mark.parametrize("rec,norm,want", [
+    # residuals and gap meet DEFAULT_TOL
+    ({"rp": 0.0, "rd": 0.0, "conic": 0.0}, 1.0, SdpStatus.OPTIMAL),
+    # an optimal iterate ends OPTIMAL even past DIVERGE_NORM
+    ({"rp": 0.0, "rd": 0.0, "conic": 0.0}, FAR, SdpStatus.OPTIMAL),
+    # primal feasible, the primal objective runs down
+    ({"rp": 0.0, "rd": 1.0, "pobj": -RAY}, FAR, SdpStatus.DUAL_INFEASIBLE),
+    # dual feasible, the dual objective runs up
+    ({"rp": 1.0, "rd": 0.0, "dobj": RAY}, FAR, SdpStatus.PRIMAL_INFEASIBLE),
+    # diverged without a ray: neither side feasible, or an objective short of the bar
+    ({"rp": 1.0, "rd": 1.0, "pobj": -RAY, "dobj": RAY}, FAR, SdpStatus.ITERATION_LIMIT),
+    ({"rp": 0.0, "rd": 1.0, "pobj": -RAY / 4}, FAR, SdpStatus.ITERATION_LIMIT),
+    ({"rp": 1.0, "rd": 0.0, "dobj": RAY / 4}, FAR, SdpStatus.ITERATION_LIMIT),
+    # the iteration budget is spent
+    ({"iter": sdp.MAX_ITER}, 1.0, SdpStatus.ITERATION_LIMIT),
+    # the run goes on
+    ({}, 1.0, None),
+    ({"rp": 1.0, "rd": 1.0, "pobj": -RAY, "dobj": RAY}, 1.0, None),
+])
+def test_status_rule(rec, norm, want):
+    # an iterate that meets neither residual bar nor the gap bar, unless rec
+    # says otherwise; b and the cost have norm zero, so each bar is DEFAULT_TOL
+    base = {"iter": 5, "mu": 1.0, "pobj": 1.0, "dobj": 0.0, "rp": 1.0, "rd": 1.0, "conic": 1.0}
+    assert sdp._status({**base, **rec}, norm, 0.0, 0.0) is want
+
+
 def test_unbounded_costs_end_dual_infeasible():
     # min <C, X> s.t. X_00 = 1 is feasible, and unbounded below when C_11 < 0;
     # the primal residual meets tol there while the primal objective runs away
