@@ -30,16 +30,18 @@ carry it into every entry. Rows equal up to sign (e_nm_ppt's two bounds
 repeat P and Q^Gamma negated) give Schur columns equal up to sign, so only
 the distinct ones are formed. The Schur system itself is dense, and each
 Schur matrix is stored column-major, LAPACK's order: column j is written as
-one contiguous row of a transposed buffer. Each iteration factors every
-Schur matrix once, in place, with numpy's own LAPACK dgetrf, and solves the
-predictor's and the corrector's right-hand sides from those factors with
-dgetrs; these are the two routines of the dgesv behind np.linalg.solve, so
-on one BLAS thread the bits are those of two solves. Two conditions fall
-back to one stacked np.linalg.solve per right-hand side, which factors each
-matrix again: the routines do not resolve through numpy's linalg extension,
-or they fail a one-time check against np.linalg.solve on a fixed system.
-Every step is deterministic, so a rerun on the same inputs, at the same BLAS
-thread count, is bit-identical.
+one contiguous row of a transposed buffer. M is symmetric positive definite
+at every interior iterate, so each iteration factors every Schur matrix once
+by Cholesky, in place from its lower triangle, with numpy's own LAPACK
+dpotrf, and solves the predictor's and the corrector's right-hand sides
+from that factor with dpotrs, as SDPT3 does (Toh, Todd and Tutuncu, Optim.
+Methods Softw. 11, 545, 1999). A matrix without a Cholesky factor raises
+SolverError; nothing retries it by LU. Two conditions fall back to a stacked
+np.linalg.cholesky, as the same test, and one stacked np.linalg.solve per
+right-hand side: the routines do not resolve through numpy's linalg
+extension, or they fail a one-time check against np.linalg.cholesky and
+np.linalg.solve on a fixed system. Every step is deterministic, so a rerun
+on the same inputs, at the same BLAS thread count, is bit-identical.
 
 Constraints reach the solver only through the HermitianSdp builder, which
 holds the variables, declared once as a dict of block sizes, and the
@@ -230,7 +232,8 @@ SCHUR_SLICE = 64 * 16 * 16
 # solve runs a stack as sub-stacks whose m x m Schur matrices, over the
 # sub-stacks that run at once on its lanes, hold at most this many doubles
 # together (4 MB: two problems at m = 512), so its memory does not grow with
-# the stack or the CPU count at large m, where the LU bounds the time.
+# the stack or the CPU count at large m, where the Schur assembly and its
+# Cholesky factorization bound the time.
 SCHUR_STACK_ENTRIES = 2**19
 
 
@@ -351,15 +354,33 @@ class SdpProblem:
         self._check_independence()
 
     def _check_independence(self):
+        """ValueError when the rows' Gram matrix G has lambda_min <= 1e-10 max(1, lambda_max).
+
+        G - t I, for t = 1e-10 max(1, the largest absolute column sum of G),
+        has a Cholesky factor only when lambda_min > t, and that sum bounds
+        lambda_max, so a factorization that succeeds accepts the rows. It is
+        the solver's own, in place, so G is the only m x m array held; the
+        eigenvalues of a fresh G decide, and name the smallest, only when it
+        fails.
+        """
         if self.m == 0:
             return
         eye = [np.eye(nb)[None] for nb in self.blocks]
-        w = np.linalg.eigvalsh(_schur(self, eye, eye)[0])
-        if w[0] <= 1e-10 * max(1.0, w[-1]):
-            raise ValueError(
-                "equality constraints are linearly dependent "
-                f"(gram eigenvalue {w[0]:.3e})"
-            )
+        gram_t = np.empty((1, self.m, self.m))
+        gram = _schur(self, eye, eye, gram_t)[0]
+        # summed in slices of rows of the buffer, G's columns: np.abs of the
+        # whole matrix would be a second m x m array
+        top = max(float(np.abs(gram_t[0, i : i + 64]).sum(axis=1).max()) for i in range(0, self.m, 64))
+        gram[np.diag_indices(self.m)] -= 1e-10 * max(1.0, top)
+        try:
+            _schur_solver(gram_t, _lapack())
+        except SolverError:
+            w = np.linalg.eigvalsh(_schur(self, eye, eye, gram_t)[0])
+            if w[0] <= 1e-10 * max(1.0, w[-1]):
+                raise ValueError(
+                    "equality constraints are linearly dependent "
+                    f"(gram eigenvalue {w[0]:.3e})"
+                ) from None
 
 
 @dataclass
@@ -445,19 +466,25 @@ def _max_step(isqrts, ds_blocks) -> np.ndarray:
     return t
 
 
-def _schur_solver(schur_t: np.ndarray, lu):
+def _schur_solver(schur_t: np.ndarray, chol):
     """The function rhs -> dy, with M_k dy_k = rhs_k for each Schur matrix M_k of the stack.
 
     schur_t is the C-contiguous (K, m, m) buffer that _schur fills, each M_k
-    column-major. With lu, the routines of _lapack, each M_k is factored
-    here, once and in place, and each call runs only the triangular solves,
-    one LAPACK call per problem; without it, each call is one stacked
-    np.linalg.solve on the matrices as they stand. Either way each problem's
-    dy does not depend on the rest of the stack, and a singular matrix or a
-    non-finite dy raises SolverError.
+    column-major. With chol, the routines of _lapack, each M_k is factored
+    here by Cholesky, once and in place, from its lower triangle (the
+    entries i >= j, LAPACK's uplo "L"), and each call runs only the
+    triangular solves, one LAPACK call per problem; without it, one stacked
+    np.linalg.cholesky checks the matrices here and each call is one stacked
+    np.linalg.solve on them as they stand. Either way each problem's dy does
+    not depend on the rest of the stack, and a matrix that is not
+    numerically positive definite, or a non-finite dy, raises SolverError.
     """
-    if lu is None:
+    if chol is None:
         ms = schur_t.transpose(0, 2, 1)
+        try:
+            np.linalg.cholesky(ms)
+        except np.linalg.LinAlgError as err:
+            raise SolverError("schur system is numerically singular") from err
 
         def solve_each(rhs):
             try:
@@ -466,7 +493,7 @@ def _schur_solver(schur_t: np.ndarray, lu):
                 raise SolverError("schur system is numerically singular") from err
 
         return solve_each
-    getrf, getrs, itype = lu
+    potrf, potrs, itype = chol
     count, m = schur_t.shape[:2]
     # LAPACK reads and writes through raw addresses
     if schur_t.dtype != np.float64 or schur_t.shape != (count, m, m) or not schur_t.flags.c_contiguous:
@@ -475,23 +502,22 @@ def _schur_solver(schur_t: np.ndarray, lu):
     # the order m, one right-hand side, then an info slot per problem
     ints = np.zeros(2 + count, dtype=itype)
     ints[:2] = m, 1
-    pivots = np.empty((count, m), dtype=itype)
     n, nrhs = ints.ctypes.data, ints.ctypes.data + size
-    per_problem = [(schur_t.ctypes.data + k * schur_t.strides[0],
-                    pivots.ctypes.data + k * m * size, n + (2 + k) * size) for k in range(count)]
-    for a, piv, info in per_problem:
-        getrf(n, n, a, n, piv, info)
+    per_problem = [(schur_t.ctypes.data + k * schur_t.strides[0], n + (2 + k) * size)
+                   for k in range(count)]
+    for a, info in per_problem:
+        potrf(b"L", n, a, n, info, 1)
     if ints[2:].any():
         raise SolverError("schur system is numerically singular")
 
     # held keeps the arrays behind the addresses alive as long as solve_each
-    def solve_each(rhs, held=(schur_t, ints, pivots)):
+    def solve_each(rhs, held=(schur_t, ints)):
         dy = np.array(rhs, dtype=float, order="C")
         if dy.shape != (count, m):
             raise ValueError(f"right-hand sides have shape {dy.shape}, not {(count, m)}")
         at, step = dy.ctypes.data, dy.strides[0]
-        for k, (a, piv, info) in enumerate(per_problem):
-            getrs(b"N", n, nrhs, a, n, piv, at + k * step, n, info, 1)
+        for k, (a, info) in enumerate(per_problem):
+            potrs(b"L", n, nrhs, a, n, at + k * step, n, info, 1)
         return _finite(dy)
 
     return solve_each
@@ -505,15 +531,16 @@ def _finite(dy: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _lapack():
-    """numpy's own LAPACK dgetrf and dgetrs, as (dgetrf, dgetrs, integer dtype), or None.
+    """numpy's own LAPACK dpotrf and dpotrs, as (dpotrf, dpotrs, integer dtype), or None.
 
-    They resolve through numpy's linalg extension, so they are the routines
-    of the dgesv (dgetrf, then dgetrs) behind np.linalg.solve: numpy 2 wheels
-    name them scipy_dgetrf_64_, numpy 1 wheels dgetrf_64_, and the
-    extension's _ilp64 gives the integer width. Looked up at the first solve,
-    not at import. None where neither name resolves, or where factoring a
-    fixed pair of systems once and solving two right-hand sides each does
-    not give np.linalg.solve's bits.
+    They resolve through numpy's linalg extension, so dpotrf is the routine
+    behind np.linalg.cholesky: numpy 2 wheels name them scipy_dpotrf_64_,
+    numpy 1 wheels dpotrf_64_, and the extension's _ilp64 gives the integer
+    width. Looked up at the first solve, not at import. None where neither
+    name resolves, or where, on a fixed pair of positive definite systems
+    with two right-hand sides each, the factor differs in any bit from
+    np.linalg.cholesky's or a solve is off np.linalg.solve's by more than
+    1e-12 relative.
     """
     try:
         from numpy.linalg import _umath_linalg as ext
@@ -523,24 +550,33 @@ def _lapack():
         return None
     suffix = "_64_" if ilp64 else "_"
     for prefix in ("scipy_", ""):
-        getrf, getrs = (getattr(lib, f"{prefix}{name}{suffix}", None) for name in ("dgetrf", "dgetrs"))
-        if getrf is not None and getrs is not None:
+        potrf, potrs = (getattr(lib, f"{prefix}{name}{suffix}", None) for name in ("dpotrf", "dpotrs"))
+        if potrf is not None and potrs is not None:
             break
     else:
         return None
-    getrf.argtypes = [ctypes.c_void_p] * 6
     # the trailing length of the character argument, for Fortran-built LAPACKs
-    getrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 8 + [ctypes.c_size_t]
-    getrf.restype = getrs.restype = None
-    lu = getrf, getrs, np.int64 if ilp64 else np.intc
-    # two well-conditioned nonsymmetric systems, large enough for dgetrf's
-    # blocked path, and two right-hand sides for each
+    potrf.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 4 + [ctypes.c_size_t]
+    potrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 7 + [ctypes.c_size_t]
+    potrf.restype = potrs.restype = None
+    chol = potrf, potrs, np.int64 if ilp64 else np.intc
+    # two well-conditioned positive definite systems, large enough for
+    # dpotrf's blocked path, and two right-hand sides for each
     k = np.arange(2 * 96 * 96 + 4 * 96)
     draws = np.cos(0.37 * k * k)
-    ms_t, rhs = draws[: 2 * 96 * 96].reshape(2, 96, 96), draws[2 * 96 * 96 :].reshape(2, 2, 96)
-    want = [np.linalg.solve(ms_t.transpose(0, 2, 1), r[..., None])[..., 0] for r in rhs]
-    solve_each = _schur_solver(ms_t, lu)
-    return lu if all(np.array_equal(solve_each(r), w) for r, w in zip(rhs, want)) else None
+    g, rhs = draws[: 2 * 96 * 96].reshape(2, 96, 96), draws[2 * 96 * 96 :].reshape(2, 2, 96)
+    ms = g @ g.transpose(0, 2, 1) + 96.0 * np.eye(96)
+    ms = (ms + ms.transpose(0, 2, 1)) / 2
+    want = [np.linalg.solve(ms, r[..., None])[..., 0] for r in rhs]
+    factored = ms.copy()  # symmetric, so also each matrix column-major
+    try:
+        solve_each = _schur_solver(factored, chol)
+        got = [solve_each(r) for r in rhs]
+    except SolverError:
+        return None
+    ok = (np.array_equal(np.tril(factored.transpose(0, 2, 1)), np.linalg.cholesky(ms))
+          and all(np.abs(d - w).max() <= 1e-12 * np.abs(w).max() for d, w in zip(got, want)))
+    return chol if ok else None
 
 
 def solve(prob: SdpProblem, costs, b) -> list:
@@ -706,7 +742,7 @@ def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
     z = [tau * np.eye(nb, dtype=complex) for nb in prob.blocks]
     y = np.zeros((count, prob.m))
     schur_t = np.empty((count, prob.m, prob.m))
-    lu = _lapack()
+    chol = _lapack()
 
     # every per-problem array and list runs over the active stack, in stack
     # order; ids maps each active problem to its slot in out
@@ -748,7 +784,7 @@ def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
 
         zi = [_herm(np.linalg.inv(zb)) for zb in z]
         _schur(prob, x, zi, schur_t)
-        solve_schur = _schur_solver(schur_t, lu)
+        solve_schur = _schur_solver(schur_t, chol)
         a_xrz = _apply(prob, [xb @ r @ zib for xb, r, zib in zip(x, rd, zi)])
         isqrts = [_isqrt(xb) for xb in x], [_isqrt(zb) for zb in z]
 

@@ -81,6 +81,10 @@ def validate_decomposable(w: Witness) -> ValidationReport:
     if p is not None:
         violations.append(("P psd", max(0.0, -float(np.linalg.eigvalsh(p.mat)[0]))))
         total += p.mat
+    # a Q beyond the last cut has no cut to be transposed on, so it is neither
+    # checked nor recomposed; a cut without its Q has Q = 0
+    if len(qs) > len(w.cuts):
+        violations.append(("Q count", float(len(qs) - len(w.cuts))))
     for i, (q, cut) in enumerate(zip(qs, w.cuts)):
         lo = float(np.linalg.eigvalsh(q.mat)[0])
         violations.append((f"Q[{i}] psd", max(0.0, -lo)))

@@ -132,6 +132,22 @@ def test_identity_doc_is_a_valid_witness(tmp_path, capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_validate_rejects_a_q_beyond_the_last_cut(tmp_path, capsys):
+    # op = I with one cut and Q = [I, -5 I]: the first Q recomposes op, the
+    # second has no cut to be transposed on
+    doc = identity_doc()
+    doc["parts"]["Q"].append({**doc["parts"]["Q"][0],
+                              "re": (-5.0 * np.eye(4)).tolist()})
+    path = tmp_path / "extra-q.json"
+    path.write_text(json.dumps(doc))
+    rc, out = run(capsys, "validate-witness", "--witness", str(path))
+    assert rc == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert ["Q count", 1.0] in report["violations"]
+    assert ["recomposition", 0.0] in report["violations"]
+
+
 @pytest.mark.parametrize("command,doc", [
     ("compute", [1, 2]),
     ("compute", {"re": [[1.0]], "im": [[0.0]], "dims": 1}),

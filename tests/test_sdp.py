@@ -1,6 +1,8 @@
+import ctypes
 import dataclasses
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -435,40 +437,60 @@ def test_images_match_dense_rows(measure):
 
 def test_singular_schur_stack_raises():
     # one singular matrix fails the whole stack, as does a non-finite
-    # solution, through numpy's LU routines and through np.linalg.solve
-    for lu in (sdp._lapack(), None):
+    # solution, through numpy's Cholesky routines and through the fallback
+    for chol in (sdp._lapack(), None):
         ms = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])])
         with pytest.raises(SolverError, match="numerically singular"):
-            sdp._schur_solver(ms, lu)(np.ones((2, 3)))
+            sdp._schur_solver(ms, chol)(np.ones((2, 3)))
         with pytest.raises(SolverError, match="numerically singular"):
-            sdp._schur_solver(np.stack([np.eye(3)] * 2), lu)(
+            sdp._schur_solver(np.stack([np.eye(3)] * 2), chol)(
                 np.array([[1.0, 2.0, 3.0], [np.inf, 0, 0]]))
+
+
+def test_indefinite_schur_stack_raises():
+    # nonsingular but not positive definite: no Cholesky factor on either
+    # path, and no second factorization to fall back on
+    for chol in (sdp._lapack(), None):
+        ms = np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0])])
+        with pytest.raises(SolverError, match="numerically singular"):
+            sdp._schur_solver(ms, chol)(np.ones((2, 3)))
+
+
+def test_lapack_rejects_a_wrong_factor_routine(monkeypatch):
+    # dpotrf called on the upper triangle leaves the lower one unfactored, so
+    # the self-check must drop the routines; the real ones pass it
+    if sdp._lapack.__wrapped__() is None:
+        pytest.skip("numpy's Cholesky routines do not resolve here")
+    from numpy.linalg import _umath_linalg as ext
+    lib = ctypes.CDLL(ext.__file__)
+    name = next(f"{prefix}dpotrf{suffix}" for prefix in ("scipy_", "") for suffix in ("_64_", "_")
+                if hasattr(lib, f"{prefix}dpotrf{suffix}"))
+    potrf = getattr(lib, name)
+    potrf.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 4 + [ctypes.c_size_t]
+
+    def upper(uplo, *args):
+        return potrf(b"U", *args)
+
+    routines = {name: upper, name.replace("potrf", "potrs"): getattr(lib, name.replace("potrf", "potrs"))}
+    monkeypatch.setattr(sdp.ctypes, "CDLL", lambda path: types.SimpleNamespace(**routines))
+    assert sdp._lapack.__wrapped__() is None
 
 
 def test_factor_once_checks_its_buffers():
     # LAPACK works on raw addresses, so a stack or right-hand side of
     # another layout is refused before any call
-    lu = sdp._lapack()
-    if lu is None:
-        pytest.skip("numpy's LU routines do not resolve here")
+    chol = sdp._lapack()
+    if chol is None:
+        pytest.skip("numpy's Cholesky routines do not resolve here")
     for bad in (np.ones((2, 3, 3), dtype=np.float32), np.asfortranarray(np.ones((2, 3, 3))),
                 np.ones((2, 3, 4))):
         with pytest.raises(ValueError, match="C-contiguous"):
-            sdp._schur_solver(bad, lu)
-    solve_each = sdp._schur_solver(np.stack([np.eye(3)] * 2), lu)
+            sdp._schur_solver(bad, chol)
+    solve_each = sdp._schur_solver(np.stack([np.eye(3)] * 2), chol)
     with pytest.raises(ValueError, match="right-hand sides"):
         solve_each(np.ones((2, 4)))
     with pytest.raises(ValueError, match="right-hand sides"):
         solve_each(np.ones((1, 3)))
-
-
-def skip_unless_factored_once():
-    """Skip the test unless the solver factors each Schur matrix once on one BLAS
-    thread, the only place where its solves must have the bits of np.linalg.solve."""
-    if sdp._lapack() is None:
-        pytest.skip("the Schur systems are solved by np.linalg.solve here")
-    if not sdp._one_blas_thread():
-        pytest.skip("threaded BLAS may round dgetrf then dgetrs differently from dgesv")
 
 
 def openblas_lapack() -> bool:
@@ -481,21 +503,23 @@ def openblas_lapack() -> bool:
 
 
 def schur_spy(monkeypatch, at: int) -> list:
-    """Record the Schur stack of the at-th _schur_solver call, before it is factored,
-    with every (rhs, dy) solved from it; the list holds them as [stack, [(rhs, dy), ...]]."""
+    """Record the Schur stack of the at-th _schur_solver call before and after it is
+    factored, with every (rhs, dy) solved from it; the list holds them as
+    [stack, factored, [(rhs, dy), ...]]."""
     real = sdp._schur_solver
     seen, calls = [], []
 
-    def spy(schur_t, lu):
+    def spy(schur_t, chol):
         calls.append(None)
         if len(calls) != at:
-            return real(schur_t, lu)
-        seen[:] = [schur_t.copy(), []]
-        solve_each = real(schur_t, lu)
+            return real(schur_t, chol)
+        stack = schur_t.copy()
+        solve_each = real(schur_t, chol)
+        seen[:] = [stack, schur_t.copy(), []]
 
         def logged(rhs):
             dy = solve_each(rhs)
-            seen[1].append((rhs.copy(), dy))
+            seen[2].append((rhs.copy(), dy))
             return dy
 
         return logged
@@ -513,21 +537,30 @@ def stacked_problem() -> list:
 
 @pytest.mark.parametrize("measure", [*SHIPPED_PROBLEMS.values(), stacked_problem],
                          ids=[*SHIPPED_PROBLEMS, "e_nm_ppt-2x3-stack-of-3"])
-def test_factor_once_matches_np_linalg_solve(monkeypatch, measure):
-    # on an iterate from the middle of the run, the predictor's and the
-    # corrector's dy from one factorization have np.linalg.solve's bits
-    skip_unless_factored_once()
+def test_factor_once_matches_np_linalg_cholesky(monkeypatch, measure):
+    # on an iterate from the middle of the run, each buffer holds
+    # np.linalg.cholesky's factor of its Schur matrix, bit for bit, and the
+    # predictor's and the corrector's dy from it solve the system to rounding
+    if sdp._lapack() is None:
+        pytest.skip("the Schur systems are solved by np.linalg.solve here")
     seen = schur_spy(monkeypatch, 5)
     measure()
-    stack, solved = seen
+    stack, factored, solved = seen
+    ms = stack.transpose(0, 2, 1)
+    assert np.array_equal(np.tril(factored.transpose(0, 2, 1)), np.linalg.cholesky(ms))
     assert len(solved) == 2
     for rhs, dy in solved:
         assert dy.shape == rhs.shape == (len(stack), len(stack[0]))
-        assert np.array_equal(dy, np.linalg.solve(stack.transpose(0, 2, 1), rhs[..., None])[..., 0])
+        for m_k, r, d in zip(ms, rhs, dy):
+            resid = np.abs(m_k @ d - r).max()
+            assert resid <= 1e-12 * np.linalg.norm(m_k, np.inf) * np.abs(d).max()
 
 
-def test_solve_without_lapack_is_bit_identical(monkeypatch):
-    # rg_ppt on 2x3 states, which leave the stack at different iterations
+def test_solve_without_lapack_matches_statuses_and_objectives(monkeypatch):
+    # rg_ppt on 2x3 states, which leave the stack at different iterations;
+    # the LU fallback rounds otherwise than the Cholesky factors, so only
+    # statuses, iteration counts and objectives are compared (the iterates
+    # differ by up to 1e-5 relative on degenerate optimal faces)
     shape = SystemShape((2, 3))
     rhos = np.stack([random_density(6, 700 + s, shape).mat for s in range(6)])
     prob, costs, b = captured_solve(
@@ -536,12 +569,15 @@ def test_solve_without_lapack_is_bit_identical(monkeypatch):
     assert len({sol.iterations for sol in factored}) > 1
     monkeypatch.setattr(sdp, "_lapack", lambda: None)
     for got, want in zip(solve(prob, costs, b), factored, strict=True):
-        assert_same_solution(got, want)
+        assert got.status is want.status
+        assert got.iterations == want.iterations
+        for g, w in ((got.pobj, want.pobj), (got.dobj, want.dobj)):
+            assert abs(g - w) <= 1e-9 * (1.0 + abs(w))
 
 
-def counted_lapack(monkeypatch) -> dict:
-    """Count the solver's calls of numpy's dgetrf and dgetrs, and of np.linalg.solve."""
-    calls = dict.fromkeys(("getrf", "getrs", "np.linalg.solve"), 0)
+def counted_cholesky(monkeypatch) -> dict:
+    """Count the solver's calls of numpy's dpotrf and dpotrs, and of np.linalg.solve."""
+    calls = dict.fromkeys(("potrf", "potrs", "np.linalg.solve"), 0)
 
     def counted(name, fn):
         def call(*args):
@@ -549,32 +585,32 @@ def counted_lapack(monkeypatch) -> dict:
             return fn(*args)
         return call
 
-    lu = sdp._lapack()
-    if lu is not None:
-        getrf, getrs, itype = lu
+    chol = sdp._lapack()
+    if chol is not None:
+        potrf, potrs, itype = chol
         monkeypatch.setattr(sdp, "_lapack",
-                            lambda: (counted("getrf", getrf), counted("getrs", getrs), itype))
+                            lambda: (counted("potrf", potrf), counted("potrs", potrs), itype))
     monkeypatch.setattr(np.linalg, "solve", counted("np.linalg.solve", np.linalg.solve))
     return calls
 
 
-def assert_factored_once(monkeypatch):
-    """Solve the stacked problem: each Schur matrix factored once per iteration,
-    with two triangular solves from it, and no np.linalg.solve."""
+def assert_cholesky_once(monkeypatch):
+    """Solve the stacked problem: each Schur matrix factored by Cholesky once per
+    iteration, with two triangular solves from it, and no np.linalg.solve."""
     # the lookup and the self-check succeed, and the solver uses them
     assert sdp._lapack() is not None
     prob, costs, b = captured_solve(stacked_problem)
-    calls = counted_lapack(monkeypatch)
+    calls = counted_cholesky(monkeypatch)
     sols = solve(prob, costs, b)
     iterations = sum(sol.iterations for sol in sols)
     assert iterations > len(sols)
     # one factorization per problem per iteration, and two triangular solves
-    assert calls == {"getrf": iterations, "getrs": 2 * iterations, "np.linalg.solve": 0}
+    assert calls == {"potrf": iterations, "potrs": 2 * iterations, "np.linalg.solve": 0}
 
 
 @pytest.mark.skipif(not openblas_lapack(), reason="numpy's LAPACK is not OpenBLAS")
 def test_factor_once_runs_on_openblas(monkeypatch):
-    assert_factored_once(monkeypatch)
+    assert_cholesky_once(monkeypatch)
 
 
 @pytest.mark.skipif(not openblas_lapack(), reason="numpy's LAPACK is not OpenBLAS")
@@ -583,7 +619,7 @@ def test_two_blas_threads_factor_once_on_one_lane(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     assert not sdp._one_blas_thread()
     assert sdp._lanes() == 1
-    assert_factored_once(monkeypatch)
+    assert_cholesky_once(monkeypatch)
 
 
 def test_multi_block_lp():
@@ -607,6 +643,32 @@ def test_gram_rejection_and_shape_checks():
     # symmetric but not Hermitian
     with pytest.raises(ValueError):
         solve_one(trace_one_problem(2), [np.array([[0.0, 1j], [1j, 0.0]])])
+
+
+@pytest.mark.parametrize("ratio, dependent", [(0.9, True), (1.1, False)])
+def test_independence_bar_on_nearly_parallel_rows(monkeypatch, ratio, dependent):
+    # rows E_00 and E_00 + sqrt(s) E_11 have the Gram matrix [[1, 1], [1, 1 + s]],
+    # with s set so that lambda_min is ratio times the bar 1e-10 lambda_max;
+    # the eigenvalues are computed only when the Cholesky test fails
+    s = 0.0
+    for _ in range(5):
+        top = (2.0 + s) / (1.0 + ratio * 1e-10)
+        s = ratio * 1e-10 * top * top
+    coords = np.zeros((2, 4))
+    coords[:, 0] = 1.0
+    coords[1, 1] = np.sqrt(s)
+    w = np.linalg.eigvalsh(coords @ coords.T)
+    assert (w[0] <= 1e-10 * max(1.0, w[-1])) == dependent
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(None) or real(a))
+    if dependent:
+        with pytest.raises(ValueError, match=r"linearly dependent \(gram eigenvalue 1\.8"):
+            SdpProblem([2], [coords])
+        assert len(calls) == 1
+    else:
+        SdpProblem([2], [coords])
+        assert not calls
 
 
 def pin_corner() -> tuple:
