@@ -15,11 +15,13 @@ DECOMPOSABLE_BIPARTITE = "decomposable-bipartite"
 DECOMPOSABLE_MULTI = "decomposable-multi"
 DPS2_CERTIFIED = "dps2-certified"
 SSR_DIAGONAL = "ssr-diagonal"
+CLASSES = (DECOMPOSABLE_BIPARTITE, DECOMPOSABLE_MULTI, SSR_DIAGONAL, DPS2_CERTIFIED)
 
 TRACE_EQUALS_D = "trace-equals-d"
 OP_LEQ_I = "op-leq-i"
 
 PART_ATOL = 1e-8
+PRODUCT_ATOL = 1e-6
 
 
 @dataclass
@@ -70,36 +72,39 @@ def evaluate(w: Witness, rho: HermitianMatrix) -> float:
     return hs_inner(w.op, rho)
 
 
-def validate_decomposable(w: Witness) -> ValidationReport:
-    """Recompose op from parts and check PSD and bound constraints."""
-    if w.kind not in (DECOMPOSABLE_BIPARTITE, DECOMPOSABLE_MULTI):
-        raise ValueError("witness is not of a decomposable class")
-    violations = []
-    p = w.parts.get("P") if w.parts else None
-    qs = w.parts.get("Q", []) if w.parts else []
-    total = np.zeros((w.op.dim, w.op.dim), dtype=complex)
-    if p is not None:
-        violations.append(("P psd", max(0.0, -float(np.linalg.eigvalsh(p.mat)[0]))))
-        total += p.mat
-    # a Q beyond the last cut has no cut to be transposed on, so it is neither
-    # checked nor recomposed; a cut without its Q has Q = 0
-    if len(qs) > len(w.cuts):
-        violations.append(("Q count", float(len(qs) - len(w.cuts))))
-    for i, (q, cut) in enumerate(zip(qs, w.cuts)):
-        lo = float(np.linalg.eigvalsh(q.mat)[0])
-        violations.append((f"Q[{i}] psd", max(0.0, -lo)))
-        total += partial_transpose(q, cut).mat
-    violations.append(("recomposition", float(np.abs(total - w.op.mat).max())))
-    return validate_bounds(w, violations)
+def validate(w: Witness) -> ValidationReport:
+    """Check w against the rules of its class, then against its bound box.
 
-
-def validate_bounds(w: Witness, violations=()) -> ValidationReport:
-    """Check the spectrum of op against the bounds (n, m): -n <= eig <= m.
-
-    The report also carries the earlier violations given; it is ok when
-    none of them exceeds PART_ATOL.
+    A decomposable witness recomposes from its parts: P and every Q psd, no Q
+    beyond the last cut (it would be neither checked nor recomposed; a cut
+    without its Q has Q = 0), and op = P + sum_c PT(Q_c, cut_c). An
+    ssr-diagonal witness is W = I - S with S_ii <= 1, and every dps2-certified
+    one has <ij|W|ij> >= 0 on the product basis, a necessary condition only,
+    since the witness carries no level-2 certificate: both are checked as the
+    violation ``diagonal`` = max(0, -min_i W_ii). The normalisation
+    trace-equals-d is checked as ``trace`` = |Tr W - D|, and the bounds
+    (n, m) as -n <= eig <= m. The report is ok when no violation exceeds
+    PART_ATOL. ValueError for a class not in CLASSES.
     """
-    violations = list(violations)
+    violations = []
+    if _known_class(w.kind) in (DECOMPOSABLE_BIPARTITE, DECOMPOSABLE_MULTI):
+        p = w.parts.get("P") if w.parts else None
+        qs = w.parts.get("Q", []) if w.parts else []
+        total = np.zeros((w.op.dim, w.op.dim), dtype=complex)
+        if p is not None:
+            violations.append(("P psd", max(0.0, -float(np.linalg.eigvalsh(p.mat)[0]))))
+            total += p.mat
+        if len(qs) > len(w.cuts):
+            violations.append(("Q count", float(len(qs) - len(w.cuts))))
+        for i, (q, cut) in enumerate(zip(qs, w.cuts)):
+            lo = float(np.linalg.eigvalsh(q.mat)[0])
+            violations.append((f"Q[{i}] psd", max(0.0, -lo)))
+            total += partial_transpose(q, cut).mat
+        violations.append(("recomposition", float(np.abs(total - w.op.mat).max())))
+    else:
+        violations.append(("diagonal", max(0.0, -float(np.diag(w.op.mat).real.min()))))
+    if w.trace_norm_choice == TRACE_EQUALS_D:
+        violations.append(("trace", abs(float(np.trace(w.op.mat).real) - w.op.dim)))
     n, m = w.bounds
     eigs = np.linalg.eigvalsh(w.op.mat)
     if math.isfinite(n):
@@ -108,6 +113,12 @@ def validate_bounds(w: Witness, violations=()) -> ValidationReport:
         violations.append(("upper bound", max(0.0, float(eigs[-1]) - m)))
     ok = all(v <= PART_ATOL for _, v in violations)
     return ValidationReport(ok, violations)
+
+
+def _known_class(kind: str) -> str:
+    if kind not in CLASSES:
+        raise ValueError(f"unknown witness class {kind!r}; the classes are {', '.join(CLASSES)}")
+    return kind
 
 
 def _effective_site_op(wt: np.ndarray, vs: list, i: int) -> np.ndarray:
@@ -127,8 +138,8 @@ def _effective_site_op(wt: np.ndarray, vs: list, i: int) -> np.ndarray:
 def mc_product_check(w: Witness, samples: int, seed: int) -> float:
     """Minimum of <prod|W|prod> over random product vectors plus refinement.
 
-    A return value below -1e-6 disproves positivity on product states; a
-    nonnegative value is evidence only.
+    A return value below -PRODUCT_ATOL disproves positivity on product
+    states; a nonnegative value is evidence only.
     """
     shape = w.op.require_shape()
     dims = shape.local_dims
@@ -177,7 +188,7 @@ def witness_to_json(w: Witness) -> str:
 
 
 def witness_from_json(text: str) -> Witness:
-    """The witness of a witness_to_json document; ValueError for a document of the wrong shape."""
+    """The witness of a witness_to_json document; ValueError for a wrong shape or class."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"a witness document is a JSON object, not {type(doc).__name__}")
@@ -191,7 +202,7 @@ def witness_from_json(text: str) -> Witness:
             }
         return Witness(
             op=_mat_from_doc(doc["op"]),
-            kind=doc["class"],
+            kind=_known_class(doc["class"]),
             bounds=(
                 math.inf if doc.get("n") is None else float(doc["n"]),
                 math.inf if doc.get("m") is None else float(doc["m"]),

@@ -40,7 +40,7 @@ from entwit.states import (
     stream_seeds,
     vc_ssr_state,
 )
-from entwit.witnesses import OP_LEQ_I, evaluate, validate_decomposable
+from entwit.witnesses import OP_LEQ_I, evaluate, validate
 
 CUT_A = Cut([0])
 Q22 = SystemShape([2, 2])
@@ -66,7 +66,7 @@ def test_negativity_witness_reproduces_value():
         rho = random_density(4, seed, Q22)
         res = negativity(rho, CUT_A)
         assert evaluate(res.witness, rho) == pytest.approx(-res.value, abs=1e-12)
-        assert validate_decomposable(res.witness).ok
+        assert validate(res.witness).ok
 
 
 def test_negativity_zero_on_ppt():
@@ -343,7 +343,7 @@ def test_optimal_witnesses_validate():
             rg_ppt(rho, CUT_A),
             rr_ppt(rho, CUT_A),
         ):
-            rep = validate_decomposable(res.witness)
+            rep = validate(res.witness)
             assert rep.ok, rep.violations
 
 

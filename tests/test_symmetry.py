@@ -7,7 +7,7 @@ from entwit.linalg import Cut, HermitianMatrix, SystemShape
 from entwit.measures import e_nm_ppt, isotropic_e_n1
 from entwit.states import isotropic, max_entangled, random_density, rng_stream
 from entwit.symmetry import symmetric_witness_opt, twirl_uustar
-from entwit.witnesses import evaluate, validate_decomposable
+from entwit.witnesses import evaluate, validate
 
 
 def plus(d):
@@ -86,7 +86,7 @@ def test_lp_zero_cases():
 def test_lp_witness_is_consistent():
     for d, p, n, m in ((2, 0.9, 1.0, 1.0), (3, 0.8, math.inf, 1.0)):
         res = symmetric_witness_opt(d, p, n, m)
-        rep = validate_decomposable(res.witness)
+        rep = validate(res.witness)
         assert rep.ok, rep.violations
         assert evaluate(res.witness, isotropic(d, p)) == pytest.approx(
             -res.value, abs=1e-12

@@ -1,17 +1,31 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from entwit.cli import main
 from entwit.linalg import Cut, HermitianMatrix, SystemShape, partial_transpose
+from entwit.measures import (
+    e_nm_ppt,
+    negativity,
+    rg_dps2,
+    rg_ppt_closed,
+    rr_ppt,
+    ssr_nonlocality,
+)
 from entwit.spin import toth_witness
-from entwit.states import isotropic, max_entangled, random_density
+from entwit.states import isotropic, max_entangled, random_density, vc_ssr_state
+from entwit.symmetry import symmetric_witness_opt
 from entwit.witnesses import (
     DECOMPOSABLE_BIPARTITE,
+    PART_ATOL,
+    SSR_DIAGONAL,
     Witness,
     evaluate,
     mc_product_check,
-    validate_decomposable,
+    validate,
     witness_from_json,
     witness_to_json,
 )
@@ -53,10 +67,10 @@ def test_decomposable_positive_on_ppt():
 
 
 def test_validate_decomposable_good():
-    rep = validate_decomposable(swap_witness())
+    rep = validate(swap_witness())
     assert rep.ok
     assert rep.worst() <= 1e-12
-    rep = validate_decomposable(toth_witness(4, periodic=True))
+    rep = validate(toth_witness(4, periodic=True))
     assert rep.ok
 
 
@@ -69,7 +83,7 @@ def test_validate_decomposable_bad_part():
         parts={"P": None, "Q": [bad]},
         cuts=[Cut([0])],
     )
-    rep = validate_decomposable(w)
+    rep = validate(w)
     assert not rep.ok
     names = dict(rep.violations)
     assert names["Q[0] psd"] == pytest.approx(0.1, abs=1e-12)
@@ -109,7 +123,7 @@ def test_json_round_trip_bit_exact():
     assert [c.party_set for c in back.cuts] == [c.party_set for c in w.cuts]
     for q0, q1 in zip(back.parts["Q"], w.parts["Q"]):
         assert np.array_equal(q0.mat, q1.mat)
-    rep = validate_decomposable(back)
+    rep = validate(back)
     assert rep.ok
 
 
@@ -125,3 +139,89 @@ def test_round_trip_on_isotropic_eval():
     back = witness_from_json(witness_to_json(w))
     rho = isotropic(2, 0.8)
     assert evaluate(back, rho) == evaluate(w, rho)
+
+
+def _state(dims, seed=5):
+    shape = SystemShape(dims)
+    return random_density(shape.total_dim, seed, shape)
+
+
+def _shifted(w, dop, part=None):
+    """w with op + dop and, if part is named, that part shifted by the same dop."""
+    parts = dict(w.parts)
+    if part is not None:
+        parts[part] = HermitianMatrix(parts[part].mat + dop, w.op.shape)
+    return replace(w, op=HermitianMatrix(w.op.mat + dop, w.op.shape), parts=parts)
+
+
+def _one_negative_q():
+    # Q = I - 1.1 |00><00| has the single negative eigenvalue -0.1
+    q = np.eye(4)
+    q[0, 0] = -0.1
+    q = HermitianMatrix(q, SystemShape((2, 2)))
+    return Witness(partial_transpose(q, Cut([0])), DECOMPOSABLE_BIPARTITE,
+                   parts={"P": None, "Q": [q]}, cuts=[Cut([0])])
+
+
+def _dps2_minus_identity():
+    w = rg_dps2(_state((2, 3)), Cut([0])).witness
+    w.op = HermitianMatrix(-np.eye(6), w.op.shape)
+    return w
+
+
+def _made_up_class():
+    w = negativity(_state((2, 2)), Cut([0])).witness
+    w.kind = "made-up"
+    return w
+
+
+# (witness builder, what validate says: None for ok, the one violation over
+# PART_ATOL for a rejected witness, ValueError for a class it does not know)
+PRODUCED_AND_BROKEN = {
+    "negativity": (lambda: negativity(_state((2, 3)), Cut([0])).witness, None),
+    "rg_ppt_closed": (lambda: rg_ppt_closed(_state((2, 3)), Cut([0])).witness, None),
+    "e_nm_ppt-two-cuts": (
+        lambda: e_nm_ppt(_state((2, 2, 2)), [Cut([0]), Cut([1])], 2.0, 1.0).witness, None),
+    "rr_ppt": (lambda: rr_ppt(_state((3, 3)), Cut([0])).witness, None),
+    "ssr_nonlocality": (lambda: ssr_nonlocality(vc_ssr_state()).witness, None),
+    "rg_dps2": (lambda: rg_dps2(_state((2, 3)), Cut([0])).witness, None),
+    "symmetric_witness_opt": (lambda: symmetric_witness_opt(3, 0.8, math.inf, 1.0).witness, None),
+    "toth_witness": (lambda: toth_witness(4, periodic=True), None),
+    "q-one-negative-eigenvalue": (_one_negative_q, "Q[0] psd"),
+    "recomposition-off-by-2-part-atol": (
+        lambda: _shifted(negativity(_state((2, 2)), Cut([0])).witness,
+                         np.diag([2 * PART_ATOL, 0, 0, 0])), "recomposition"),
+    "ssr-diag-minus-half-one": (
+        lambda: Witness(HermitianMatrix(np.diag([-0.5, 1.0]), SystemShape([2])), SSR_DIAGONAL,
+                        bounds=(math.inf, 1.0)), "diagonal"),
+    "dps2-minus-identity": (_dps2_minus_identity, "diagonal"),
+    # P takes the shift too, so that only the normalisation Tr W = D is off
+    "rr_ppt-trace-off": (
+        lambda: _shifted(rr_ppt(_state((2, 2)), Cut([0])).witness, 0.01 * np.eye(4) / 4, "P"),
+        "trace"),
+    "unknown-class": (_made_up_class, ValueError),
+}
+
+
+@pytest.mark.parametrize("case", PRODUCED_AND_BROKEN)
+def test_validate_matches_validate_witness(tmp_path, capsys, case):
+    make, want = PRODUCED_AND_BROKEN[case]
+    w = make()
+    path = tmp_path / "w.json"
+    path.write_text(witness_to_json(w))
+    rc = main(["validate-witness", "--witness", str(path)])
+    out, err = capsys.readouterr()
+    if want is ValueError:
+        for check in (lambda: validate(w), lambda: witness_from_json(path.read_text())):
+            with pytest.raises(ValueError, match="unknown witness class 'made-up'"):
+                check()
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: unknown witness class")
+        return
+    rep = validate(w)
+    assert [name for name, v in rep.violations if v > PART_ATOL] == ([] if want is None else [want])
+    assert rep.ok is (want is None)
+    assert rc == (0 if rep.ok else 1)
+    doc = json.loads(out)
+    assert doc == {"kind": w.kind, "ok": rep.ok, "worst": rep.worst(),
+                   "violations": [list(v) for v in rep.violations], "product_min": None}
