@@ -2,7 +2,8 @@
 
 Each bound takes the measure value as an input (with a provenance record)
 instead of recomputing it, so certified lower bounds from rescaled
-witnesses can be piped in directly.
+witnesses can be piped in directly; the exception is distillable_upper,
+which takes the state and solves e_nm_ppt at n:1 itself.
 """
 
 import math

@@ -14,11 +14,14 @@ both the predictor and the corrector.
 Constraints are declared and stored by their coordinates in the
 orthonormal Hermitian basis E_k of hermitian_basis, never as dense
 matrices; only the nonzero ones are kept, per row as indices and values
-padded with zeros to the widest row of the block. Every constraint the
-measures build has one to a few nonzero coordinates per row. A(X) and
-A^T(y) are then a gather and a scatter. Every coordinate gather is an
-np.take on index tables built once (those of _Basis and of each block's
-rows); it copies the values that advanced indexing would, in less time.
+padded with zeros to the widest row of the block, in one slot-major table
+per block. Every constraint the measures build has one to a few nonzero
+coordinates per row. A(X) and A^T(y) are then a gather and a scatter, and
+one reader, _BlockRows.row_sums, does every gather and slot sum over the
+rows, for A(X) and for the Schur assembly alike. Every coordinate gather is
+an np.take on index tables built once (those of _Basis, whose smat tables
+are derived from its svec ones, and of each block's rows); it copies the
+values that advanced indexing would, in less time.
 The Schur matrix M_ij = Re tr(X A_i Z^-1 A_j) is assembled per block as
 A_b H_b^T, where row i of H_b holds the coordinates of X A_i Z^-1; that
 product is formed from the few nonzero rows of A_i, first A_i Z^-1 and
@@ -117,9 +120,12 @@ class _Basis:
     each pair i < j the symmetric element (e_ij + e_ji)/sqrt 2 followed by
     the antisymmetric one (-i e_ij + i e_ji)/sqrt 2. In the float view of a
     complex matrix M (real and imaginary parts interleaved), coordinate k
-    of M is <E_k, M> = w[0, k] M[at[0, k]] + w[1, k] M[at[1, k]]. For smat,
-    the real part of flat entry f of X is coef[f] u[k_of[f]] and its
-    imaginary part is coef[n2 + f] u[k_of[n2 + f]].
+    of M is <E_k, M> = w[0, k] M[at[0, k]] + w[1, k] M[at[1, k]]; these svec
+    tables are the only ones written out. For smat, the real part of flat
+    entry f of X is coef[f] u[k_of[f]] and its imaginary part is
+    coef[n2 + f] u[k_of[n2 + f]]; k_of and coef are the svec tables
+    inverted, each nonzero weight w[j, k] placing coordinate k at the float
+    entry at[j, k].
     """
 
     def __init__(self, nb: int):
@@ -127,13 +133,9 @@ class _Basis:
         r = 1.0 / np.sqrt(2.0)
         at = np.zeros((2, n2), dtype=np.intp)
         w = np.zeros((2, n2))
-        k_of = np.zeros(2 * n2, dtype=np.intp)
-        coef = np.zeros(2 * n2)
         for i in range(nb):
             at[:, i] = 2 * (i * nb + i)
             w[0, i] = 1.0
-            k_of[i * nb + i] = i
-            coef[i * nb + i] = 1.0
         k = nb
         for i in range(nb):
             for j in range(i + 1, nb):
@@ -142,11 +144,15 @@ class _Basis:
                 w[:, k] = (r, r)
                 at[:, k + 1] = (2 * lo + 1, 2 * up + 1)
                 w[:, k + 1] = (r, -r)
-                k_of[[up, lo]] = k
-                coef[[up, lo]] = r
-                k_of[[n2 + up, n2 + lo]] = k + 1
-                coef[[n2 + up, n2 + lo]] = (-r, r)
                 k += 2
+        # the inverse: float entry at[j, k] is the real part of flat entry
+        # at[j, k] // 2, or its imaginary part if odd, with weight w[j, k]
+        k_of = np.zeros(2 * n2, dtype=np.intp)
+        coef = np.zeros(2 * n2)
+        used = w != 0
+        part = (at % 2 * n2 + at // 2)[used]
+        k_of[part] = np.nonzero(used)[1]
+        coef[part] = w[used]
         self.nb = nb
         self.n2 = n2
         self.at, self.w, self.k_of, self.coef = at, w, k_of, coef
@@ -217,10 +223,10 @@ def _padded(mask: np.ndarray):
 
 
 def _slot_sum(t: np.ndarray) -> np.ndarray:
-    """t summed over its slot axis 2, slot by slot in place into t[:, :, 0]."""
-    for j in range(1, t.shape[2]):
-        t[:, :, 0] += t[:, :, j]
-    return t[:, :, 0]
+    """t summed over its slot axis -2, slot by slot in place into t[..., 0, :]."""
+    for j in range(1, t.shape[-2]):
+        t[..., 0, :] += t[..., j, :]
+    return t[..., 0, :]
 
 
 # add_schur forms its products for a slice of Schur columns whose temporaries
@@ -238,14 +244,15 @@ SCHUR_STACK_ENTRIES = 2**19
 
 
 class _BlockRows:
-    """One block's constraints in a padded row layout.
+    """One block's constraints in a padded, slot-major row layout.
 
     Built from the (m, n2) basis coordinates of the block's rows; the block
     covers the rows lo .. lo + span - 1. Row i (relative to lo) keeps its
-    nonzero coordinates as indices cols[i] and values vals[i], padded with
-    zero indices and zero values to the widest row, so a row sum is a slot
-    sum; cols_t is cols transposed and contiguous, the order in which the
-    Schur assembly gathers and A^T(y) scatters.
+    nonzero coordinates as indices cols[:, i] and values vals[:, i], padded
+    with zero indices and zero values to the widest row, so a row sum is a
+    slot sum. cols and vals have shape (slots, span), each slot one
+    contiguous row: row_sums, the one reader of A(X) and of the Schur
+    assembly, and A^T(y)'s scatter all take them in that order.
 
     Rows equal up to sign (the same cols, and the same or exactly negated
     vals; no other factor, since c x is not exact) give Schur columns equal
@@ -262,19 +269,19 @@ class _BlockRows:
         used = np.flatnonzero(coords.any(axis=1))
         block = coords[used[0] : used[-1] + 1] if used.size else coords[:0]
         keep = block != 0
-        self.cols, real = _padded(keep)
-        self.cols_t = np.ascontiguousarray(self.cols.T)
-        self.vals = np.zeros(real.shape)
-        self.vals[real] = block[keep]
+        cols, real = _padded(keep)
+        vals = np.zeros(real.shape)
+        vals[real] = block[keep]
+        self.cols, self.vals = np.ascontiguousarray(cols.T), np.ascontiguousarray(vals.T)
         # each row signed so that its first value is positive (+ 0.0 turns
         # the padding's -0.0 back into 0.0), and its first occurrence as such
-        lead = np.where(self.vals[:, 0] < 0, -1.0, 1.0)
-        signed = np.hstack([self.cols, lead[:, None] * self.vals + 0.0])
+        lead = np.where(vals[:, 0] < 0, -1.0, 1.0)
+        signed = np.hstack([cols, lead[:, None] * vals + 0.0])
         _, at, inverse = np.unique(signed, axis=0, return_index=True, return_inverse=True)
         self.first = at[inverse.reshape(-1)]
         self.sign = lead * lead[self.first]
         # a zero row adds nothing: it gets no column and no run
-        filled = self.vals[:, 0] != 0
+        filled = vals[:, 0] != 0
         distinct = np.flatnonzero((self.first == np.arange(len(block))) & filled)
         pos = np.searchsorted(distinct, self.first)
         # row r extends row r - 1's run if it maps one further with the same sign
@@ -295,6 +302,16 @@ class _BlockRows:
         self.basis = tab
         self.lo = int(used[0]) if used.size else 0
         self.span = block.shape[0]
+
+    def row_sums(self, u: np.ndarray) -> np.ndarray:
+        """sum_k a_ik u_k for every row i of the block, over the last axis of u.
+
+        The coordinates at each slot of every row are gathered and scaled in
+        place (a fresh product array costs more), then summed slot by slot.
+        """
+        t = np.take(u, self.cols, axis=-1)
+        t *= self.vals
+        return _slot_sum(t)
 
     def add_schur(self, x: np.ndarray, zi: np.ndarray, out_t: np.ndarray) -> None:
         """out_t[k, j, i] += Re tr(X_k A_i Z_k^-1 A_j) over this block's rows.
@@ -317,11 +334,7 @@ class _BlockRows:
             stop = min(j + step, count)
             f = np.matmul(np.take(x, self.nz_rows[j:stop], axis=2).transpose(0, 2, 1, 3),
                           v[:, j:stop])
-            # coordinates of X A_j Z^-1 at each slot of every row i, scaled
-            # in place: a fresh product array costs more
-            h = np.take(_svec(self.basis, f), self.cols_t, axis=2)
-            h *= self.vals.T
-            col = _slot_sum(h)
+            col = self.row_sums(_svec(self.basis, f))
             for row, first, length, add in self.runs:
                 lo, hi = max(j, first), min(stop, first + length)
                 if lo < hi:
@@ -396,9 +409,14 @@ class SdpSolution:
     history: list = field(default_factory=list)
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    """<A, B> = Re tr(AB) for Hermitian A; Re tr(A^H B) in general."""
-    return float(np.vdot(a, b).real)
+def _vdots(a: list, b: list) -> list:
+    """sum_b <A_b[k], B_b[k]> per problem k, over two lists of block stacks.
+
+    <A, B> = Re tr(AB) for Hermitian A, Re tr(A^H B) in general: one np.vdot
+    per problem and block, so each problem's sum is that of a stack of one.
+    """
+    return [sum(float(np.vdot(ab[k], bb[k]).real) for ab, bb in zip(a, b))
+            for k in range(len(a[0]))]
 
 
 # The operators below act on a stack of problems: every X_b, Z_b and the
@@ -409,8 +427,7 @@ def _apply(prob: SdpProblem, mats) -> np.ndarray:
     """A(X)_i = sum_b <A_ib, X_b>, per problem."""
     out = np.zeros((len(mats[0]), prob.m))
     for blk, w in zip(prob.a_rows, mats):
-        t = blk.vals * np.take(_svec(blk.basis, w), blk.cols, axis=1)
-        out[:, blk.lo : blk.lo + blk.span] += _slot_sum(t)
+        out[:, blk.lo : blk.lo + blk.span] += blk.row_sums(_svec(blk.basis, w))
     return out
 
 
@@ -425,8 +442,8 @@ def _adjoint(prob: SdpProblem, y: np.ndarray) -> list:
     count = len(y)
     for blk in prob.a_rows:
         n2 = blk.basis.n2
-        t = blk.vals.T * y[:, None, blk.lo : blk.lo + blk.span]
-        idx = (np.arange(count)[:, None] * n2 + blk.cols_t.ravel()).ravel()
+        t = blk.vals * y[:, None, blk.lo : blk.lo + blk.span]
+        idx = (np.arange(count)[:, None] * n2 + blk.cols.ravel()).ravel()
         u = np.bincount(idx, t.ravel(), minlength=count * n2).reshape(count, n2)
         out.append(_smat(blk.basis, u))
     return out
@@ -645,7 +662,8 @@ def _run_lanes(work, items, lanes: int) -> list:
     has raised; the items before a failed one were all taken already, so
     they still run, and the error of the first failed item is raised, as a
     serial loop would raise it. Every helper is joined before this returns
-    or raises.
+    or raises. One lane is this thread alone, with no helper: it runs the
+    items in order and stops at the first that raises, as a serial loop does.
 
     The calling thread runs a lane so that no thread more than the lanes
     holds a heap of its own. A concurrent.futures.ThreadPoolExecutor whose
@@ -656,8 +674,6 @@ def _run_lanes(work, items, lanes: int) -> list:
     thread), most likely through that extra thread's own malloc arena.
     """
     items = list(items)
-    if lanes <= 1:
-        return [work(item) for item in items]
     out = [None] * len(items)
     errors = {}
     lock = threading.Lock()
@@ -736,7 +752,7 @@ def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
     count = len(c[0])
     n_tot = sum(prob.blocks)
     norm_b = np.abs(b).max(axis=1, initial=0.0).tolist()
-    norm_c = [float(np.sqrt(sum(_inner(cb[k], cb[k]) for cb in c))) for k in range(count)]
+    norm_c = [float(np.sqrt(v)) for v in _vdots(c, c)]
     tau = np.array([1.0 + max(bk, ck) for bk, ck in zip(norm_b, norm_c)])[:, None, None]
     x = [tau * np.eye(nb, dtype=complex) for nb in prob.blocks]
     z = [tau * np.eye(nb, dtype=complex) for nb in prob.blocks]
@@ -750,30 +766,26 @@ def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
     history = [[] for _ in ids]
     out = [None] * count
     for k in range(MAX_ITER + 1):
-        live = range(len(ids))
-        conic = [sum(_inner(xb[i], zb[i]) for xb, zb in zip(x, z)) for i in live]
-        pobj = [sum(_inner(cb[i], xb[i]) for cb, xb in zip(c, x)) for i in live]
-        dobj = [float(b[i] @ y[i]) for i in live]
+        conic, pobj = _vdots(x, z), _vdots(c, x)
+        dobj = [float(bk @ yk) for bk, yk in zip(b, y)]
         rp = b - _apply(prob, x)
         rd = [cb - a - zb for cb, a, zb in zip(c, _adjoint(prob, y), z)]
         rp_norm = np.abs(rp).max(axis=1, initial=0.0).tolist()
-        rd_norm = [float(np.sqrt(sum(_inner(r[i], r[i]) for r in rd))) for i in live]
-        norm_x = np.max([np.abs(xb).max(axis=(1, 2)) for xb in x], axis=0).tolist()
-        norm_zy = np.max([np.abs(y).max(axis=1, initial=0.0)]
-                         + [np.abs(zb).max(axis=(1, 2)) for zb in z], axis=0).tolist()
-        ended = {}
-        for i in live:
+        rd_norm = [float(np.sqrt(v)) for v in _vdots(rd, rd)]
+        norm = np.max([np.abs(y).max(axis=1, initial=0.0)]
+                      + [np.abs(w).max(axis=(1, 2)) for w in x + z], axis=0).tolist()
+        keep = []
+        for i in range(len(ids)):
             history[i].append({"iter": k, "mu": conic[i] / n_tot, "pobj": pobj[i], "dobj": dobj[i],
                                "rp": rp_norm[i], "rd": rd_norm[i], "conic": conic[i]})
-            status = _status(history[i][-1], max(norm_x[i], norm_zy[i]), norm_b[i], norm_c[i])
-            if status is not None:
-                ended[i] = status
-        for i, status in ended.items():
+            status = _status(history[i][-1], norm[i], norm_b[i], norm_c[i])
+            if status is None:
+                keep.append(i)
+                continue
             out[ids[i]] = SdpSolution(
                 status=status, x_blocks=[xb[i] for xb in x], y=y[i], z_blocks=[zb[i] for zb in z],
                 pobj=pobj[i], dobj=dobj[i], gap=conic[i], iterations=k, history=history[i])
-        if ended:
-            keep = [i for i in live if i not in ended]
+        if len(keep) < len(ids):
             ids, conic, norm_b, norm_c, history = ([a[i] for i in keep]
                                                    for a in (ids, conic, norm_b, norm_c, history))
             x, z, c, rd = ([a[keep] for a in arrs] for arrs in (x, z, c, rd))
@@ -794,9 +806,8 @@ def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
         x_aff = [xb + ap[:, None, None] * dxb for xb, dxb in zip(x, dx)]
         z_aff = [zb + ad[:, None, None] * dzb for zb, dzb in zip(z, dz)]
         sigma_mu = []
-        for i in range(len(ids)):
-            mu = conic[i] / n_tot
-            mu_aff = sum(_inner(xa[i], za[i]) for xa, za in zip(x_aff, z_aff)) / n_tot
+        for gap, gap_aff in zip(conic, _vdots(x_aff, z_aff)):
+            mu, mu_aff = gap / n_tot, gap_aff / n_tot
             # a Python float: numpy's ** rounds differently in the last bit
             sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
             sigma_mu.append(sigma * mu)

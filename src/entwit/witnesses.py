@@ -82,10 +82,14 @@ def validate(w: Witness) -> ValidationReport:
     one has <ij|W|ij> >= 0 on the product basis, a necessary condition only,
     since the witness carries no level-2 certificate: both are checked as the
     violation ``diagonal`` = max(0, -min_i W_ii). The normalisation
-    trace-equals-d is checked as ``trace`` = |Tr W - D|, and the bounds
-    (n, m) as -n <= eig <= m. The report is ok when no violation exceeds
-    PART_ATOL. ValueError for a class not in CLASSES.
+    trace-equals-d is checked as ``trace`` = |Tr W - D|, and op-leq-i as the
+    bound W <= I it names; the bounds (n, m) as -n <= eig <= m, with m at
+    most 1 under op-leq-i. The report is ok when no violation exceeds
+    PART_ATOL. ValueError for a class not in CLASSES, or a normalisation
+    other than none, trace-equals-d and op-leq-i.
     """
+    if w.trace_norm_choice not in (None, TRACE_EQUALS_D, OP_LEQ_I):
+        raise ValueError(f"unknown trace_norm_choice {w.trace_norm_choice!r}")
     violations = []
     if _known_class(w.kind) in (DECOMPOSABLE_BIPARTITE, DECOMPOSABLE_MULTI):
         p = w.parts.get("P") if w.parts else None
@@ -106,6 +110,8 @@ def validate(w: Witness) -> ValidationReport:
     if w.trace_norm_choice == TRACE_EQUALS_D:
         violations.append(("trace", abs(float(np.trace(w.op.mat).real) - w.op.dim)))
     n, m = w.bounds
+    if w.trace_norm_choice == OP_LEQ_I:
+        m = min(m, 1.0)
     eigs = np.linalg.eigvalsh(w.op.mat)
     if math.isfinite(n):
         violations.append(("lower bound", max(0.0, -float(eigs[0]) - n)))

@@ -218,7 +218,7 @@ def test_sparse_operators_match_dense_formulas(seed, dims):
     d = sizes[0]
     assert [np.count_nonzero(blk.vals) for blk in prob.a_rows[:2]] == [d * d + d, d * d]
     # the trace row makes block 0 d slots wide, so its row sums add slots
-    assert prob.a_rows[0].vals.shape[1] == d
+    assert prob.a_rows[0].vals.shape[0] == d
     # the operators act on a stack of problems; at 3x3 the Schur assembly of
     # block 0 for a stack of three takes more than one slice of columns
     count = 3
@@ -250,7 +250,7 @@ def test_sparse_operators_match_dense_formulas(seed, dims):
 def dense_rows(blk) -> np.ndarray:
     """The block's constraint matrices A_i, for i in lo .. lo + span - 1, from cols and vals."""
     mats = sdp._basis(blk.basis.nb).mats
-    return np.einsum("is,isab->iab", blk.vals, mats[blk.cols])
+    return np.einsum("si,siab->iab", blk.vals, mats[blk.cols])
 
 
 @pytest.mark.parametrize(
@@ -273,7 +273,7 @@ def test_schur_over_distinct_rows(monkeypatch, measure, runs, distinct, width):
     prob, _, _ = captured_solve(measure)
     assert [len(blk.runs) for blk in prob.a_rows] == runs
     assert [len(blk.nz_rows) for blk in prob.a_rows] == distinct
-    assert max(blk.vals.shape[1] for blk in prob.a_rows) == width
+    assert max(blk.vals.shape[0] for blk in prob.a_rows) == width
     count = 3
     rng = np.random.default_rng(7)
     x = [np.stack([rand_pd(rng, nb) for _ in range(count)]) for nb in prob.blocks]
@@ -324,7 +324,7 @@ def _slots_summed(t: np.ndarray) -> np.ndarray:
 def _apply_indexed(prob, mats) -> np.ndarray:
     out = np.zeros((len(mats[0]), prob.m))
     for blk, w in zip(prob.a_rows, mats):
-        t = blk.vals * _svec_indexed(blk.basis, w)[:, blk.cols]
+        t = blk.vals.T * _svec_indexed(blk.basis, w)[:, blk.cols.T]
         out[:, blk.lo : blk.lo + blk.span] += _slots_summed(t)
     return out
 
@@ -337,8 +337,8 @@ def _schur_indexed(prob, x, zi) -> np.ndarray:
         nb = blk.basis.nb
         v = (blk.row_vals.reshape(-1, nb) @ zib).reshape(zib.shape[:1] + blk.row_vals.shape)
         f = np.matmul(xb[:, :, blk.nz_rows].transpose(0, 2, 1, 3), v)
-        col = _slots_summed(_svec_indexed(blk.basis, f)[:, :, blk.cols.T] * blk.vals.T)
-        filled = blk.vals[:, 0] != 0
+        col = _slots_summed(_svec_indexed(blk.basis, f)[:, :, blk.cols] * blk.vals)
+        filled = blk.vals[0] != 0
         distinct = np.flatnonzero((blk.first == np.arange(blk.span)) & filled)
         for r in np.flatnonzero(filled):
             dst = out_t[:, blk.lo + r, blk.lo : blk.lo + blk.span]
@@ -1256,12 +1256,19 @@ def test_helper_lane_error_reaches_the_caller(monkeypatch):
         return real_schur(schur_t, lu)
 
     def one_each(real, *args):
-        if threading.get_ident() == caller:
-            caller_in.set()
-            assert helper_ran.wait(10)
-        else:
+        if threading.get_ident() != caller:
             assert caller_in.wait(10)
-        return real(*args)
+            return real(*args)
+        caller_in.set()
+        assert helper_ran.wait(10)
+        out = real(*args)
+        # a helper lane ends only after it has recorded its error, so the
+        # caller takes its next sub-stack only once the failure is known
+        for helper in threading.enumerate():
+            if helper.name == "entwit-sdp-lane":
+                helper.join(10)
+                assert not helper.is_alive()
+        return out
 
     monkeypatch.setattr(sdp, "_schur_solver", singular_off_the_caller)
     # the helper lane starts its sub-stack once the caller has taken one,
@@ -1303,20 +1310,39 @@ def test_lowest_failed_sub_stack_raises(monkeypatch):
     assert sorted(calls) == [0, 1, 2]
 
 
-def test_lanes_take_every_item_once():
+@pytest.mark.parametrize("lanes", [1, 8])
+def test_lanes_take_every_item_once(lanes):
     # more lanes than CPUs and a short switch interval: a lost update of the
-    # shared position would run an item twice or never
+    # shared position would run an item twice or never; one lane is the
+    # calling thread alone, taking the items in order
     calls = []
     interval = sys.getswitchinterval()
     threads = threading.active_count()
     try:
         sys.setswitchinterval(1e-6)
-        out = sdp._run_lanes(lambda i: calls.append(i) or np.sqrt(float(i)), range(2000), 8)
+        out = sdp._run_lanes(lambda i: calls.append(i) or np.sqrt(float(i)), range(2000), lanes)
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads
-    assert sorted(calls) == list(range(2000))
+    assert (calls if lanes == 1 else sorted(calls)) == list(range(2000))
     assert out == [np.sqrt(float(i)) for i in range(2000)]
+
+
+def test_one_lane_stops_at_the_first_failure():
+    # one lane runs no item after the first that fails, and raises its error
+    calls = []
+
+    def work(i):
+        calls.append(i)
+        if i in (3, 5):
+            raise SolverError(f"item {i}")
+        return i
+
+    threads = threading.active_count()
+    with pytest.raises(SolverError, match="item 3"):
+        sdp._run_lanes(work, range(8), 1)
+    assert threading.active_count() == threads
+    assert calls == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("env, lanes", [

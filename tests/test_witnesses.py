@@ -11,6 +11,7 @@ from entwit.measures import (
     e_nm_ppt,
     negativity,
     rg_dps2,
+    rg_ppt,
     rg_ppt_closed,
     rr_ppt,
     ssr_nonlocality,
@@ -19,6 +20,7 @@ from entwit.spin import toth_witness
 from entwit.states import isotropic, max_entangled, random_density, vc_ssr_state
 from entwit.symmetry import symmetric_witness_opt
 from entwit.witnesses import (
+    CLASSES,
     DECOMPOSABLE_BIPARTITE,
     PART_ATOL,
     SSR_DIAGONAL,
@@ -175,8 +177,16 @@ def _made_up_class():
     return w
 
 
+def _rg_ppt_plus_identity_unbounded():
+    # W + I and P + I recompose, and no m is stated: op-leq-i alone bounds
+    # W <= I, which W + I breaks by about 1
+    w = _shifted(rg_ppt(_state((2, 2)), Cut([0])).witness, np.eye(4), "P")
+    return replace(w, bounds=(w.bounds[0], math.inf))
+
+
 # (witness builder, what validate says: None for ok, the one violation over
-# PART_ATOL for a rejected witness, ValueError for a class it does not know)
+# PART_ATOL for a rejected witness, the ValueError for a class or a
+# normalisation it does not know)
 PRODUCED_AND_BROKEN = {
     "negativity": (lambda: negativity(_state((2, 3)), Cut([0])).witness, None),
     "rg_ppt_closed": (lambda: rg_ppt_closed(_state((2, 3)), Cut([0])).witness, None),
@@ -199,7 +209,11 @@ PRODUCED_AND_BROKEN = {
     "rr_ppt-trace-off": (
         lambda: _shifted(rr_ppt(_state((2, 2)), Cut([0])).witness, 0.01 * np.eye(4) / 4, "P"),
         "trace"),
-    "unknown-class": (_made_up_class, ValueError),
+    "op-leq-i-without-m": (_rg_ppt_plus_identity_unbounded, "upper bound"),
+    "unknown-class": (_made_up_class, ValueError("unknown witness class 'made-up'")),
+    "unknown-normalisation": (
+        lambda: replace(rg_ppt(_state((2, 2)), Cut([0])).witness, trace_norm_choice="made-up"),
+        ValueError("unknown trace_norm_choice 'made-up'")),
 }
 
 
@@ -211,12 +225,14 @@ def test_validate_matches_validate_witness(tmp_path, capsys, case):
     path.write_text(witness_to_json(w))
     rc = main(["validate-witness", "--witness", str(path)])
     out, err = capsys.readouterr()
-    if want is ValueError:
-        for check in (lambda: validate(w), lambda: witness_from_json(path.read_text())):
-            with pytest.raises(ValueError, match="unknown witness class 'made-up'"):
-                check()
+    if isinstance(want, ValueError):
+        with pytest.raises(ValueError, match=str(want)):
+            validate(w)
+        if w.kind not in CLASSES:
+            with pytest.raises(ValueError, match=str(want)):
+                witness_from_json(path.read_text())
         assert (rc, out) == (1, "")
-        assert err.startswith("error: unknown witness class")
+        assert err.startswith(f"error: {want}")
         return
     rep = validate(w)
     assert [name for name, v in rep.violations if v > PART_ATOL] == ([] if want is None else [want])
