@@ -21,6 +21,7 @@ from . import __version__
 from .bounds import eof_lower_rr
 from .linalg import Cut, SystemShape
 from .measures import (
+    CLOSED_FORM_TOL,
     MeasureResult,
     concurrence_2q,
     e_nm_ppt,
@@ -65,17 +66,38 @@ from .witnesses import (
 FIG56_CHUNK = 64
 
 # measure name -> (number of cuts it takes, None for one or more;
-#                  fn(rho, cuts, n, m)): the compute choices and their dispatch
+#                  whether it takes the box bounds --n and --m;
+#                  fn(rho, cuts, **box)): the compute choices and their dispatch
 MEASURES = {
-    "negativity": (1, lambda rho, cuts, n, m: negativity(rho, cuts[0])),
-    "rg-ppt-closed": (1, lambda rho, cuts, n, m: rg_ppt_closed(rho, cuts[0])),
-    "rg-ppt": (1, lambda rho, cuts, n, m: rg_ppt(rho, cuts[0])),
-    "e-nm-ppt": (None, e_nm_ppt),
-    "rr-ppt": (1, lambda rho, cuts, n, m: rr_ppt(rho, cuts[0])),
-    "rains": (1, lambda rho, cuts, n, m: rains_fidelity(rho, cuts[0])),
-    "concurrence": (0, lambda rho, cuts, n, m: MeasureResult(concurrence_2q(rho), 1e-12)),
-    "ssr-nonlocality": (0, lambda rho, cuts, n, m: ssr_nonlocality(rho)),
-    "rg-dps2": (1, lambda rho, cuts, n, m: rg_dps2(rho, cuts[0])),
+    "negativity": (1, False, lambda rho, cuts: negativity(rho, cuts[0])),
+    "rg-ppt-closed": (1, False, lambda rho, cuts: rg_ppt_closed(rho, cuts[0])),
+    "rg-ppt": (1, False, lambda rho, cuts: rg_ppt(rho, cuts[0])),
+    "e-nm-ppt": (None, True, lambda rho, cuts, n=1.0, m=1.0: e_nm_ppt(rho, cuts, n, m)),
+    "rr-ppt": (1, False, lambda rho, cuts: rr_ppt(rho, cuts[0])),
+    "rains": (1, False, lambda rho, cuts: rains_fidelity(rho, cuts[0])),
+    "concurrence": (0, False, lambda rho, cuts: MeasureResult(concurrence_2q(rho),
+                                                              CLOSED_FORM_TOL)),
+    "ssr-nonlocality": (0, False, lambda rho, cuts: ssr_nonlocality(rho)),
+    "rg-dps2": (1, False, lambda rho, cuts: rg_dps2(rho, cuts[0])),
+}
+
+
+def _seeded(args) -> tuple:
+    """(total dim, seed, shape) of --dims and --seed, for the random kinds."""
+    shape = _parse_dims(args.dims)
+    return shape.total_dim, np.random.SeedSequence((args.seed, 0)), shape
+
+
+# state kind -> fn(args) giving its DensityMatrix: the gen-state choices and
+# their dispatch
+STATE_KINDS = {
+    "bell": lambda args: max_entangled(args.d).density(),
+    "isotropic": lambda args: isotropic(args.d, args.p),
+    "horodecki": lambda args: horodecki_3x3(args.a),
+    "w-ghz-mix": lambda args: w_ghz_mix(args.q),
+    "vc-ssr": lambda args: vc_ssr_state(),
+    "random": lambda args: random_density(*_seeded(args)),
+    "random-pure": lambda args: random_pure(*_seeded(args)).density(),
 }
 
 
@@ -139,12 +161,15 @@ def _load_state(path: str) -> DensityMatrix:
 
 
 def cmd_compute(args) -> int:
-    count, fn = MEASURES[args.measure]
+    count, takes_box, fn = MEASURES[args.measure]
     texts = args.cut or (["0"] if count != 0 else [])
     if count is not None and len(texts) != count:
         raise ValueError(f"measure {args.measure!r} takes {count} --cut, got {len(texts)}")
+    box = {k: v for k, v in (("n", args.n), ("m", args.m)) if v is not None}
+    if box and not takes_box:
+        raise ValueError(f"measure {args.measure!r} takes no --n or --m")
     rho = _load_state(args.state)
-    res = fn(rho, [_parse_cut(c) for c in texts], args.n, args.m)
+    res = fn(rho, [_parse_cut(c) for c in texts], **box)
     doc = {"measure": args.measure, "value": res.value, "tolerance": res.tolerance}
     if args.witness_out:
         if res.witness is None:
@@ -157,28 +182,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_gen_state(args) -> int:
-    kind = args.kind
-    if kind == "bell":
-        rho = max_entangled(args.d).density()
-    elif kind == "isotropic":
-        rho = isotropic(args.d, args.p)
-    elif kind == "horodecki":
-        rho = horodecki_3x3(args.a)
-    elif kind == "w-ghz-mix":
-        rho = w_ghz_mix(args.q)
-    elif kind == "vc-ssr":
-        rho = vc_ssr_state()
-    elif kind in ("random", "random-pure"):
-        shape = _parse_dims(args.dims)
-        total = shape.total_dim
-        seq = np.random.SeedSequence((args.seed, 0))
-        if kind == "random":
-            rho = random_density(total, seq, shape)
-        else:
-            rho = random_pure(total, seq, shape).density()
-    else:
-        raise ValueError(f"unknown state kind {kind!r}")
-    text = state_to_json(rho)
+    text = state_to_json(STATE_KINDS[args.kind](args))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -222,10 +226,9 @@ def cmd_fig56(args) -> int:
     negs, rgs = [], []
     for start in range(0, args.samples, FIG56_CHUNK):
         rhos = stream_densities(shape.total_dim, seeds[start:start + FIG56_CHUNK])
-        neg, _, _, lam = negativity_stack(rhos, shape.local_dims, (0,))
+        neg, _, _, rg = negativity_stack(rhos, shape.local_dims, (0,))
         negs.append(neg)
-        # abs: the negativity of a state with no negative eigenvalue is -0.0
-        rgs.append(np.abs(neg) / lam)
+        rgs.append(rg)
     neg, rg = np.concatenate(negs), np.concatenate(rgs)
     frac = float(np.mean(rg <= 2.0 * neg + 1e-12))
     _emit_csv(args.out, config, ["negativity", "rg_ppt"], list(zip(neg.tolist(), rg.tolist())),
@@ -301,7 +304,7 @@ def cmd_heisenberg(args) -> int:
 
 def cmd_isotropic(args) -> int:
     d = args.d
-    ns = _parse_floats(args.n_list) if args.n_list else [
+    ns = _parse_floats(args.n_list) if args.n_list is not None else [
         0.5, 1.0, d - 1.0, float(d), 2.0 * d,
     ]
     ps = np.linspace(0.0, 1.0, args.p_count)
@@ -338,15 +341,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--state", required=True, help="state JSON file")
     pc.add_argument("--cut", action="append",
                     help="comma-separated party indices; repeatable")
-    pc.add_argument("--n", type=float, default=1.0)
-    pc.add_argument("--m", type=float, default=1.0)
+    pc.add_argument("--n", type=float, help="e-nm-ppt only; default 1")
+    pc.add_argument("--m", type=float, help="e-nm-ppt only; default 1")
     pc.add_argument("--witness-out", help="write the optimal witness JSON here")
     pc.set_defaults(func=cmd_compute)
 
     pg = sub.add_parser("gen-state", help="write a state in the JSON format")
-    pg.add_argument("--kind", required=True,
-                    choices=("bell", "isotropic", "horodecki", "w-ghz-mix",
-                             "vc-ssr", "random", "random-pure"))
+    pg.add_argument("--kind", required=True, choices=STATE_KINDS)
     pg.add_argument("--d", type=int, default=2)
     pg.add_argument("--p", type=float, default=1.0)
     pg.add_argument("--a", type=float, default=0.5)

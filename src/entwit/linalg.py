@@ -56,19 +56,32 @@ class Cut:
             raise ValueError("cut must be a proper subset of the subsystems")
 
 
-def _herm_array(m: np.ndarray) -> np.ndarray:
-    """(m + m†)/2 over the last two axes; leading axes are a stack.
+def _herm(m: np.ndarray) -> np.ndarray:
+    """(m + m†)/2 over the last two axes, unchecked; leading axes are a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
-    Rejects non-square input and a stack with any member whose
-    anti-Hermitian part exceeds ``HERM_ATOL`` in an entry.
+
+def _check_herm(mats, what: str = "matrix", shape: tuple | None = None) -> np.ndarray:
+    """mats as a complex array, not symmetrized; leading axes are a stack.
+
+    Rejects input of another shape than shape (if given), non-square
+    input, and a stack with any member whose anti-Hermitian part exceeds
+    ``HERM_ATOL`` in an entry.
     """
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError("entries must form a square matrix")
-    mh = m.conj().swapaxes(-1, -2)
-    asym = np.abs(m - mh).max() if m.size else 0.0
+    mats = np.asarray(mats, dtype=complex)
+    if shape is not None and mats.shape != shape:
+        raise ValueError(f"{what} has shape {mats.shape}, not {shape}")
+    if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
+        raise ValueError(f"{what} must be square, got shape {mats.shape}")
+    asym = np.abs(mats - mats.conj().swapaxes(-1, -2)).max() if mats.size else 0.0
     if asym > HERM_ATOL:
-        raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
-    return (m + mh) / 2
+        raise ValueError(f"{what} is not Hermitian (asymmetry {asym:.3e})")
+    return mats
+
+
+def _herm_array(m) -> np.ndarray:
+    """_herm of the checked stack m: (m + m†)/2 once _check_herm accepts m."""
+    return _herm(_check_herm(m))
 
 
 class HermitianMatrix:

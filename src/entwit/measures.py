@@ -9,6 +9,15 @@ the other terms are divided by s = max(1, lambda_max(their image) / c)
 (Jansson, Chaykin and Keil, SIAM J. Numer. Anal. 46, 180, 2007); a lone
 1 x 1 row with no slack gets image / c. c may differ from state to state,
 so the states of a stack share the SDP's rows, not its right-hand side.
+
+Every SDP measure's *_stack body opens with _stack, which checks each state
+of the stack as DensityMatrix checks one. The closed forms (negativity,
+its rescaling to the robustness bound |N| / lambda_max, which
+negativity_stack returns too, and the concurrence) report the tolerance
+CLOSED_FORM_TOL; _closed_rg is the one expression of that bound.
+_clipped_eigh is the one clipped spectrum: the psd parts of a witness
+(_psd_clip), the states of a mixing certificate (_to_density) and the
+square root of the state in concurrence_2q are rebuilt from it.
 """
 
 from __future__ import annotations
@@ -22,13 +31,15 @@ from .linalg import (
     Cut,
     HermitianMatrix,
     SystemShape,
+    _check_herm,
     _eigh_array,
+    _herm,
     _herm_array,
     _pt_array,
     _ptrace_array,
 )
 from .sdp import HermitianSdp
-from .states import DensityMatrix
+from .states import DensityMatrix, _check_density
 from .witnesses import (
     DECOMPOSABLE_BIPARTITE,
     DECOMPOSABLE_MULTI,
@@ -41,6 +52,8 @@ from .witnesses import (
 )
 
 SDP_TOL = 1e-6
+# the tolerance every closed-form MeasureResult reports
+CLOSED_FORM_TOL = 1e-12
 NEG_EIG_CUT = -1e-10
 DPS2_DIM_CAP = 9
 
@@ -53,10 +66,22 @@ class MeasureResult:
     certificate: MixingCertificate | None = None
 
 
+def _clipped_eigh(mat: np.ndarray) -> tuple:
+    """The spectrum of mat's Hermitian part with its negative eigenvalues set
+    to 0, and the matching eigenvector columns."""
+    w, v = np.linalg.eigh(_herm(mat))
+    return np.clip(w, 0.0, None), v
+
+
+def _psd_clip(mat: np.ndarray) -> np.ndarray:
+    """The psd part of mat's Hermitian part: its negative eigenvalues set to 0."""
+    w, v = _clipped_eigh(mat)
+    return (v * w) @ v.conj().T
+
+
 def _to_density(mat: np.ndarray, shape: SystemShape) -> DensityMatrix:
     """Clip solver-level negative eigenvalues and renormalize the trace."""
-    w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
-    w = np.clip(w, 0.0, None)
+    w, v = _clipped_eigh(mat)
     tr = w.sum()
     if tr <= 1e-9:
         return DensityMatrix(np.eye(mat.shape[0]) / mat.shape[0], shape)
@@ -68,7 +93,8 @@ def negativity_stack(rhos: np.ndarray, dims, parties):
 
     Returns per state the negativity N (the sum of |negative eigenvalues|
     of rho^{T_parties}), the projector P onto that eigenspace, P^{T_parties}
-    and its lambda_max (1 for a state with no negative eigenvalue). N is
+    and the robustness lower bound |N| / lambda_max(P^{T_parties}) of
+    rg_from_negativity (0 for a state with no negative eigenvalue). N is
     -0.0 for such a state. States with k negative eigenvalues are handled
     as one group: their eigenvectors are the last k columns, so each P is
     a (d, k) @ (k, d) product, as for a single state.
@@ -85,7 +111,14 @@ def negativity_stack(rhos: np.ndarray, dims, parties):
         proj[group] = vn @ vn.conj().swapaxes(-1, -2)
     proj = _herm_array(proj)
     proj_pt = _pt_array(proj, dims, parties)
-    return value, proj, proj_pt, _lambda_max(proj_pt, value)
+    return value, proj, proj_pt, _closed_rg(value, _lambda_max(proj_pt, value))
+
+
+def _closed_rg(value, lam):
+    """The robustness lower bound |N| / lambda_max of negativity N (a float
+    or an array) and lambda_max of its witness."""
+    # abs: the negativity of a state with no negative eigenvalue is -0.0
+    return abs(value) / lam
 
 
 def _lambda_max(ops: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -114,7 +147,7 @@ def negativity(rho: DensityMatrix, cut: Cut) -> MeasureResult:
         parts={"P": None, "Q": [HermitianMatrix(proj[0], shape)]},
         cuts=[cut],
     )
-    return MeasureResult(value=float(value[0]), tolerance=1e-12, witness=witness)
+    return MeasureResult(value=float(value[0]), tolerance=CLOSED_FORM_TOL, witness=witness)
 
 
 def rg_from_negativity(neg: MeasureResult) -> MeasureResult:
@@ -135,8 +168,7 @@ def rg_from_negativity(neg: MeasureResult) -> MeasureResult:
         cuts=list(w.cuts),
         trace_norm_choice=OP_LEQ_I,
     )
-    # abs: the negativity of a state with no negative eigenvalue is -0.0
-    return MeasureResult(value=abs(neg.value) / lam, tolerance=1e-12, witness=witness)
+    return MeasureResult(_closed_rg(neg.value, lam), CLOSED_FORM_TOL, witness=witness)
 
 
 def rg_ppt_closed(rho: DensityMatrix, cut: Cut) -> MeasureResult:
@@ -198,7 +230,8 @@ def _stack(rhos, shape: SystemShape, cuts=()) -> tuple:
 
     cuts (one Cut or a list of them) becomes a list, each validated on
     shape; rhos becomes a complex (K, D, D) array of states of this shape
-    (an empty list: K = 0).
+    (an empty list: K = 0), not symmetrized, each member checked as
+    DensityMatrix checks one: Hermitian, finite, of unit trace and psd.
     """
     cut_list = [cuts] if isinstance(cuts, Cut) else list(cuts)
     for c in cut_list:
@@ -209,6 +242,7 @@ def _stack(rhos, shape: SystemShape, cuts=()) -> tuple:
         rhos = rhos.reshape(0, dd, dd)
     if rhos.ndim != 3 or rhos.shape[1:] != (dd, dd):
         raise ValueError(f"need a stack of {dd} x {dd} states, got shape {rhos.shape}")
+    _check_density(_check_herm(rhos, "state"))
     return cut_list, rhos
 
 
@@ -396,11 +430,6 @@ def _decomp_kind(cut_list) -> str:
     return DECOMPOSABLE_BIPARTITE if len(cut_list) == 1 else DECOMPOSABLE_MULTI
 
 
-def _psd_clip(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
-
-
 def rg_ppt(rho: DensityMatrix, cut: Cut) -> MeasureResult:
     """PPT generalized robustness: e_nm_ppt with n infinite, m = 1."""
     return e_nm_ppt(rho, [cut], math.inf, 1.0)
@@ -456,14 +485,13 @@ def concurrence_2q(rho: DensityMatrix) -> float:
     shape = rho.require_shape()
     if shape.local_dims != (2, 2):
         raise ValueError("concurrence_2q needs a 2 x 2 qubit pair")
-    yy = np.kron(
-        np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]])
-    )
+    sy = np.array([[0, -1j], [1j, 0]])
+    yy = np.kron(sy, sy)
     flipped = yy @ rho.mat.conj() @ yy
-    w, v = np.linalg.eigh(rho.mat)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    w, v = _clipped_eigh(rho.mat)
+    root = (v * np.sqrt(w)) @ v.conj().T
     inner = root @ flipped @ root
-    sq = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+    sq = np.linalg.eigvalsh(_herm(inner))
     # rank-deficient states leave noise-level eigenvalues whose square
     # roots would pollute the alternating sum
     sq[sq < 1e-13 * max(sq[-1], 0.0)] = 0.0

@@ -53,7 +53,11 @@ the builder maps through each term's adjoint at once; a scalar row is the
 1 x 1 case, so an explicit constraint matrix G on variable v is the row
 {v: lambda e: e * G}. build gives the SdpProblem of those rows, checked for
 independence once, and the right-hand side b. Rows are shared by stacking:
-problems with the same rows run as one stack, whatever their b.
+problems with the same rows run as one stack, whatever their b. The
+Hermitian check of every term image, right-hand side and cost, and the
+Hermitian part (M + M^H)/2 that solve takes of the costs and the loop of
+its steps, are linalg's _check_herm and _herm; term images and right-hand
+sides are only checked, as _svec takes their coordinates as they stand.
 
 Costs and right-hand sides reach the solver only through solve(prob, costs,
 b): one predictor-corrector loop over a stack of K problems that share
@@ -90,7 +94,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import HERM_ATOL
+from .linalg import _check_herm, _herm
 
 DEFAULT_TOL = 1e-7
 MAX_ITER = 200
@@ -200,16 +204,6 @@ def _smat_rows(tab: _Basis, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
     re, im = (np.take(u, offset + np.take(tab.k_of, g)) * np.take(tab.coef, g)
               for g in (f, tab.n2 + f))
     return re + 1j * im
-
-
-def _hermitian(mats, shape: tuple, what: str) -> np.ndarray:
-    """mats as a complex array; ValueError unless it has this shape and is Hermitian."""
-    mats = np.asarray(mats, dtype=complex)
-    if mats.shape != shape:
-        raise ValueError(f"{what} has shape {mats.shape}, not {shape}")
-    if mats.size and np.abs(mats - np.swapaxes(mats, -1, -2).conj()).max() > HERM_ATOL:
-        raise ValueError(f"{what} is not Hermitian")
-    return mats
 
 
 def _padded(mask: np.ndarray):
@@ -463,10 +457,6 @@ def _schur(prob: SdpProblem, x, zi, out_t=None) -> np.ndarray:
     return out_t.transpose(0, 2, 1)
 
 
-def _herm(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().swapaxes(-1, -2)) / 2
-
-
 def _isqrt(s: np.ndarray) -> np.ndarray:
     """A factor F with F F^H = S^-1 (S^-1/2 up to a unitary), eigenvalues floored."""
     w, v = np.linalg.eigh(s)
@@ -617,7 +607,7 @@ def solve(prob: SdpProblem, costs, b) -> list:
     lane has stopped, the lowest sub-stack's if several fail.
     """
     count = len(costs[0])
-    c = [_herm(_hermitian(cb, (count, nb, nb), "cost block"))
+    c = [_herm(_check_herm(cb, "cost block", (count, nb, nb)))
          for nb, cb in zip(prob.blocks, costs, strict=True)]
     b = np.broadcast_to(np.asarray(b, dtype=float), (count, prob.m))  # else ValueError
     fit = max(1, SCHUR_STACK_ENTRIES // max(1, prob.m**2))
@@ -872,10 +862,10 @@ class HermitianSdp:
         coords = {}
         for name, adj in terms.items():
             nb = self._size(name)
-            coords[name] = _svec(_basis(nb), _hermitian(adj(tab.mats), (tab.n2, nb, nb),
-                                                        f"term of {name}"))
+            coords[name] = _svec(_basis(nb), _check_herm(adj(tab.mats), f"term of {name}",
+                                                         (tab.n2, nb, nb)))
         lead = np.shape(rhs)[:-2][-1:]  # the problem axis of a stack, if any; one at most
-        rhs = _svec(tab, _hermitian(rhs, lead + (tab.nb,) * 2, "equality rhs")).reshape(-1, tab.n2)
+        rhs = _svec(tab, _check_herm(rhs, "equality rhs", lead + (tab.nb,) * 2)).reshape(-1, tab.n2)
         start = sum(size * size for _, size, _ in self._rows)
         self._rows.append((rhs, tab.nb, start))
         self._terms.append(coords)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .linalg import Cut, HermitianMatrix, SystemShape, partial_transpose
-from .measures import MeasureResult, _nm_box
+from .measures import CLOSED_FORM_TOL, MeasureResult, _nm_box
 from .states import max_entangled
 from .witnesses import DECOMPOSABLE_BIPARTITE, Witness
 
@@ -90,4 +90,4 @@ def symmetric_witness_opt(d: int, p: float, n: float, m: float) -> MeasureResult
         cuts=[cut],
         trace_norm_choice=choice,
     )
-    return MeasureResult(value=value, tolerance=1e-12, witness=witness)
+    return MeasureResult(value=value, tolerance=CLOSED_FORM_TOL, witness=witness)

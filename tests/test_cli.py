@@ -8,7 +8,17 @@ from entwit import __version__, cli, measures
 from entwit.cli import main
 from entwit.linalg import Cut, HermitianMatrix, SystemShape
 from entwit.measures import e_nm_ppt, isotropic_e_n1, negativity, rg_from_negativity
-from entwit.states import isotropic, random_density, state_from_json, w_ghz_mix
+from entwit.states import (
+    horodecki_3x3,
+    isotropic,
+    max_entangled,
+    random_density,
+    random_pure,
+    state_from_json,
+    state_to_json,
+    vc_ssr_state,
+    w_ghz_mix,
+)
 from entwit.witnesses import (
     DECOMPOSABLE_BIPARTITE,
     SSR_DIAGONAL,
@@ -567,3 +577,73 @@ def test_compute_cut_count_defaults(tmp_path, capsys):
                   "--cut", "0", "--cut", "1", "--n", "inf")
     assert rc == 0
     assert json.loads(out)["value"] >= 0.0
+
+
+@pytest.mark.parametrize("measure", [m for m, (_, box, _) in cli.MEASURES.items() if not box])
+@pytest.mark.parametrize("flags", [("--n", "0"), ("--m", "7"), ("--n", "1", "--m", "1")])
+def test_compute_rejects_box_bounds_off_e_nm_ppt(tmp_path, capsys, measure, flags):
+    st = tmp_path / "s.json"
+    assert main(["gen-state", "--kind", "random", "--dims", "2x2", "--seed", "5",
+                 "--out", str(st)]) == 0
+    assert main(["compute", "--measure", measure, "--state", str(st), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: measure {measure!r} takes no --n or --m\n"
+
+
+def test_compute_e_nm_ppt_box_defaults_to_one(tmp_path, capsys):
+    st = tmp_path / "s.json"
+    assert main(["gen-state", "--kind", "random", "--dims", "2x2", "--seed", "5",
+                 "--out", str(st)]) == 0
+    base = ["compute", "--measure", "e-nm-ppt", "--state", str(st)]
+    rc, out = run(capsys, *base)
+    assert rc == 0
+    assert run(capsys, *base, "--n", "1", "--m", "1") == (0, out)
+    assert run(capsys, *base, "--n", "2")[1] != out
+
+
+@pytest.mark.parametrize("name", ["isotropic", "example1"])
+def test_empty_n_list_is_bad_input(tmp_path, capsys, name):
+    out = tmp_path / "n.csv"
+    assert main(["reproduce", name, "--n-list", "", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_isotropic_default_n_list_config(tmp_path):
+    out = tmp_path / "iso.csv"
+    assert main(["reproduce", "isotropic", "--d", "2", "--p-count", "2", "--out", str(out)]) == 0
+    config = {"command": "isotropic", "d": 2, "p_count": 2, "n_list": "default"}
+    assert out.read_text().splitlines()[0].endswith(f"config={cli._config_hash(config)}")
+    _, rows, _ = read_csv(out)
+    assert sorted({float(row[2]) for row in rows}) == [0.5, 1.0, 2.0, 4.0]
+
+
+# gen-state kind -> (its flags, the library constructor it runs)
+GEN_STATE_CASES = {
+    "bell": (["--d", "3"], lambda: max_entangled(3).density()),
+    "isotropic": (["--d", "3", "--p", "0.4"], lambda: isotropic(3, 0.4)),
+    "horodecki": (["--a", "0.3"], lambda: horodecki_3x3(0.3)),
+    "w-ghz-mix": (["--q", "0.25"], lambda: w_ghz_mix(0.25)),
+    "vc-ssr": ([], vc_ssr_state),
+    "random": (["--dims", "2x3", "--seed", "7"],
+               lambda: random_density(6, np.random.SeedSequence((7, 0)), SystemShape((2, 3)))),
+    "random-pure": (["--dims", "3x2", "--seed", "8"],
+                    lambda: random_pure(6, np.random.SeedSequence((8, 0)),
+                                        SystemShape((3, 2))).density()),
+}
+
+
+@pytest.mark.parametrize("kind", list(GEN_STATE_CASES))
+def test_gen_state_writes_its_library_state(tmp_path, capsys, kind):
+    # the cases cover every kind the parser offers
+    rc, usage = run(capsys, "gen-state", "--help")
+    assert rc == 0 and "{" + ",".join(GEN_STATE_CASES) + "}" in usage
+    flags, make = GEN_STATE_CASES[kind]
+    want = state_to_json(make())
+    st = tmp_path / "s.json"
+    assert main(["gen-state", "--kind", kind, *flags, "--out", str(st)]) == 0
+    assert st.read_text() == want
+    assert run(capsys, "gen-state", "--kind", kind, *flags) == (0, want + "\n")

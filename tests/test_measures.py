@@ -535,3 +535,26 @@ def test_ssr_repair_keeps_diagonal_nonnegative(monkeypatch):
 
 def test_dps2_repair_makes_h0_psd(monkeypatch):
     _assert_forced_repair(monkeypatch, lambda rho: rg_dps2(rho, CUT_A), _dps2_slacks)
+
+
+STACK_CALLS = {
+    "e_nm_ppt": lambda rhos: e_nm_ppt_stack(rhos, Q22, [CUT_A], math.inf, 1.0),
+    "rr_ppt": lambda rhos: rr_ppt_stack(rhos, Q22, CUT_A),
+    "rains": lambda rhos: rains_fidelity_stack(rhos, Q22, CUT_A),
+    "ssr": lambda rhos: ssr_nonlocality_stack(rhos, Q22),
+    "dps2": lambda rhos: rg_dps2_stack(rhos, Q22, CUT_A),
+}
+
+
+@pytest.mark.parametrize("call", list(STACK_CALLS))
+@pytest.mark.parametrize("bad, message", [
+    (np.diag([1.5, -0.5, 0.0, 0.0]), "negative eigenvalue"),
+    (np.diag([1.0, 1.0, 0.0, 0.0]), "trace"),
+    (np.array([[0.5, 0.1, 0, 0], [0, 0.5, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]), "not Hermitian"),
+])
+def test_stack_rejects_a_member_that_is_not_a_state(call, bad, message):
+    # the single-state calls reject such a matrix through DensityMatrix
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(bad, Q22)
+    with pytest.raises(ValueError, match=message):
+        STACK_CALLS[call](np.stack([bell().mat, bad]))
