@@ -226,7 +226,7 @@ def cmd_fig56(args) -> int:
     negs, rgs = [], []
     for start in range(0, args.samples, FIG56_CHUNK):
         rhos = stream_densities(shape.total_dim, seeds[start:start + FIG56_CHUNK])
-        neg, _, _, rg = negativity_stack(rhos, shape.local_dims, (0,))
+        neg, _, _, _, rg = negativity_stack(rhos, shape.local_dims, (0,))
         negs.append(neg)
         rgs.append(rg)
     neg, rg = np.concatenate(negs), np.concatenate(rgs)

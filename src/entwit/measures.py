@@ -92,12 +92,13 @@ def negativity_stack(rhos: np.ndarray, dims, parties):
     """The negative-eigenspace witness of each state of a stack (last two axes).
 
     Returns per state the negativity N (the sum of |negative eigenvalues|
-    of rho^{T_parties}), the projector P onto that eigenspace, P^{T_parties}
-    and the robustness lower bound |N| / lambda_max(P^{T_parties}) of
-    rg_from_negativity (0 for a state with no negative eigenvalue). N is
-    -0.0 for such a state. States with k negative eigenvalues are handled
-    as one group: their eigenvectors are the last k columns, so each P is
-    a (d, k) @ (k, d) product, as for a single state.
+    of rho^{T_parties}), the projector P onto that eigenspace, P^{T_parties},
+    lambda = lambda_max(P^{T_parties}) and the robustness lower bound
+    |N| / lambda of rg_from_negativity; lambda is 1, and so the bound 0, for
+    a state with no negative eigenvalue, whose N is -0.0. States with k
+    negative eigenvalues are handled as one group: their eigenvectors are
+    the last k columns, so each P is a (d, k) @ (k, d) product, as for a
+    single state.
     """
     w, v = _eigh_array(_pt_array(rhos, dims, parties))
     count, d = w.shape
@@ -111,7 +112,8 @@ def negativity_stack(rhos: np.ndarray, dims, parties):
         proj[group] = vn @ vn.conj().swapaxes(-1, -2)
     proj = _herm_array(proj)
     proj_pt = _pt_array(proj, dims, parties)
-    return value, proj, proj_pt, _closed_rg(value, _lambda_max(proj_pt, value))
+    lam = _lambda_max(proj_pt, value)
+    return value, proj, proj_pt, lam, _closed_rg(value, lam)
 
 
 def _closed_rg(value, lam):
@@ -137,9 +139,14 @@ def negativity(rho: DensityMatrix, cut: Cut) -> MeasureResult:
     eigenspace; it reproduces the value exactly. ``negativity_stack`` on
     a stack of one.
     """
+    return _negativity(rho, cut)[0]
+
+
+def _negativity(rho: DensityMatrix, cut: Cut) -> tuple:
+    """negativity(rho, cut) and lambda_max of its witness, from one negativity_stack call."""
     shape = rho.require_shape()
     cut.validate(shape)
-    value, proj, proj_pt, _ = negativity_stack(rho.mat[None], shape.local_dims, cut.party_set)
+    value, proj, proj_pt, lam, _ = negativity_stack(rho.mat[None], shape.local_dims, cut.party_set)
     witness = Witness(
         op=HermitianMatrix(proj_pt[0], shape),
         kind=DECOMPOSABLE_BIPARTITE,
@@ -147,7 +154,7 @@ def negativity(rho: DensityMatrix, cut: Cut) -> MeasureResult:
         parts={"P": None, "Q": [HermitianMatrix(proj[0], shape)]},
         cuts=[cut],
     )
-    return MeasureResult(value=float(value[0]), tolerance=CLOSED_FORM_TOL, witness=witness)
+    return MeasureResult(value=float(value[0]), tolerance=CLOSED_FORM_TOL, witness=witness), float(lam[0])
 
 
 def rg_from_negativity(neg: MeasureResult) -> MeasureResult:
@@ -157,8 +164,12 @@ def rg_from_negativity(neg: MeasureResult) -> MeasureResult:
     lower bound. A state with no negative eigenvalue has the zero witness
     and the value 0.
     """
+    return _rescaled(neg, float(_lambda_max(neg.witness.op.mat[None], np.array([neg.value]))[0]))
+
+
+def _rescaled(neg: MeasureResult, lam: float) -> MeasureResult:
+    """rg_from_negativity(neg), given lambda_max of its witness."""
     w = neg.witness
-    lam = float(_lambda_max(w.op.mat[None], np.array([neg.value]))[0])
     shape = w.op.shape
     witness = Witness(
         op=HermitianMatrix(w.op.mat / lam, shape),
@@ -174,10 +185,10 @@ def rg_from_negativity(neg: MeasureResult) -> MeasureResult:
 def rg_ppt_closed(rho: DensityMatrix, cut: Cut) -> MeasureResult:
     """Certified robustness lower bound from the negative-eigenspace witness.
 
-    rg_from_negativity(negativity(rho, cut)): one eigh of rho^{T_cut} and
-    one eigvalsh of the witness, no SDP.
+    rg_from_negativity(negativity(rho, cut)), from one negativity_stack
+    call: one eigh of rho^{T_cut} and one eigvalsh of the witness, no SDP.
     """
-    return rg_from_negativity(negativity(rho, cut))
+    return _rescaled(*_negativity(rho, cut))
 
 
 def _check_schmidt(cs) -> np.ndarray:

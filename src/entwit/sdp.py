@@ -37,13 +37,13 @@ one contiguous row of a transposed buffer. M is symmetric positive definite
 at every interior iterate, so each iteration factors every Schur matrix once
 by Cholesky, in place from its lower triangle, with numpy's own LAPACK
 dpotrf, and solves the predictor's and the corrector's right-hand sides
-from that factor with dpotrs, as SDPT3 does (Toh, Todd and Tutuncu, Optim.
-Methods Softw. 11, 545, 1999). A matrix without a Cholesky factor raises
-SolverError; nothing retries it by LU. Two conditions fall back to a stacked
-np.linalg.cholesky, as the same test, and one stacked np.linalg.solve per
-right-hand side: the routines do not resolve through numpy's linalg
-extension, or they fail a one-time check against np.linalg.cholesky and
-np.linalg.solve on a fixed system. Every step is deterministic, so a rerun
+from that factor, as SDPT3 does (Toh, Todd and Tutuncu, Optim. Methods
+Softw. 11, 545, 1999), by two BLAS dtrsv calls, with L and then L^T. A
+matrix without a Cholesky factor raises SolverError; nothing retries it by
+LU. Two conditions fall back to a stacked np.linalg.cholesky, as the same
+test, and one stacked np.linalg.solve per right-hand side: the routines do
+not resolve through numpy's linalg extension, or they fail a one-time check
+against np.linalg.cholesky and np.linalg.solve on a fixed system. Every step is deterministic, so a rerun
 on the same inputs, at the same BLAS thread count, is bit-identical.
 
 Constraints reach the solver only through the HermitianSdp builder, which
@@ -70,7 +70,8 @@ call) as the CPUs allow when the BLAS runs one thread per call; LAPACK,
 BLAS and ufunc calls release the interpreter lock. The Schur matrices of
 the sub-stacks that run at once hold at most SCHUR_STACK_ENTRIES doubles
 together, which caps the memory at large m, and every problem's bytes are
-those of its solve alone, whatever the lane count. A problem leaves the stack
+those of its solve alone, whatever the lane count, and whatever the other
+problems of the stack, real or complex (below). A problem leaves the stack
 when it ends, and solve returns the iterate it stopped at. One rule,
 _status, ends a run, read from the history record of each iterate: it
 reports OPTIMAL only when the residuals and the relative gap meet
@@ -81,6 +82,27 @@ and each equality's image sum_v L_v(X_v), over a stack of solutions at
 once, by applying the built problem's rows with _apply, the gather and
 slot sum of the solve; those rows are the only copy of the coordinates
 once built.
+
+A problem with real data runs on its real rows alone. A real row touches
+only diagonal and symmetric basis coordinates, an imaginary row only
+antisymmetric ones. When every row is one or the other, and a problem's
+cost blocks are real and its b is zero on the imaginary rows, complex
+conjugation X -> conj(X) maps its feasible points to feasible points of the
+same objective; this is the symmetry reduction of Gatermann and Parrilo (J.
+Pure Appl. Algebra 192, 95, 2004) for that antiunitary symmetry. From the
+real start every iterate is then real, each imaginary row holds
+identically (<A_i, X> = 0 = b_i), and the Schur entries between real and
+imaginary rows are zero, so the imaginary part of the Newton system
+decouples with dy = 0 there. solve runs such a problem on
+SdpProblem.real_problem, the real rows only, built on first use from the
+problem's own rows with no second independence check, and returns its y
+with zeros on the dropped rows; X and Z stay complex arrays with zero
+imaginary parts, and images still applies the full rows, exact on real X.
+This takes m from 512 to 272 at isotropic d = 4, from 324 to 171 for
+fig7q's DPS2 problems and from 128 to 72 for example1's, and the Schur
+assembly and its factorization shrink with m. The values differ from those
+on the full rows by rounding only: the smaller Cholesky factor sums in
+another order.
 """
 
 from __future__ import annotations
@@ -240,11 +262,11 @@ SCHUR_STACK_ENTRIES = 2**19
 class _BlockRows:
     """One block's constraints in a padded, slot-major row layout.
 
-    Built from the (m, n2) basis coordinates of the block's rows; the block
-    covers the rows lo .. lo + span - 1. Row i (relative to lo) keeps its
-    nonzero coordinates as indices cols[:, i] and values vals[:, i], padded
-    with zero indices and zero values to the widest row, so a row sum is a
-    slot sum. cols and vals have shape (slots, span), each slot one
+    Built from the basis coordinates of the block's rows, an (m, n2) array
+    whose row 0 is the problem's row offset; the block covers the rows lo
+    .. lo + span - 1. Row i (relative to lo) keeps its nonzero coordinates
+    as indices cols[:, i] and values vals[:, i], padded with zero indices
+    and zero values to the widest row, so a row sum is a slot sum. cols and vals have shape (slots, span), each slot one
     contiguous row: row_sums, the one reader of A(X) and of the Schur
     assembly, and A^T(y)'s scatter all take them in that order.
 
@@ -259,7 +281,7 @@ class _BlockRows:
     padded likewise.
     """
 
-    def __init__(self, tab: _Basis, coords: np.ndarray):
+    def __init__(self, tab: _Basis, coords: np.ndarray, offset: int = 0):
         used = np.flatnonzero(coords.any(axis=1))
         block = coords[used[0] : used[-1] + 1] if used.size else coords[:0]
         keep = block != 0
@@ -294,7 +316,7 @@ class _BlockRows:
         self.row_vals = _smat_rows(tab, block[distinct], self.nz_rows)
         self.row_vals[~real] = 0.0
         self.basis = tab
-        self.lo = int(used[0]) if used.size else 0
+        self.lo = offset + (int(used[0]) if used.size else 0)
         self.span = block.shape[0]
 
     def row_sums(self, u: np.ndarray) -> np.ndarray:
@@ -348,7 +370,8 @@ class SdpProblem:
 
     The rows are checked for linear independence once, here, whatever the
     number of problems later solved over them; each problem of a stack
-    brings its own right-hand side to solve.
+    brings its own right-hand side to solve. real_rows and real_problem,
+    built on first use, are the rows solve runs a real-data problem on.
     """
 
     def __init__(self, blocks, coords):
@@ -359,6 +382,45 @@ class SdpProblem:
                 raise ValueError(f"block coordinates have shape {u.shape}, not {(self.m, nb * nb)}")
         self.a_rows = tuple(_BlockRows(_basis(nb), u) for nb, u in zip(self.blocks, coords))
         self._check_independence()
+
+    @functools.cached_property
+    def real_rows(self):
+        """The indices of the real rows if every row is real or imaginary and
+        one at least is imaginary, else None.
+
+        A real row touches only diagonal and symmetric basis coordinates (k <
+        nb, or k - nb even), an imaginary row only antisymmetric ones.
+        """
+        kinds = np.zeros((2, self.m), dtype=bool)  # per row: any real, any imaginary coordinate
+        for blk in self.a_rows:
+            nb = blk.basis.nb
+            imag = (blk.cols >= nb) & ((blk.cols - nb) % 2 == 1)
+            used = blk.vals != 0
+            kinds[:, blk.lo : blk.lo + blk.span] |= [(used & ~imag).any(axis=0), (used & imag).any(axis=0)]
+        if (kinds[0] & kinds[1]).any() or not kinds[1].any():
+            return None
+        return np.flatnonzero(kinds[0])
+
+    @functools.cached_property
+    def real_problem(self) -> SdpProblem:
+        """The problem of the real rows alone, in order, built from a_rows.
+
+        Any subset of independent rows is independent, so it is not checked
+        again; each block's coordinates are dense only while its rows build.
+        """
+        rows = self.real_rows
+        a_rows = []
+        for blk in self.a_rows:
+            lo, hi = np.searchsorted(rows, [blk.lo, blk.lo + blk.span])
+            kept = rows[lo:hi] - blk.lo
+            cols, vals = blk.cols[:, kept], blk.vals[:, kept]
+            used = vals != 0
+            coords = np.zeros((hi - lo, blk.basis.n2))
+            coords[np.nonzero(used)[1], cols[used]] = vals[used]
+            a_rows.append(_BlockRows(blk.basis, coords, int(lo)))
+        sub = SdpProblem.__new__(SdpProblem)
+        sub.blocks, sub.m, sub.a_rows = self.blocks, len(rows), tuple(a_rows)
+        return sub
 
     def _check_independence(self):
         """ValueError when the rows' Gram matrix G has lambda_min <= 1e-10 max(1, lambda_max).
@@ -480,7 +542,7 @@ def _schur_solver(schur_t: np.ndarray, chol):
     column-major. With chol, the routines of _lapack, each M_k is factored
     here by Cholesky, once and in place, from its lower triangle (the
     entries i >= j, LAPACK's uplo "L"), and each call runs only the
-    triangular solves, one LAPACK call per problem; without it, one stacked
+    triangular solves, one cho_solve per problem; without it, one stacked
     np.linalg.cholesky checks the matrices here and each call is one stacked
     np.linalg.solve on them as they stand. Either way each problem's dy does
     not depend on the rest of the stack, and a matrix that is not
@@ -500,16 +562,16 @@ def _schur_solver(schur_t: np.ndarray, chol):
                 raise SolverError("schur system is numerically singular") from err
 
         return solve_each
-    potrf, potrs, itype = chol
+    potrf, cho_solve, itype = chol
     count, m = schur_t.shape[:2]
     # LAPACK reads and writes through raw addresses
     if schur_t.dtype != np.float64 or schur_t.shape != (count, m, m) or not schur_t.flags.c_contiguous:
         raise ValueError("the Schur stack must be a C-contiguous (K, m, m) float64 array")
     size = np.dtype(itype).itemsize
-    # the order m, one right-hand side, then an info slot per problem
+    # the order m, the vector stride 1, then an info slot per problem
     ints = np.zeros(2 + count, dtype=itype)
     ints[:2] = m, 1
-    n, nrhs = ints.ctypes.data, ints.ctypes.data + size
+    n, one = ints.ctypes.data, ints.ctypes.data + size
     per_problem = [(schur_t.ctypes.data + k * schur_t.strides[0], n + (2 + k) * size)
                    for k in range(count)]
     for a, info in per_problem:
@@ -523,8 +585,8 @@ def _schur_solver(schur_t: np.ndarray, chol):
         if dy.shape != (count, m):
             raise ValueError(f"right-hand sides have shape {dy.shape}, not {(count, m)}")
         at, step = dy.ctypes.data, dy.strides[0]
-        for k, (a, info) in enumerate(per_problem):
-            potrs(b"L", n, nrhs, a, n, at + k * step, n, info, 1)
+        for k, (a, _) in enumerate(per_problem):
+            cho_solve(n, a, at + k * step, one)
         return _finite(dy)
 
     return solve_each
@@ -538,14 +600,20 @@ def _finite(dy: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _lapack():
-    """numpy's own LAPACK dpotrf and dpotrs, as (dpotrf, dpotrs, integer dtype), or None.
+    """numpy's own LAPACK dpotrf, a solve from its factor, and the integer dtype, or None.
 
-    They resolve through numpy's linalg extension, so dpotrf is the routine
-    behind np.linalg.cholesky: numpy 2 wheels name them scipy_dpotrf_64_,
-    numpy 1 wheels dpotrf_64_, and the extension's _ilp64 gives the integer
-    width. Looked up at the first solve, not at import. None where neither
-    name resolves, or where, on a fixed pair of positive definite systems
-    with two right-hand sides each, the factor differs in any bit from
+    The routines resolve through numpy's linalg extension, so dpotrf is the
+    routine behind np.linalg.cholesky: numpy 2 wheels name them
+    scipy_dpotrf_64_, numpy 1 wheels dpotrf_64_, and the extension's _ilp64
+    gives the integer width. The solve, cho_solve(n, a, x, inc), overwrites
+    the vector at x with M^-1 x by two BLAS dtrsv calls on the factor L at
+    a, with L and then with L^T; n and inc are the addresses of the order
+    and of the stride 1. On numpy's OpenBLAS, one BLAS thread, these took
+    32.5 us per problem at m = 512 against 96.7 us for LAPACK's dpotrs on
+    one right-hand side, and differed from it by at most 5e-18. Looked up at
+    the first solve, not at import. None where the names do not resolve,
+    or where, on a fixed pair of positive definite systems with two
+    right-hand sides each, the factor differs in any bit from
     np.linalg.cholesky's or a solve is off np.linalg.solve's by more than
     1e-12 relative.
     """
@@ -557,16 +625,21 @@ def _lapack():
         return None
     suffix = "_64_" if ilp64 else "_"
     for prefix in ("scipy_", ""):
-        potrf, potrs = (getattr(lib, f"{prefix}{name}{suffix}", None) for name in ("dpotrf", "dpotrs"))
-        if potrf is not None and potrs is not None:
+        potrf, trsv = (getattr(lib, f"{prefix}{name}{suffix}", None) for name in ("dpotrf", "dtrsv"))
+        if potrf is not None and trsv is not None:
             break
     else:
         return None
-    # the trailing length of the character argument, for Fortran-built LAPACKs
+    # the trailing lengths of the character arguments, for Fortran-built LAPACKs
     potrf.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 4 + [ctypes.c_size_t]
-    potrs.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 7 + [ctypes.c_size_t]
-    potrf.restype = potrs.restype = None
-    chol = potrf, potrs, np.int64 if ilp64 else np.intc
+    trsv.argtypes = [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 5 + [ctypes.c_size_t] * 3
+    potrf.restype = trsv.restype = None
+
+    def cho_solve(n, a, x, inc):
+        trsv(b"L", b"N", b"N", n, a, n, x, inc, 1, 1, 1)
+        trsv(b"L", b"T", b"N", n, a, n, x, inc, 1, 1, 1)
+
+    chol = potrf, cho_solve, np.int64 if ilp64 else np.intc
     # two well-conditioned positive definite systems, large enough for
     # dpotrf's blocked path, and two right-hand sides for each
     k = np.arange(2 * 96 * 96 + 4 * 96)
@@ -599,24 +672,53 @@ def solve(prob: SdpProblem, costs, b) -> list:
     DEFAULT_TOL, an infeasibility or ITERATION_LIMIT when its iterates
     diverge, and ITERATION_LIMIT after MAX_ITER iterations.
 
-    The stack runs as sub-stacks on L lanes at once, L the least of
+    A problem with real data runs on prob.real_problem, the real rows
+    alone: when prob.real_rows is not None, its cost blocks have zero
+    imaginary parts and its b is zero on the imaginary rows. Its y is
+    returned with zeros on the dropped rows. The choice is made per problem,
+    so the problems on the real rows and the rest run as two groups, and
+    each problem still gets the bytes of its solve alone.
+
+    Each group runs as sub-stacks on L lanes at once, L the least of
     _lanes(), SCHUR_STACK_ENTRIES // m^2 and the number of sub-stacks at
     one lane (one at least); each sub-stack holds at most
-    SCHUR_STACK_ENTRIES / L // m^2 problems (one at least). Returns the K
-    solutions in order; a sub-stack's SolverError is raised after every
-    lane has stopped, the lowest sub-stack's if several fail.
+    SCHUR_STACK_ENTRIES / L // m^2 problems (one at least), m that of prob
+    for both groups. Returns the K solutions in order; a sub-stack's
+    SolverError is raised after every lane has stopped, the lowest
+    sub-stack's if several fail, the real group's first.
     """
     count = len(costs[0])
     c = [_herm(_check_herm(cb, "cost block", (count, nb, nb)))
          for nb, cb in zip(prob.blocks, costs, strict=True)]
     b = np.broadcast_to(np.asarray(b, dtype=float), (count, prob.m))  # else ValueError
+    real = np.zeros(count, dtype=bool)
+    if prob.real_rows is not None:
+        imag = np.ones(prob.m, dtype=bool)
+        imag[prob.real_rows] = False
+        real = ~b[:, imag].any(axis=1) & np.logical_and.reduce([~cb.imag.any(axis=(1, 2)) for cb in c])
+    # per group: its rows, their indices in prob and the indices of its problems
+    groups = [(prob, np.arange(prob.m), np.flatnonzero(~real))]
+    if real.any():
+        groups.insert(0, (prob.real_problem, prob.real_rows, np.flatnonzero(real)))
+    # sized by the full m, so a group splits as the whole stack would
     fit = max(1, SCHUR_STACK_ENTRIES // max(1, prob.m**2))
-    lanes = max(1, min(_lanes(), fit, -(-count // fit)))
+    lanes = max(1, min(_lanes(), fit, sum(-(-len(ks) // fit) for _, _, ks in groups)))
     size = max(1, SCHUR_STACK_ENTRIES // lanes // max(1, prob.m**2))
-    stacks = _run_lanes(
-        lambda lo: _solve_stack(prob, [cb[lo : lo + size] for cb in c], b[lo : lo + size]),
-        range(0, count, size), lanes)
-    return [sol for stack in stacks for sol in stack]
+    items = [(sub, kept, ks[lo : lo + size]) for sub, kept, ks in groups
+             for lo in range(0, len(ks), size)]
+
+    def work(item):
+        sub, kept, ks = item
+        return _solve_stack(sub, [cb[ks] for cb in c], b[np.ix_(ks, kept)])
+
+    out = [None] * count
+    for (_, kept, ks), stack in zip(items, _run_lanes(work, items, lanes)):
+        for k, sol in zip(ks, stack):
+            y = np.zeros(prob.m)
+            y[kept] = sol.y  # zero on the dropped rows
+            sol.y = y
+            out[k] = sol
+    return out
 
 
 def _one_blas_thread() -> bool:

@@ -367,6 +367,16 @@ def test_isotropic_reproduction_matches_closed_form(tmp_path):
     assert float(trailing["max_abs_diff"]) <= 1e-5
 
 
+def test_isotropic_d4_max_abs_diff_does_not_grow(tmp_path):
+    # the SDP against the closed form at d = 4: the full rows gave
+    # 4.144e-8, and solving on the real rows alone must not lose accuracy
+    out = tmp_path / "iso4.csv"
+    assert main(["reproduce", "isotropic", "--d", "4", "--p-count", "2", "--out", str(out)]) == 0
+    _, rows, trailing = read_csv(out)
+    assert len(rows) == 10
+    assert float(trailing["max_abs_diff"]) <= 4.2e-8
+
+
 def test_heisenberg_estimate_matches_witness_column(tmp_path):
     out = tmp_path / "h.csv"
     rc = main(["reproduce", "heisenberg", "--N", "4", "--periodic",

@@ -19,6 +19,7 @@ from entwit.measures import (
     rains_fidelity_stack,
     rg_dps2,
     rg_dps2_stack,
+    rg_from_negativity,
     rg_ppt,
     rg_ppt_closed,
     rr_ppt,
@@ -98,6 +99,20 @@ def test_rg_ppt_closed_rescales_negativity():
                 assert np.linalg.eigvalsh(res.witness.op.mat)[-1] == pytest.approx(1.0, abs=1e-12)
                 assert res.witness.cuts == [cut]
     assert seen >= 10
+
+
+def test_rg_ppt_closed_takes_one_eigvalsh(monkeypatch):
+    # lambda_max of the witness P^Gamma is taken once, by negativity_stack,
+    # with the bits of the two-step form
+    rho = isotropic(2, 0.9)
+    want = rg_from_negativity(negativity(rho, CUT_A))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.shape(a)) or eigvalsh(a))
+    got = rg_ppt_closed(rho, CUT_A)
+    assert calls == [(1, 4, 4)]
+    assert got.value == want.value > 0.0
+    assert np.array_equal(got.witness.op.mat, want.witness.op.mat)
 
 
 def test_pure_coefficient_forms():

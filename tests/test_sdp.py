@@ -32,6 +32,7 @@ from entwit.sdp import (
 )
 from entwit.states import (
     DensityMatrix,
+    horodecki_3x3,
     isotropic,
     random_density,
     stream_densities,
@@ -474,6 +475,27 @@ def test_lapack_rejects_a_wrong_factor_routine(monkeypatch):
     routines = {name: upper, name.replace("potrf", "potrs"): getattr(lib, name.replace("potrf", "potrs"))}
     monkeypatch.setattr(sdp.ctypes, "CDLL", lambda path: types.SimpleNamespace(**routines))
     assert sdp._lapack.__wrapped__() is None
+
+
+def test_lapack_self_check_with_the_triangular_solve(monkeypatch):
+    # with dtrsv resolved beside it, a dpotrf on the upper triangle still
+    # fails the self-check, and the real pair passes it
+    if sdp._lapack.__wrapped__() is None:
+        pytest.skip("numpy's Cholesky routines do not resolve here")
+    from numpy.linalg import _umath_linalg as ext
+    lib = ctypes.CDLL(ext.__file__)
+    name = next(f"{prefix}dpotrf{suffix}" for prefix in ("scipy_", "") for suffix in ("_64_", "_")
+                if hasattr(lib, f"{prefix}dpotrf{suffix}"))
+    potrf, trsv = getattr(lib, name), getattr(lib, name.replace("dpotrf", "dtrsv"))
+    potrf.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 4 + [ctypes.c_size_t]
+
+    def upper(uplo, *args):
+        return potrf(b"U", *args)
+
+    for factor, ok in ((upper, False), (potrf, True)):
+        routines = {name: factor, name.replace("dpotrf", "dtrsv"): trsv}
+        monkeypatch.setattr(sdp.ctypes, "CDLL", lambda path: types.SimpleNamespace(**routines))
+        assert (sdp._lapack.__wrapped__() is not None) is ok
 
 
 def test_factor_once_checks_its_buffers():
@@ -1362,3 +1384,126 @@ def test_lanes_only_over_one_blas_thread(monkeypatch, env, lanes):
         monkeypatch.setenv(name, value)
     monkeypatch.setattr(sdp.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert sdp._lanes() == lanes
+
+
+def m_spy(monkeypatch) -> list:
+    """Record the m of every problem that reaches _solve_stack."""
+    ms = []
+    real = sdp._solve_stack
+
+    def spy(prob, c, b):
+        ms.append(prob.m)
+        return real(prob, c, b)
+
+    monkeypatch.setattr(sdp, "_solve_stack", spy)
+    return ms
+
+
+def real_data(measure) -> tuple:
+    """The builder, skip list, problem, costs and b of the solve measure() makes,
+    with the data made real: the real part of each cost, and b zero on the
+    imaginary rows."""
+    calls = []
+    real = sdp.solve
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp, "solve", lambda prob, costs, b: calls.append((costs, b)) or real(prob, costs, b))
+        hs, _, skip, _ = captured_images(measure)
+    (costs, b), = calls
+    prob = hs.build()[0]
+    imag = np.ones(prob.m, dtype=bool)
+    imag[prob.real_rows] = False
+    return hs, skip, prob, [np.real(c) + 0j for c in costs], np.where(imag, 0.0, b)
+
+
+# The shipped problems whose rows are real or imaginary, one at least
+# imaginary, with real data; the isotropic and fig7q states are real.
+REAL_PROBLEMS = {
+    **{name: (lambda measure=measure: real_data(measure)) for name, measure in SHIPPED_PROBLEMS.items()
+       if name not in ("rr_ppt", "ssr_nonlocality")},
+    "isotropic-d3": lambda: real_data(lambda: e_nm_ppt(isotropic(3, 0.9), [Cut([0])], 2.0, 1.0)),
+    "fig7q-dps2": lambda: real_data(lambda: rg_dps2(
+        DensityMatrix(0.95 * horodecki_3x3(0.3).mat + 0.05 * np.eye(9) / 9.0, SystemShape((3, 3))),
+        Cut([0]))),
+}
+
+
+@pytest.mark.parametrize("case", REAL_PROBLEMS.values(), ids=REAL_PROBLEMS.keys())
+def test_real_rows_match_the_full_rows(monkeypatch, case):
+    # solve runs real data on the real rows alone; against _solve_stack on
+    # every row it ends alike, with the same objective and images, and a y
+    # that is exactly zero on the dropped rows
+    hs, skip, prob, costs, b = case()
+    rows = prob.real_rows
+    assert 0 < len(rows) < prob.m
+    ms = m_spy(monkeypatch)
+    sols = solve(prob, costs, b)
+    assert ms == [len(rows)]
+    full = sdp._solve_stack(prob, [sdp._herm(c) for c in costs], np.broadcast_to(b, (len(sols), prob.m)))
+    dropped = np.setdiff1d(np.arange(prob.m), rows)
+    for got, want in zip(sols, full, strict=True):
+        assert got.status is want.status is SdpStatus.OPTIMAL
+        assert got.iterations == want.iterations
+        assert abs(got.pobj - want.pobj) <= 1e-9 * (1.0 + abs(want.pobj))
+        assert got.y.shape == (prob.m,)
+        assert not got.y[dropped].any()
+        assert not any(xb.imag.any() for xb in got.x_blocks + got.z_blocks)
+    # the two Cholesky factors round differently, and the iterates carry
+    # that to the optimal face: up to 6.2e-11 here (e_nm_ppt-2x3), 6.9e-15
+    # on isotropic d = 3
+    for g, w in zip(hs.images(sols, skip), hs.images(full, skip), strict=True):
+        assert np.abs(g - w).max() <= 1e-10
+    # the real rows are built once, from the problem's own
+    assert prob.real_problem is prob.real_problem
+    assert [blk.basis.nb for blk in prob.real_problem.a_rows] == prob.blocks
+
+
+def test_real_and_complex_problems_share_a_stack(monkeypatch):
+    # the real problem runs on the real rows and the complex one on all of
+    # them, in one solve call, and each gets the bytes of its solve alone
+    prob, costs, b = captured_solve(lambda: e_nm_ppt(isotropic(3, 0.9), [Cut([0])], 2.0, 1.0))
+    rho = random_density(9, 4, SystemShape((3, 3)))
+    _, other, _ = captured_solve(lambda: e_nm_ppt(rho, [Cut([0])], 2.0, 1.0))
+    assert not any(np.imag(c).any() for c in costs) and any(np.imag(c).any() for c in other)
+    ms = m_spy(monkeypatch)
+    both = [np.concatenate([c, o]) for c, o in zip(costs, other)]
+    assert_stack_matches_singles(prob, both, b)
+    assert sorted(ms[:2]) == [len(prob.real_rows), prob.m]
+    # complex first: the solutions still come back in input order
+    flipped = [np.concatenate([o, c]) for c, o in zip(costs, other)]
+    for got, want in zip(solve(prob, flipped, b), solve(prob, both, b)[::-1], strict=True):
+        assert_same_solution(got, want)
+
+
+def two_by_two(mixed: bool) -> tuple:
+    """tr X = 1 and Im X_01 = 0 on one 2 x 2 block, with (if mixed) a third
+    row Re X_01 + Im X_01 = 0, which touches a symmetric and an
+    antisymmetric coordinate."""
+    a = [np.eye(2), np.array([[0, 1j], [-1j, 0]])]
+    if mixed:
+        a.append(np.array([[0, 1 + 1j], [1 - 1j, 0]]))
+    return scalar_rows([2], [np.array(a)], [1.0] + [0.0] * (len(a) - 1))
+
+
+@pytest.mark.parametrize("mixed, cost, b, m", [
+    # real data: the imaginary row is dropped
+    (False, np.diag([1.0, 2.0]), [1.0, 0.0], 1),
+    # a row that mixes real and imaginary coordinates
+    (True, np.diag([1.0, 2.0]), [1.0, 0.0, 0.0], 3),
+    # a cost with a nonzero imaginary part
+    (False, np.array([[1.0, 0.5j], [-0.5j, 2.0]]), [1.0, 0.0], 2),
+    # a nonzero b on an imaginary row
+    (False, np.diag([1.0, 2.0]), [1.0, 0.1], 2),
+], ids=["real", "mixed-row", "complex-cost", "imaginary-b"])
+def test_only_real_data_runs_on_the_real_rows(monkeypatch, mixed, cost, b, m):
+    prob, _ = two_by_two(mixed)
+    assert (prob.real_rows is None) is mixed
+    ms = m_spy(monkeypatch)
+    sol, = solve(prob, [np.asarray(cost, dtype=complex)[None]], b)
+    assert ms == [m]
+    assert sol.status is SdpStatus.OPTIMAL
+    assert sol.y.shape == (prob.m,)
+    # rows without an imaginary one run whole too
+    prob, b = trace_one_problem(2)
+    assert prob.real_rows is None
+    solve(prob, [np.eye(2)[None]], b)
+    assert ms[-1] == prob.m == 1
