@@ -23,6 +23,8 @@ from .linalg import Cut, SystemShape
 from .measures import (
     CLOSED_FORM_TOL,
     MeasureResult,
+    _closed_rg,
+    _lambda_max,
     concurrence_2q,
     e_nm_ppt,
     e_nm_ppt_stack,
@@ -226,9 +228,9 @@ def cmd_fig56(args) -> int:
     negs, rgs = [], []
     for start in range(0, args.samples, FIG56_CHUNK):
         rhos = stream_densities(shape.total_dim, seeds[start:start + FIG56_CHUNK])
-        neg, _, _, _, rg = negativity_stack(rhos, shape.local_dims, (0,))
+        neg, _, proj_pt = negativity_stack(rhos, shape.local_dims, (0,))
         negs.append(neg)
-        rgs.append(rg)
+        rgs.append(_closed_rg(neg, _lambda_max(proj_pt, neg)))
     neg, rg = np.concatenate(negs), np.concatenate(rgs)
     frac = float(np.mean(rg <= 2.0 * neg + 1e-12))
     _emit_csv(args.out, config, ["negativity", "rg_ppt"], list(zip(neg.tolist(), rg.tolist())),

@@ -12,9 +12,9 @@ so the states of a stack share the SDP's rows, not its right-hand side.
 
 Every SDP measure's *_stack body opens with _stack, which checks each state
 of the stack as DensityMatrix checks one. The closed forms (negativity,
-its rescaling to the robustness bound |N| / lambda_max, which
-negativity_stack returns too, and the concurrence) report the tolerance
-CLOSED_FORM_TOL; _closed_rg is the one expression of that bound.
+its rescaling to the robustness bound |N| / lambda_max, and the
+concurrence) report the tolerance CLOSED_FORM_TOL; _closed_rg is the one
+expression of that bound, and _lambda_max takes its lambda_max.
 _clipped_eigh is the one clipped spectrum: the psd parts of a witness
 (_psd_clip), the states of a mixing certificate (_to_density) and the
 square root of the state in concurrence_2q are rebuilt from it.
@@ -92,10 +92,10 @@ def negativity_stack(rhos: np.ndarray, dims, parties):
     """The negative-eigenspace witness of each state of a stack (last two axes).
 
     Returns per state the negativity N (the sum of |negative eigenvalues|
-    of rho^{T_parties}), the projector P onto that eigenspace, P^{T_parties},
-    lambda = lambda_max(P^{T_parties}) and the robustness lower bound
-    |N| / lambda of rg_from_negativity; lambda is 1, and so the bound 0, for
-    a state with no negative eigenvalue, whose N is -0.0. States with k
+    of rho^{T_parties}), the projector P onto that eigenspace and
+    P^{T_parties}; a state with no negative eigenvalue has N = -0.0 and
+    P = 0. The robustness lower bound of rg_from_negativity is
+    _closed_rg(N, _lambda_max(P^{T_parties}, N)). States with k
     negative eigenvalues are handled as one group: their eigenvectors are
     the last k columns, so each P is a (d, k) @ (k, d) product, as for a
     single state.
@@ -111,9 +111,7 @@ def negativity_stack(rhos: np.ndarray, dims, parties):
         vn = v[group, :, d - k:]
         proj[group] = vn @ vn.conj().swapaxes(-1, -2)
     proj = _herm_array(proj)
-    proj_pt = _pt_array(proj, dims, parties)
-    lam = _lambda_max(proj_pt, value)
-    return value, proj, proj_pt, lam, _closed_rg(value, lam)
+    return value, proj, _pt_array(proj, dims, parties)
 
 
 def _closed_rg(value, lam):
@@ -139,14 +137,9 @@ def negativity(rho: DensityMatrix, cut: Cut) -> MeasureResult:
     eigenspace; it reproduces the value exactly. ``negativity_stack`` on
     a stack of one.
     """
-    return _negativity(rho, cut)[0]
-
-
-def _negativity(rho: DensityMatrix, cut: Cut) -> tuple:
-    """negativity(rho, cut) and lambda_max of its witness, from one negativity_stack call."""
     shape = rho.require_shape()
     cut.validate(shape)
-    value, proj, proj_pt, lam, _ = negativity_stack(rho.mat[None], shape.local_dims, cut.party_set)
+    value, proj, proj_pt = negativity_stack(rho.mat[None], shape.local_dims, cut.party_set)
     witness = Witness(
         op=HermitianMatrix(proj_pt[0], shape),
         kind=DECOMPOSABLE_BIPARTITE,
@@ -154,7 +147,7 @@ def _negativity(rho: DensityMatrix, cut: Cut) -> tuple:
         parts={"P": None, "Q": [HermitianMatrix(proj[0], shape)]},
         cuts=[cut],
     )
-    return MeasureResult(value=float(value[0]), tolerance=CLOSED_FORM_TOL, witness=witness), float(lam[0])
+    return MeasureResult(value=float(value[0]), tolerance=CLOSED_FORM_TOL, witness=witness)
 
 
 def rg_from_negativity(neg: MeasureResult) -> MeasureResult:
@@ -164,11 +157,7 @@ def rg_from_negativity(neg: MeasureResult) -> MeasureResult:
     lower bound. A state with no negative eigenvalue has the zero witness
     and the value 0.
     """
-    return _rescaled(neg, float(_lambda_max(neg.witness.op.mat[None], np.array([neg.value]))[0]))
-
-
-def _rescaled(neg: MeasureResult, lam: float) -> MeasureResult:
-    """rg_from_negativity(neg), given lambda_max of its witness."""
+    lam = float(_lambda_max(neg.witness.op.mat[None], np.array([neg.value]))[0])
     w = neg.witness
     shape = w.op.shape
     witness = Witness(
@@ -185,10 +174,10 @@ def _rescaled(neg: MeasureResult, lam: float) -> MeasureResult:
 def rg_ppt_closed(rho: DensityMatrix, cut: Cut) -> MeasureResult:
     """Certified robustness lower bound from the negative-eigenspace witness.
 
-    rg_from_negativity(negativity(rho, cut)), from one negativity_stack
-    call: one eigh of rho^{T_cut} and one eigvalsh of the witness, no SDP.
+    rg_from_negativity(negativity(rho, cut)): one eigh of rho^{T_cut} and
+    one eigvalsh of the witness, no SDP.
     """
-    return _rescaled(*_negativity(rho, cut))
+    return rg_from_negativity(negativity(rho, cut))
 
 
 def _check_schmidt(cs) -> np.ndarray:

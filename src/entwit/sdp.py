@@ -95,13 +95,17 @@ identically (<A_i, X> = 0 = b_i), and the Schur entries between real and
 imaginary rows are zero, so the imaginary part of the Newton system
 decouples with dy = 0 there. solve runs such a problem on
 SdpProblem.real_problem, the real rows only, built on first use from the
-problem's own rows with no second independence check, and returns its y
-with zeros on the dropped rows; X and Z stay complex arrays with zero
-imaginary parts, and images still applies the full rows, exact on real X.
-This takes m from 512 to 272 at isotropic d = 4, from 324 to 171 for
-fig7q's DPS2 problems and from 128 to 72 for example1's, and the Schur
-assembly and its factorization shrink with m. The values differ from those
-on the full rows by rounding only: the smaller Cholesky factor sums in
+problem's own rows with no second independence check, over the real basis
+of the diagonal and symmetric elements alone (_basis(nb, real=True)). Its
+loop runs in float64: X, Z, Z^-1, the eigendecompositions, the inverses and
+every product are real arrays, half the memory of complex ones and a
+fraction of their arithmetic. solve returns its y with zeros on the dropped
+rows and its X and Z blocks as complex arrays again, which is exact, so
+images still applies the full rows. This takes m from 512 to 272 at
+isotropic d = 4, from 324 to 171 for fig7q's DPS2 problems and from 128 to
+72 for example1's, and the Schur assembly and its factorization shrink
+with m. The values differ from those of the complex loop on the full rows
+by rounding only: real products and the smaller Cholesky factor sum in
 another order.
 """
 
@@ -140,21 +144,25 @@ class SdpStatus(enum.Enum):
 
 
 class _Basis:
-    """Index tables of the orthonormal Hermitian basis E_k of size nb.
+    """Index tables of the orthonormal basis E_k of the nb x nb Hermitian
+    matrices, or with real=True of the real symmetric ones.
 
     The order is that of hermitian_basis: the nb diagonal units, then for
     each pair i < j the symmetric element (e_ij + e_ji)/sqrt 2 followed by
-    the antisymmetric one (-i e_ij + i e_ji)/sqrt 2. In the float view of a
-    complex matrix M (real and imaginary parts interleaved), coordinate k
-    of M is <E_k, M> = w[0, k] M[at[0, k]] + w[1, k] M[at[1, k]]; these svec
-    tables are the only ones written out. For smat, the real part of flat
-    entry f of X is coef[f] u[k_of[f]] and its imaginary part is
-    coef[n2 + f] u[k_of[n2 + f]]; k_of and coef are the svec tables
-    inverted, each nonzero weight w[j, k] placing coordinate k at the float
-    entry at[j, k].
+    the antisymmetric one (-i e_ij + i e_ji)/sqrt 2; the real basis drops
+    the antisymmetric ones, so its dim = nb(nb + 1)/2 coordinates are the
+    Hermitian ones at k < nb and nb + 2p, as nb + p. A matrix is read as
+    its width floats: the real and imaginary parts of a complex one
+    interleaved (width 2 nb^2), or the nb^2 entries of a real one.
+    Coordinate k of M is <E_k, M> = w[0, k] M[at[0, k]] + w[1, k]
+    M[at[1, k]] in that float view; these svec tables are the only ones
+    written out. For smat, the real part of flat entry f of X is coef[f]
+    u[k_of[f]] and, for a complex basis, its imaginary part is coef[n2 + f]
+    u[k_of[n2 + f]]; k_of and coef are the svec tables inverted, each
+    nonzero weight w[j, k] placing coordinate k at the float entry at[j, k].
     """
 
-    def __init__(self, nb: int):
+    def __init__(self, nb: int, real: bool = False):
         n2 = nb * nb
         r = 1.0 / np.sqrt(2.0)
         at = np.zeros((2, n2), dtype=np.intp)
@@ -171,61 +179,67 @@ class _Basis:
                 at[:, k + 1] = (2 * lo + 1, 2 * up + 1)
                 w[:, k + 1] = (r, -r)
                 k += 2
+        if real:  # the diagonal and symmetric elements, on real parts alone
+            keep = (np.arange(n2) < nb) | ((np.arange(n2) - nb) % 2 == 0)
+            at, w = at[:, keep] // 2, w[:, keep]
+        per = 1 if real else 2  # floats per entry
         # the inverse: float entry at[j, k] is the real part of flat entry
-        # at[j, k] // 2, or its imaginary part if odd, with weight w[j, k]
-        k_of = np.zeros(2 * n2, dtype=np.intp)
-        coef = np.zeros(2 * n2)
+        # at[j, k] // per, or its imaginary part if at[j, k] % per, with weight w[j, k]
+        k_of = np.zeros(per * n2, dtype=np.intp)
+        coef = np.zeros(per * n2)
         used = w != 0
-        part = (at % 2 * n2 + at // 2)[used]
+        part = (at % per * n2 + at // per)[used]
         k_of[part] = np.nonzero(used)[1]
         coef[part] = w[used]
-        self.nb = nb
-        self.n2 = n2
+        self.nb, self.n2, self.real = nb, n2, real
+        self.dim, self.width = at.shape[1], per * n2
+        self.dtype = np.dtype(float if real else complex)
         self.at, self.w, self.k_of, self.coef = at, w, k_of, coef
         for arr in (at, w, k_of, coef):
             arr.flags.writeable = False
 
     @property
     def mats(self) -> np.ndarray:
-        """The basis matrices, stacked as a new (n2, nb, nb) array.
+        """The basis matrices, stacked as a new (dim, nb, nb) array.
 
         Not cached: a resident copy (1 MB at nb = 16), made during a build,
         kept the heap beneath it from shrinking and raised the peak memory
         of the solve that follows by 3 MB at m = 512.
         """
-        return _smat(self, np.eye(self.n2))
+        return _smat(self, np.eye(self.dim))
 
 
 @functools.lru_cache(maxsize=None)
-def _basis(nb: int) -> _Basis:
-    return _Basis(nb)
+def _basis(nb: int, real: bool = False) -> _Basis:
+    return _Basis(nb, real)
 
 
 def _svec(tab: _Basis, mats: np.ndarray) -> np.ndarray:
     """Coordinates <E_k, M> = Re tr(E_k M) over the last two axes.
 
-    For a non-Hermitian M these are the coordinates of its Hermitian part.
+    For a non-Hermitian M these are the coordinates of its Hermitian part
+    (symmetric part, on a real basis).
     """
-    shape = np.shape(mats)[:-2] + (2 * tab.n2,)
-    re = np.ascontiguousarray(mats, dtype=complex).view(float).reshape(shape)
+    shape = np.shape(mats)[:-2] + (tab.width,)
+    re = np.ascontiguousarray(mats, dtype=tab.dtype).view(float).reshape(shape)
     return (np.take(re, tab.at[0], axis=-1) * tab.w[0]
             + np.take(re, tab.at[1], axis=-1) * tab.w[1])
 
 
 def _smat(tab: _Basis, u: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix sum_k u_k E_k, over the last axis of u."""
+    """The matrix sum_k u_k E_k, over the last axis of u."""
     parts = np.take(u, tab.k_of, axis=-1) * tab.coef
-    mat = parts[..., : tab.n2] + 1j * parts[..., tab.n2 :]
+    mat = parts if tab.real else parts[..., : tab.n2] + 1j * parts[..., tab.n2 :]
     return mat.reshape(np.shape(u)[:-1] + (tab.nb, tab.nb))
 
 
 def _smat_rows(tab: _Basis, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rows rows[i] of the Hermitian matrix sum_k u[i, k] E_k, for each i."""
+    """Rows rows[i] of the matrix sum_k u[i, k] E_k, for each i."""
     f = rows[..., None] * tab.nb + np.arange(tab.nb)
-    offset = np.arange(len(u))[:, None, None] * tab.n2  # of row i in the flat u
-    re, im = (np.take(u, offset + np.take(tab.k_of, g)) * np.take(tab.coef, g)
-              for g in (f, tab.n2 + f))
-    return re + 1j * im
+    offset = np.arange(len(u))[:, None, None] * tab.dim  # of row i in the flat u
+    parts = [np.take(u, offset + np.take(tab.k_of, g)) * np.take(tab.coef, g)
+             for g in ((f,) if tab.real else (f, tab.n2 + f))]
+    return parts[0] if tab.real else parts[0] + 1j * parts[1]
 
 
 def _padded(mask: np.ndarray):
@@ -262,7 +276,7 @@ SCHUR_STACK_ENTRIES = 2**19
 class _BlockRows:
     """One block's constraints in a padded, slot-major row layout.
 
-    Built from the basis coordinates of the block's rows, an (m, n2) array
+    Built from the basis coordinates of the block's rows, an (m, dim) array
     whose row 0 is the problem's row offset; the block covers the rows lo
     .. lo + span - 1. Row i (relative to lo) keeps its nonzero coordinates
     as indices cols[:, i] and values vals[:, i], padded with zero indices
@@ -311,7 +325,7 @@ class _BlockRows:
         # the nonzero rows of A_i are the matrix rows its nonzero coordinates touch
         nonzero = np.zeros((block.shape[0], tab.nb), dtype=bool)
         i, k = np.nonzero(keep)
-        nonzero[i[:, None], tab.at[:, k].T // (2 * tab.nb)] = True
+        nonzero[i[:, None], tab.at[:, k].T // (tab.width // tab.nb)] = True
         self.nz_rows, real = _padded(nonzero[distinct])
         self.row_vals = _smat_rows(tab, block[distinct], self.nz_rows)
         self.row_vals[~real] = 0.0
@@ -403,7 +417,8 @@ class SdpProblem:
 
     @functools.cached_property
     def real_problem(self) -> SdpProblem:
-        """The problem of the real rows alone, in order, built from a_rows.
+        """The problem of the real rows alone, in order, built from a_rows
+        over the real basis of each block, on which solve runs in float64.
 
         Any subset of independent rows is independent, so it is not checked
         again; each block's coordinates are dense only while its rows build.
@@ -411,13 +426,16 @@ class SdpProblem:
         rows = self.real_rows
         a_rows = []
         for blk in self.a_rows:
+            nb = blk.basis.nb
             lo, hi = np.searchsorted(rows, [blk.lo, blk.lo + blk.span])
             kept = rows[lo:hi] - blk.lo
             cols, vals = blk.cols[:, kept], blk.vals[:, kept]
             used = vals != 0
-            coords = np.zeros((hi - lo, blk.basis.n2))
-            coords[np.nonzero(used)[1], cols[used]] = vals[used]
-            a_rows.append(_BlockRows(blk.basis, coords, int(lo)))
+            tab = _basis(nb, real=True)
+            coords = np.zeros((hi - lo, tab.dim))
+            k = cols[used]  # diagonal k < nb, or symmetric k = nb + 2p, at nb + p
+            coords[np.nonzero(used)[1], np.where(k < nb, k, (k + nb) // 2)] = vals[used]
+            a_rows.append(_BlockRows(tab, coords, int(lo)))
         sub = SdpProblem.__new__(SdpProblem)
         sub.blocks, sub.m, sub.a_rows = self.blocks, len(rows), tuple(a_rows)
         return sub
@@ -491,16 +509,16 @@ def _adjoint(prob: SdpProblem, y: np.ndarray) -> list:
     """A^T(y)_b = sum_i y_i A_ib per problem, summed slot layer by slot layer.
 
     One np.bincount per block scatters every problem's terms, problem k into
-    the bins offset by k n2; each bin adds its terms in order, as a call per
+    the bins offset by k dim; each bin adds its terms in order, as a call per
     problem would.
     """
     out = []
     count = len(y)
     for blk in prob.a_rows:
-        n2 = blk.basis.n2
+        dim = blk.basis.dim
         t = blk.vals * y[:, None, blk.lo : blk.lo + blk.span]
-        idx = (np.arange(count)[:, None] * n2 + blk.cols.ravel()).ravel()
-        u = np.bincount(idx, t.ravel(), minlength=count * n2).reshape(count, n2)
+        idx = (np.arange(count)[:, None] * dim + blk.cols.ravel()).ravel()
+        u = np.bincount(idx, t.ravel(), minlength=count * dim).reshape(count, dim)
         out.append(_smat(blk.basis, u))
     return out
 
@@ -673,19 +691,22 @@ def solve(prob: SdpProblem, costs, b) -> list:
     diverge, and ITERATION_LIMIT after MAX_ITER iterations.
 
     A problem with real data runs on prob.real_problem, the real rows
-    alone: when prob.real_rows is not None, its cost blocks have zero
-    imaginary parts and its b is zero on the imaginary rows. Its y is
-    returned with zeros on the dropped rows. The choice is made per problem,
-    so the problems on the real rows and the rest run as two groups, and
-    each problem still gets the bytes of its solve alone.
+    alone, in float64: when prob.real_rows is not None, its cost blocks
+    have zero imaginary parts and its b is zero on the imaginary rows. It
+    gets the real part of its costs, and its y is returned with zeros on the
+    dropped rows, its X and Z blocks as complex arrays. The choice is made
+    per problem, so the problems on the real rows and the rest run as two
+    groups, and each problem still gets the bytes of its solve alone.
 
     Each group runs as sub-stacks on L lanes at once, L the least of
-    _lanes(), SCHUR_STACK_ENTRIES // m^2 and the number of sub-stacks at
-    one lane (one at least); each sub-stack holds at most
-    SCHUR_STACK_ENTRIES / L // m^2 problems (one at least), m that of prob
-    for both groups. Returns the K solutions in order; a sub-stack's
-    SolverError is raised after every lane has stopped, the lowest
-    sub-stack's if several fail, the real group's first.
+    _lanes(), SCHUR_STACK_ENTRIES // m^2 for each group and the number of
+    sub-stacks at one lane (one at least); each sub-stack of a group holds
+    at most SCHUR_STACK_ENTRIES // L // m^2 problems (one at least), m that
+    group's own, so the Schur matrices that run at once hold at most
+    SCHUR_STACK_ENTRIES doubles, or one problem's per lane. Returns the K
+    solutions in order; a sub-stack's SolverError is raised after every
+    lane has stopped, the lowest sub-stack's if several fail, the real
+    group's first.
     """
     count = len(costs[0])
     c = [_herm(_check_herm(cb, "cost block", (count, nb, nb)))
@@ -696,27 +717,31 @@ def solve(prob: SdpProblem, costs, b) -> list:
         imag = np.ones(prob.m, dtype=bool)
         imag[prob.real_rows] = False
         real = ~b[:, imag].any(axis=1) & np.logical_and.reduce([~cb.imag.any(axis=(1, 2)) for cb in c])
-    # per group: its rows, their indices in prob and the indices of its problems
-    groups = [(prob, np.arange(prob.m), np.flatnonzero(~real))]
+    # per group: its rows, their indices in prob, its costs and the indices of its problems
+    groups = []
     if real.any():
-        groups.insert(0, (prob.real_problem, prob.real_rows, np.flatnonzero(real)))
-    # sized by the full m, so a group splits as the whole stack would
-    fit = max(1, SCHUR_STACK_ENTRIES // max(1, prob.m**2))
-    lanes = max(1, min(_lanes(), fit, sum(-(-len(ks) // fit) for _, _, ks in groups)))
-    size = max(1, SCHUR_STACK_ENTRIES // lanes // max(1, prob.m**2))
-    items = [(sub, kept, ks[lo : lo + size]) for sub, kept, ks in groups
+        groups.append((prob.real_problem, prob.real_rows, [cb.real for cb in c], np.flatnonzero(real)))
+    if not real.all():
+        groups.append((prob, np.arange(prob.m), c, np.flatnonzero(~real)))
+    fits = [max(1, SCHUR_STACK_ENTRIES // max(1, sub.m**2)) for sub, *_ in groups]
+    lanes = max(1, min(_lanes(), *fits, sum(-(-len(ks) // fit) for (*_, ks), fit in zip(groups, fits))))
+    items = [(sub, kept, c_group, ks[lo : lo + size]) for sub, kept, c_group, ks in groups
+             for size in [max(1, SCHUR_STACK_ENTRIES // lanes // max(1, sub.m**2))]
              for lo in range(0, len(ks), size)]
 
     def work(item):
-        sub, kept, ks = item
-        return _solve_stack(sub, [cb[ks] for cb in c], b[np.ix_(ks, kept)])
+        sub, kept, c_group, ks = item
+        return _solve_stack(sub, [cb[ks] for cb in c_group], b[np.ix_(ks, kept)])
 
     out = [None] * count
-    for (_, kept, ks), stack in zip(items, _run_lanes(work, items, lanes)):
+    for (_, kept, _, ks), stack in zip(items, _run_lanes(work, items, lanes)):
         for k, sol in zip(ks, stack):
             y = np.zeros(prob.m)
             y[kept] = sol.y  # zero on the dropped rows
             sol.y = y
+            # complex again, exactly, from a real group's float64 blocks
+            sol.x_blocks, sol.z_blocks = ([np.asarray(w, dtype=complex) for w in ws]
+                                          for ws in (sol.x_blocks, sol.z_blocks))
             out[k] = sol
     return out
 
@@ -840,14 +865,19 @@ def _direction(prob, solve_schur, rhs, rd, x, zi, lead, cross, isqrts, gamma) ->
 
 
 def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
-    """solve on one sub-stack of validated, Hermitian cost blocks and its (K, m) b."""
+    """solve on one sub-stack of validated cost blocks and its (K, m) b.
+
+    The iterates take the dtype of prob's basis: float64 on a real one,
+    whose cost blocks are real symmetric, else complex128.
+    """
     count = len(c[0])
+    dtype = prob.a_rows[0].basis.dtype
     n_tot = sum(prob.blocks)
     norm_b = np.abs(b).max(axis=1, initial=0.0).tolist()
     norm_c = [float(np.sqrt(v)) for v in _vdots(c, c)]
     tau = np.array([1.0 + max(bk, ck) for bk, ck in zip(norm_b, norm_c)])[:, None, None]
-    x = [tau * np.eye(nb, dtype=complex) for nb in prob.blocks]
-    z = [tau * np.eye(nb, dtype=complex) for nb in prob.blocks]
+    x = [tau * np.eye(nb, dtype=dtype) for nb in prob.blocks]
+    z = [tau * np.eye(nb, dtype=dtype) for nb in prob.blocks]
     y = np.zeros((count, prob.m))
     schur_t = np.empty((count, prob.m, prob.m))
     chol = _lapack()

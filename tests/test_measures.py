@@ -115,6 +115,18 @@ def test_rg_ppt_closed_takes_one_eigvalsh(monkeypatch):
     assert np.array_equal(got.witness.op.mat, want.witness.op.mat)
 
 
+def test_negativity_takes_no_eigvalsh(monkeypatch):
+    # negativity needs no lambda_max of its witness; rg_ppt_closed takes it once
+    rho = isotropic(2, 0.9)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.shape(a)) or eigvalsh(a))
+    assert negativity(rho, CUT_A).value > 0.0
+    assert calls == []
+    rg_ppt_closed(rho, CUT_A)
+    assert calls == [(1, 4, 4)]
+
+
 def test_pure_coefficient_forms():
     assert pure_rg([1.0]) == 0.0
     assert pure_rr([1.0]) == 0.0

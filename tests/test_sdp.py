@@ -305,14 +305,14 @@ def test_schur_over_distinct_rows(monkeypatch, measure, runs, distinct, width):
 
 
 def _svec_indexed(tab, mats: np.ndarray) -> np.ndarray:
-    shape = np.shape(mats)[:-2] + (2 * tab.n2,)
-    re = np.ascontiguousarray(mats, dtype=complex).view(float).reshape(shape)
+    shape = np.shape(mats)[:-2] + (tab.width,)
+    re = np.ascontiguousarray(mats, dtype=tab.dtype).view(float).reshape(shape)
     return re[..., tab.at[0]] * tab.w[0] + re[..., tab.at[1]] * tab.w[1]
 
 
 def _smat_indexed(tab, u: np.ndarray) -> np.ndarray:
     parts = u[..., tab.k_of] * tab.coef
-    mat = parts[..., : tab.n2] + 1j * parts[..., tab.n2 :]
+    mat = parts if tab.real else parts[..., : tab.n2] + 1j * parts[..., tab.n2 :]
     return mat.reshape(np.shape(u)[:-1] + (tab.nb, tab.nb))
 
 
@@ -1199,7 +1199,8 @@ def test_stack_above_the_schur_bound_runs_as_sub_stacks(monkeypatch):
         return real(prob, c, b)
 
     monkeypatch.setattr(sdp, "_solve_stack", spy)
-    monkeypatch.setattr(sdp, "SCHUR_STACK_ENTRIES", 4 * prob.m**2 + 1)
+    # the W-GHZ mixtures are real, so they run on the real rows, sized by their m
+    monkeypatch.setattr(sdp, "SCHUR_STACK_ENTRIES", 4 * prob.real_problem.m**2 + 1)
     monkeypatch.setattr(sdp, "_lanes", lambda: 1)
     split = assert_stack_matches_singles(prob, costs, b)
     assert sizes[:3] == [4, 4, 3]
@@ -1213,6 +1214,39 @@ def test_stack_above_the_schur_bound_runs_as_sub_stacks(monkeypatch):
     assert sorted(sizes[:6], reverse=True) == [2, 2, 2, 2, 2, 1]
     for got, want in zip(split, whole, strict=True):
         assert_same_solution(got, want)
+
+
+def test_real_and_complex_groups_size_their_own_sub_stacks(monkeypatch):
+    # seven real isotropic states (m = 20 on the real rows) and four random
+    # ones (m = 32): each group splits by its own m, the real one in float64
+    shape = SystemShape((2, 2))
+    rhos = np.stack([isotropic(2, p).mat for p in np.linspace(0.6, 1.0, 7)]
+                    + [random_density(4, 600 + s, shape).mat for s in range(4)])
+    prob, costs, b = captured_solve(lambda: e_nm_ppt_stack(rhos, shape, [Cut([0])], 2.0, 1.0))
+    assert (prob.real_problem.m, prob.m) == (20, 32)
+    whole = solve(prob, costs, b)
+    calls = []
+    real = sdp._solve_stack
+
+    def spy(prob, c, b):
+        out = real(prob, c, b)
+        arrays = c + [w for sol in out for w in sol.x_blocks + sol.z_blocks]
+        calls.append((prob.m, len(c[0]), {w.dtype for w in arrays}))
+        return out
+
+    monkeypatch.setattr(sdp, "_solve_stack", spy)
+    monkeypatch.setattr(sdp, "SCHUR_STACK_ENTRIES", 2 * prob.m**2 + 1)
+    for lanes, want in ((1, [(20, 5), (20, 2), (32, 2), (32, 2)]),
+                        (2, [(20, 2)] * 3 + [(20, 1)] + [(32, 1)] * 4)):
+        calls.clear()
+        monkeypatch.setattr(sdp, "_lanes", lambda lanes=lanes: lanes)
+        split = assert_stack_matches_singles(prob, costs, b)
+        assert sorted((m, size) for m, size, _ in calls[: len(want)]) == sorted(want)
+        # float64 iterates and costs on the real rows, complex128 on all rows
+        assert all(dtypes == {np.dtype(float if m == 20 else complex)} for m, _, dtypes in calls)
+        for got, want_sol in zip(split, whole, strict=True):
+            assert_same_solution(got, want_sol)
+            assert all(w.dtype == complex for w in got.x_blocks + got.z_blocks)
 
 
 @pytest.mark.parametrize("lanes", [2, 3])
@@ -1455,6 +1489,42 @@ def test_real_rows_match_the_full_rows(monkeypatch, case):
     # the real rows are built once, from the problem's own
     assert prob.real_problem is prob.real_problem
     assert [blk.basis.nb for blk in prob.real_problem.a_rows] == prob.blocks
+
+
+def rand_pd_real(rng, d: int) -> np.ndarray:
+    g = rng.standard_normal((d, d))
+    return g @ g.T + 0.1 * np.eye(d)
+
+
+@pytest.mark.parametrize("case", REAL_PROBLEMS.values(), ids=REAL_PROBLEMS.keys())
+def test_real_kernels_match_advanced_indexing(case):
+    # the kernels on the real rows and basis, with float64 X and Z^-1, entry
+    # for entry, signed zeros included
+    _, _, full, _, _ = case()
+    prob = full.real_problem
+    count = 3
+    rng = np.random.default_rng(12)
+    x = [np.stack([rand_pd_real(rng, nb) for _ in range(count)]) for nb in prob.blocks]
+    zi = [np.stack([rand_pd_real(rng, nb) for _ in range(count)]) for nb in prob.blocks]
+    for blk, xb in zip(prob.a_rows, x):
+        tab = blk.basis
+        nb = tab.nb
+        assert tab is sdp._basis(nb, real=True)
+        assert (tab.dim, tab.width, tab.dtype) == (nb * (nb + 1) // 2, nb * nb, np.float64)
+        u = _svec_indexed(tab, xb)
+        assert _bitwise(sdp._svec(tab, xb), u)
+        # the real coordinates are the Hermitian ones at k < nb and nb + 2p
+        k = np.arange(nb * nb)
+        assert _bitwise(u, sdp._svec(sdp._basis(nb), xb)[:, (k < nb) | ((k - nb) % 2 == 0)])
+        zeros = np.where(rng.random(u.shape) < 0.3, np.copysign(0.0, rng.standard_normal(u.shape)), u)
+        for w in (u, zeros):
+            assert _bitwise(sdp._smat(tab, w), _smat_indexed(tab, w))
+        mats = _smat_indexed(tab, zeros)
+        assert mats.dtype == np.float64
+        assert _bitwise(sdp._svec(tab, mats), _svec_indexed(tab, mats))
+    for mats in (x, [xb @ zib for xb, zib in zip(x, zi)]):
+        assert _bitwise(sdp._apply(prob, mats), _apply_indexed(prob, mats))
+    assert _bitwise(sdp._schur(prob, x, zi), _schur_indexed(prob, x, zi))
 
 
 def test_real_and_complex_problems_share_a_stack(monkeypatch):
