@@ -64,19 +64,16 @@ b): one predictor-corrector loop over a stack of K problems that share
 their constraint rows and differ in the cost and in b, with a leading
 problem axis on every iterate; each problem gets the arithmetic of a solve
 on its own, so a problem's solution does not depend on the rest of the
-stack. solve runs a long stack as sub-stacks, several at once on as many
-lanes (the calling thread and helper threads, which live only for that
-call) as the CPUs allow when the BLAS runs one thread per call; LAPACK,
-BLAS and ufunc calls release the interpreter lock. The Schur matrices of
-the sub-stacks that run at once hold at most SCHUR_STACK_ENTRIES doubles
-together, which caps the memory at large m, and every problem's bytes are
-those of its solve alone, whatever the lane count, and whatever the other
-problems of the stack, real or complex (below). A problem leaves the stack
-when it ends, and solve returns the iterate it stopped at. One rule,
-_status, ends a run, read from the history record of each iterate: it
-reports OPTIMAL only when the residuals and the relative gap meet
-DEFAULT_TOL; otherwise a run ends when its iterates diverge or after
-MAX_ITER iterations. HermitianSdp.solve returns only OPTIMAL solutions.
+stack. solve runs a long stack as sub-stacks, one after another on the
+calling thread, whose Schur matrices hold at most SCHUR_STACK_ENTRIES
+doubles together, which caps the memory at large m; every problem's bytes
+are those of its solve alone, whatever the sub-stack it runs in, and
+whatever the other problems of the stack, real or complex (below). A
+problem leaves the stack when it ends, and solve returns the iterate it
+stopped at. One rule, _status, ends a run, read from the history record of
+each iterate: it reports OPTIMAL only when the residuals and the relative
+gap meet DEFAULT_TOL; otherwise a run ends when its iterates diverge or
+after MAX_ITER iterations. HermitianSdp.solve returns only OPTIMAL solutions.
 The builder reads the primal and dual-slack blocks back from a solution,
 and each equality's image sum_v L_v(X_v), over a stack of solutions at
 once, by applying the built problem's rows with _apply, the gather and
@@ -114,8 +111,6 @@ from __future__ import annotations
 import ctypes
 import enum
 import functools
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,11 +260,10 @@ def _slot_sum(t: np.ndarray) -> np.ndarray:
 # every iteration; sized by the block or the stack they can be mapped from the
 # OS and faulted in each time.
 SCHUR_SLICE = 64 * 16 * 16
-# solve runs a stack as sub-stacks whose m x m Schur matrices, over the
-# sub-stacks that run at once on its lanes, hold at most this many doubles
-# together (4 MB: two problems at m = 512), so its memory does not grow with
-# the stack or the CPU count at large m, where the Schur assembly and its
-# Cholesky factorization bound the time.
+# solve runs a stack as sub-stacks, one at a time, whose m x m Schur matrices
+# hold at most this many doubles together (4 MB: two problems at m = 512), so
+# its memory does not grow with the stack at large m, where the Schur
+# assembly and its Cholesky factorization bound the time.
 SCHUR_STACK_ENTRIES = 2**19
 
 
@@ -698,15 +692,13 @@ def solve(prob: SdpProblem, costs, b) -> list:
     per problem, so the problems on the real rows and the rest run as two
     groups, and each problem still gets the bytes of its solve alone.
 
-    Each group runs as sub-stacks on L lanes at once, L the least of
-    _lanes(), SCHUR_STACK_ENTRIES // m^2 for each group and the number of
-    sub-stacks at one lane (one at least); each sub-stack of a group holds
-    at most SCHUR_STACK_ENTRIES // L // m^2 problems (one at least), m that
-    group's own, so the Schur matrices that run at once hold at most
-    SCHUR_STACK_ENTRIES doubles, or one problem's per lane. Returns the K
-    solutions in order; a sub-stack's SolverError is raised after every
-    lane has stopped, the lowest sub-stack's if several fail, the real
-    group's first.
+    The real group runs first, then the other, each as sub-stacks in order
+    on the calling thread; each sub-stack holds at most
+    SCHUR_STACK_ENTRIES // m^2 problems (one at least), m that group's own,
+    so its Schur matrices hold at most SCHUR_STACK_ENTRIES doubles, or one
+    problem's. Returns the K solutions in order; the first sub-stack that
+    raises SolverError ends the loop, so the error is the lowest failed
+    sub-stack's, the real group's first, and no later sub-stack runs.
     """
     count = len(costs[0])
     c = [_herm(_check_herm(cb, "cost block", (count, nb, nb)))
@@ -723,102 +715,20 @@ def solve(prob: SdpProblem, costs, b) -> list:
         groups.append((prob.real_problem, prob.real_rows, [cb.real for cb in c], np.flatnonzero(real)))
     if not real.all():
         groups.append((prob, np.arange(prob.m), c, np.flatnonzero(~real)))
-    fits = [max(1, SCHUR_STACK_ENTRIES // max(1, sub.m**2)) for sub, *_ in groups]
-    lanes = max(1, min(_lanes(), *fits, sum(-(-len(ks) // fit) for (*_, ks), fit in zip(groups, fits))))
-    items = [(sub, kept, c_group, ks[lo : lo + size]) for sub, kept, c_group, ks in groups
-             for size in [max(1, SCHUR_STACK_ENTRIES // lanes // max(1, sub.m**2))]
-             for lo in range(0, len(ks), size)]
-
-    def work(item):
-        sub, kept, c_group, ks = item
-        return _solve_stack(sub, [cb[ks] for cb in c_group], b[np.ix_(ks, kept)])
-
     out = [None] * count
-    for (_, kept, _, ks), stack in zip(items, _run_lanes(work, items, lanes)):
-        for k, sol in zip(ks, stack):
-            y = np.zeros(prob.m)
-            y[kept] = sol.y  # zero on the dropped rows
-            sol.y = y
-            # complex again, exactly, from a real group's float64 blocks
-            sol.x_blocks, sol.z_blocks = ([np.asarray(w, dtype=complex) for w in ws]
-                                          for ws in (sol.x_blocks, sol.z_blocks))
-            out[k] = sol
-    return out
-
-
-def _one_blas_thread() -> bool:
-    """Whether the BLAS runs one thread per call.
-
-    OpenBLAS takes its thread count from the first of OPENBLAS_NUM_THREADS,
-    GOTO_NUM_THREADS and OMP_NUM_THREADS set to a positive integer, and
-    from the CPU count when none is.
-    """
-    values = (os.environ.get(name, "").strip()
-              for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
-    return next((int(v) for v in values if v.isdigit() and int(v) > 0), None) == 1
-
-
-def _lanes() -> int:
-    """How many sub-stacks solve may run at once: one per usable CPU when
-    the BLAS runs one thread per call, else one.
-
-    Lanes on top of BLAS threads compete with them for the CPUs and ran
-    slower than one lane.
-    """
-    if not _one_blas_thread():
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_lanes(work, items, lanes: int) -> list:
-    """[work(item) for item in items], on this thread and lanes - 1 helpers.
-
-    Each lane takes the next item in order until none is left or an item
-    has raised; the items before a failed one were all taken already, so
-    they still run, and the error of the first failed item is raised, as a
-    serial loop would raise it. Every helper is joined before this returns
-    or raises. One lane is this thread alone, with no helper: it runs the
-    items in order and stops at the first that raises, as a serial loop does.
-
-    The calling thread runs a lane so that no thread more than the lanes
-    holds a heap of its own. A concurrent.futures.ThreadPoolExecutor whose
-    workers ran every lane gave the same bytes, but raised the peak resident
-    memory (VmHWM) of `reproduce isotropic --d 4` from 50.4-50.6 to
-    54.6-54.8 MB at --p-count 2 and from 55.1-55.3 to 59.8-60.0 MB at
-    --p-count 8 (5 runs each, two lanes on a 2-vCPU AMD EPYC, one BLAS
-    thread), most likely through that extra thread's own malloc arena.
-    """
-    items = list(items)
-    out = [None] * len(items)
-    errors = {}
-    lock = threading.Lock()
-    taken = iter(range(len(items)))
-
-    def lane():
-        while True:
-            with lock:
-                i = None if errors else next(taken, None)
-            if i is None:
-                return
-            try:
-                out[i] = work(items[i])
-            except BaseException as err:  # re-raised by the caller below
-                errors[i] = err
-
-    helpers = []
-    try:
-        for _ in range(lanes - 1):
-            helper = threading.Thread(target=lane, name="entwit-sdp-lane")
-            helper.start()
-            helpers.append(helper)
-        lane()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[min(errors)]
+    for sub, kept, c_group, ks in groups:
+        size = max(1, SCHUR_STACK_ENTRIES // max(1, sub.m**2))
+        for lo in range(0, len(ks), size):
+            part = ks[lo : lo + size]
+            stack = _solve_stack(sub, [cb[part] for cb in c_group], b[np.ix_(part, kept)])
+            for k, sol in zip(part, stack):
+                y = np.zeros(prob.m)
+                y[kept] = sol.y  # zero on the dropped rows
+                sol.y = y
+                # complex again, exactly, from a real group's float64 blocks
+                sol.x_blocks, sol.z_blocks = ([np.asarray(w, dtype=complex) for w in ws]
+                                              for ws in (sol.x_blocks, sol.z_blocks))
+                out[k] = sol
     return out
 
 

@@ -102,8 +102,8 @@ def test_rg_ppt_closed_rescales_negativity():
 
 
 def test_rg_ppt_closed_takes_one_eigvalsh(monkeypatch):
-    # lambda_max of the witness P^Gamma is taken once, by negativity_stack,
-    # with the bits of the two-step form
+    # lambda_max of the witness P^Gamma is taken once, by rg_ppt_closed's
+    # rg_from_negativity, with the bits of the two-step form
     rho = isotropic(2, 0.9)
     want = rg_from_negativity(negativity(rho, CUT_A))
     calls = []

@@ -1,7 +1,5 @@
 import ctypes
 import dataclasses
-import sys
-import threading
 import types
 
 import numpy as np
@@ -635,13 +633,29 @@ def test_factor_once_runs_on_openblas(monkeypatch):
     assert_cholesky_once(monkeypatch)
 
 
-@pytest.mark.skipif(not openblas_lapack(), reason="numpy's LAPACK is not OpenBLAS")
-def test_two_blas_threads_factor_once_on_one_lane(monkeypatch):
-    # the BLAS thread count sets the lanes only, not how the Schur systems are solved
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    assert not sdp._one_blas_thread()
-    assert sdp._lanes() == 1
-    assert_cholesky_once(monkeypatch)
+def openblas_threads():
+    """numpy's OpenBLAS routines that set and get its thread count, or None."""
+    from numpy.linalg import _umath_linalg as ext
+    lib = ctypes.CDLL(ext.__file__)
+    for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "")):
+        found = [getattr(lib, f"{prefix}_{name}_num_threads{suffix}", None) for name in ("set", "get")]
+        if None not in found:
+            return found
+    return None
+
+
+@pytest.mark.skipif(not openblas_lapack() or openblas_threads() is None,
+                    reason="numpy's LAPACK is not OpenBLAS, or its thread count is not reachable")
+def test_two_blas_threads_factor_once(monkeypatch):
+    # the BLAS thread count does not change how the Schur systems are solved
+    set_threads, get_threads = openblas_threads()
+    threads = get_threads()
+    set_threads(2)
+    try:
+        assert get_threads() == 2
+        assert_cholesky_once(monkeypatch)
+    finally:
+        set_threads(threads)
 
 
 def test_multi_block_lp():
@@ -1201,29 +1215,27 @@ def test_stack_above_the_schur_bound_runs_as_sub_stacks(monkeypatch):
     monkeypatch.setattr(sdp, "_solve_stack", spy)
     # the W-GHZ mixtures are real, so they run on the real rows, sized by their m
     monkeypatch.setattr(sdp, "SCHUR_STACK_ENTRIES", 4 * prob.real_problem.m**2 + 1)
-    monkeypatch.setattr(sdp, "_lanes", lambda: 1)
     split = assert_stack_matches_singles(prob, costs, b)
     assert sizes[:3] == [4, 4, 3]
     for got, want in zip(split, whole, strict=True):
         assert_same_solution(got, want)
-    # two lanes share the bound: six sub-stacks of at most two problems,
-    # in whichever order the lanes take them
-    sizes.clear()
-    monkeypatch.setattr(sdp, "_lanes", lambda: 2)
-    split = assert_stack_matches_singles(prob, costs, b)
-    assert sorted(sizes[:6], reverse=True) == [2, 2, 2, 2, 2, 1]
-    for got, want in zip(split, whole, strict=True):
-        assert_same_solution(got, want)
 
 
-def test_real_and_complex_groups_size_their_own_sub_stacks(monkeypatch):
-    # seven real isotropic states (m = 20 on the real rows) and four random
-    # ones (m = 32): each group splits by its own m, the real one in float64
+def mixed_stack() -> tuple:
+    """The (problem, cost stacks, b) of e_nm_ppt_stack on seven real isotropic
+    2x2 states, which run on the real rows (m = 20), and four random ones,
+    which run on all 32 rows."""
     shape = SystemShape((2, 2))
     rhos = np.stack([isotropic(2, p).mat for p in np.linspace(0.6, 1.0, 7)]
                     + [random_density(4, 600 + s, shape).mat for s in range(4)])
     prob, costs, b = captured_solve(lambda: e_nm_ppt_stack(rhos, shape, [Cut([0])], 2.0, 1.0))
     assert (prob.real_problem.m, prob.m) == (20, 32)
+    return prob, costs, b
+
+
+def test_real_and_complex_groups_size_their_own_sub_stacks(monkeypatch):
+    # each group splits by its own m, the real one first and in float64
+    prob, costs, b = mixed_stack()
     whole = solve(prob, costs, b)
     calls = []
     real = sdp._solve_stack
@@ -1236,49 +1248,37 @@ def test_real_and_complex_groups_size_their_own_sub_stacks(monkeypatch):
 
     monkeypatch.setattr(sdp, "_solve_stack", spy)
     monkeypatch.setattr(sdp, "SCHUR_STACK_ENTRIES", 2 * prob.m**2 + 1)
-    for lanes, want in ((1, [(20, 5), (20, 2), (32, 2), (32, 2)]),
-                        (2, [(20, 2)] * 3 + [(20, 1)] + [(32, 1)] * 4)):
-        calls.clear()
-        monkeypatch.setattr(sdp, "_lanes", lambda lanes=lanes: lanes)
-        split = assert_stack_matches_singles(prob, costs, b)
-        assert sorted((m, size) for m, size, _ in calls[: len(want)]) == sorted(want)
-        # float64 iterates and costs on the real rows, complex128 on all rows
-        assert all(dtypes == {np.dtype(float if m == 20 else complex)} for m, _, dtypes in calls)
-        for got, want_sol in zip(split, whole, strict=True):
-            assert_same_solution(got, want_sol)
-            assert all(w.dtype == complex for w in got.x_blocks + got.z_blocks)
-
-
-@pytest.mark.parametrize("lanes", [2, 3])
-def test_lanes_match_single_solves(monkeypatch, lanes):
-    # rg_ppt on 2x3 states, whose problems leave their sub-stacks at
-    # different iterations; at most four problems' Schur matrices at once
-    shape = SystemShape((2, 3))
-    rhos = np.stack([random_density(6, 500 + s, shape).mat for s in range(20)])
-    prob, costs, b = captured_solve(
-        lambda: e_nm_ppt_stack(rhos, shape, [Cut([0])], np.inf, 1.0))
-    whole = solve(prob, costs, b)
-    sizes = []
-    real = sdp._solve_stack
-
-    def spy(prob, c, b):
-        sizes.append(len(c[0]))
-        return real(prob, c, b)
-
-    monkeypatch.setattr(sdp, "_solve_stack", spy)
-    monkeypatch.setattr(sdp, "SCHUR_STACK_ENTRIES", 4 * prob.m**2)
-    monkeypatch.setattr(sdp, "_lanes", lambda: lanes)
-    threads = threading.active_count()
     split = assert_stack_matches_singles(prob, costs, b)
-    assert threading.active_count() == threads
-    assert sum(sizes[: 20 // (4 // lanes)]) == 20
-    assert max(sizes) == 4 // lanes
+    assert [(m, size) for m, size, _ in calls[:4]] == [(20, 5), (20, 2), (32, 2), (32, 2)]
+    # float64 iterates and costs on the real rows, complex128 on all rows
+    assert all(dtypes == {np.dtype(float if m == 20 else complex)} for m, _, dtypes in calls)
     for got, want in zip(split, whole, strict=True):
         assert_same_solution(got, want)
+        assert all(w.dtype == complex for w in got.x_blocks + got.z_blocks)
 
 
-def lane_stack(monkeypatch, fail: dict) -> tuple:
-    """Four pin_corner problems as four sub-stacks on two lanes, with b = 1, 2, 3, 4.
+def test_real_group_error_comes_before_any_complex_sub_stack(monkeypatch):
+    # the second real sub-stack and every complex one fail: the real error
+    # is raised, and no complex sub-stack starts
+    prob, costs, b = mixed_stack()
+    calls = []
+    real = sdp._solve_stack
+
+    def spy(sub, c, b):
+        calls.append((sub.m, len(c[0])))
+        if len(calls) == 2 or sub.m == prob.m:
+            raise SolverError(f"m = {sub.m}")
+        return real(sub, c, b)
+
+    monkeypatch.setattr(sdp, "_solve_stack", spy)
+    monkeypatch.setattr(sdp, "SCHUR_STACK_ENTRIES", 2 * prob.m**2 + 1)
+    with pytest.raises(SolverError, match="m = 20"):
+        solve(prob, costs, b)
+    assert calls == [(20, 5), (20, 2)]
+
+
+def four_sub_stacks(monkeypatch, fail: dict) -> tuple:
+    """Four pin_corner problems as four sub-stacks, with b = 1, 2, 3, 4.
 
     Sub-stack k (b = k + 1) runs as fail[k](real, prob, c, b) if k is in
     fail, else as itself; each call logs its k.
@@ -1293,131 +1293,24 @@ def lane_stack(monkeypatch, fail: dict) -> tuple:
         return fail[k](real, prob, c, b) if k in fail else real(prob, c, b)
 
     monkeypatch.setattr(sdp, "_solve_stack", spy)
-    monkeypatch.setattr(sdp, "SCHUR_STACK_ENTRIES", 2 * prob.m**2)
-    monkeypatch.setattr(sdp, "_lanes", lambda: 2)
+    monkeypatch.setattr(sdp, "SCHUR_STACK_ENTRIES", prob.m**2)
     costs = [np.stack([np.diag([1.0, 2.0])] * 4)]
     return prob, costs, np.arange(1.0, 5.0)[:, None], calls
 
 
-def test_helper_lane_error_reaches_the_caller(monkeypatch):
-    caller = threading.get_ident()
-    caller_in, helper_ran = threading.Event(), threading.Event()
-    real_schur = sdp._schur_solver
-    sdp._lapack()  # its self-check runs before the spy goes in
-
-    def singular_off_the_caller(schur_t, lu):
-        if threading.get_ident() != caller:
-            helper_ran.set()
-            schur_t = np.zeros_like(schur_t)
-        return real_schur(schur_t, lu)
-
-    def one_each(real, *args):
-        if threading.get_ident() != caller:
-            assert caller_in.wait(10)
-            return real(*args)
-        caller_in.set()
-        assert helper_ran.wait(10)
-        out = real(*args)
-        # a helper lane ends only after it has recorded its error, so the
-        # caller takes its next sub-stack only once the failure is known
-        for helper in threading.enumerate():
-            if helper.name == "entwit-sdp-lane":
-                helper.join(10)
-                assert not helper.is_alive()
-        return out
-
-    monkeypatch.setattr(sdp, "_schur_solver", singular_off_the_caller)
-    # the helper lane starts its sub-stack once the caller has taken one,
-    # and the caller's waits until the helper's has hit its singular Schur
-    # system, so the failure is the helper's and the caller's succeeds
-    prob, costs, b, calls = lane_stack(monkeypatch, dict.fromkeys(range(4), one_each))
-    threads = threading.active_count()
-    with pytest.raises(SolverError, match="numerically singular"):
-        solve(prob, costs, b)
-    assert threading.active_count() == threads
-    assert helper_ran.is_set()
-    # the lanes take no sub-stack after the failure
-    assert sorted(calls) == [0, 1]
-
-
 def test_lowest_failed_sub_stack_raises(monkeypatch):
-    # sub-stack 1 fails only after sub-stack 2 has failed; 1's error wins,
-    # as a serial loop raises it, and no lane takes sub-stack 3
-    started, failed = threading.Event(), threading.Event()
+    # sub-stacks 1 and 2 would both fail; 1's error is raised, and the loop
+    # stops there, so neither 2 nor 3 runs
+    def fails(name):
+        def run(real, *args):
+            raise SolverError(name)
+        return run
 
-    def first(real, *args):
-        assert started.wait(10)
-        return real(*args)
-
-    def second(real, *args):
-        started.set()
-        assert failed.wait(10)
-        raise SolverError("sub-stack 1")
-
-    def third(real, *args):
-        failed.set()
-        raise SolverError("sub-stack 2")
-
-    prob, costs, b, calls = lane_stack(monkeypatch, {0: first, 1: second, 2: third})
-    threads = threading.active_count()
+    prob, costs, b, calls = four_sub_stacks(
+        monkeypatch, {1: fails("sub-stack 1"), 2: fails("sub-stack 2")})
     with pytest.raises(SolverError, match="sub-stack 1"):
         solve(prob, costs, b)
-    assert threading.active_count() == threads
-    assert sorted(calls) == [0, 1, 2]
-
-
-@pytest.mark.parametrize("lanes", [1, 8])
-def test_lanes_take_every_item_once(lanes):
-    # more lanes than CPUs and a short switch interval: a lost update of the
-    # shared position would run an item twice or never; one lane is the
-    # calling thread alone, taking the items in order
-    calls = []
-    interval = sys.getswitchinterval()
-    threads = threading.active_count()
-    try:
-        sys.setswitchinterval(1e-6)
-        out = sdp._run_lanes(lambda i: calls.append(i) or np.sqrt(float(i)), range(2000), lanes)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == threads
-    assert (calls if lanes == 1 else sorted(calls)) == list(range(2000))
-    assert out == [np.sqrt(float(i)) for i in range(2000)]
-
-
-def test_one_lane_stops_at_the_first_failure():
-    # one lane runs no item after the first that fails, and raises its error
-    calls = []
-
-    def work(i):
-        calls.append(i)
-        if i in (3, 5):
-            raise SolverError(f"item {i}")
-        return i
-
-    threads = threading.active_count()
-    with pytest.raises(SolverError, match="item 3"):
-        sdp._run_lanes(work, range(8), 1)
-    assert threading.active_count() == threads
-    assert calls == [0, 1, 2, 3]
-
-
-@pytest.mark.parametrize("env, lanes", [
-    ({"OPENBLAS_NUM_THREADS": "1"}, 3),
-    ({"OMP_NUM_THREADS": "1"}, 3),
-    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 3),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
-    ({"OMP_NUM_THREADS": "4"}, 1),
-    ({}, 1),
-])
-def test_lanes_only_over_one_blas_thread(monkeypatch, env, lanes):
-    # OpenBLAS takes the first of these set to a positive integer, and all
-    # CPUs when none is; lanes on top of BLAS threads only compete with them
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    monkeypatch.setattr(sdp.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert sdp._lanes() == lanes
+    assert calls == [0, 1]
 
 
 def m_spy(monkeypatch) -> list:
