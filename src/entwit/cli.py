@@ -247,8 +247,9 @@ def cmd_example1(args) -> int:
     }
     rhos = np.array([w_ghz_mix(float(q)).mat for q in qs])
     # one build and solver run per (n, cut) over the whole q grid; a cut's
-    # finite n could share one stack, but at 22 problems of m = 128 its peak
-    # memory is 7 % above that of two stacks of 11, against 1.5 ms per build
+    # finite n could share one stack, but at 22 problems on the m = 72 real
+    # rows its peak memory is 3 % above that of two stacks of 11 (VmHWM
+    # 40.4-40.6 against 39.2-39.3 MB), against 1.7 ms per build
     values = {(n, site): e_nm_ppt_stack(rhos, SystemShape((2, 2, 2)), [Cut([site])], n, 1.0)
               for n in ns for site in range(3)}
     rows = [(float(q), n, site, values[n, site][i].value)

@@ -80,6 +80,21 @@ once, by applying the built problem's rows with _apply, the gather and
 slot sum of the solve; those rows are the only copy of the coordinates
 once built.
 
+Inside the loop the blocks of one size form a class (SdpProblem.classes),
+and every iterate (X, Z, Z^-1, C, R_d, the steps, the cross term and the
+step factors) is one (K, B_c, nb, nb) array per class, B_c the number of
+blocks of that size. So every product, factorization, eigenvalue check,
+norm and inner product is one numpy call per class, however many blocks it
+holds; every e_nm_ppt problem has a single class. A(X), A^T(y) and the Schur
+assembly keep their per-block tables and read each block as a view [:, j]
+of its class, with one _svec or _smat per class, and every per-problem sum
+over the blocks adds them in declaration order, so a problem's bytes are
+those of its blocks taken one by one. Each iteration factors every X and Z
+once by Cholesky, S = L L^H, and the step factor F = L^-H gives the step
+lengths, from lambda_min(F^H dS F), and Z^-1 = F_Z F_Z^H, as SDPT3 takes
+its step lengths from Cholesky factors. An iterate without a factor raises
+SolverError; nothing retries it.
+
 A problem with real data runs on its real rows alone. A real row touches
 only diagonal and symmetric basis coordinates, an imaginary row only
 antisymmetric ones. When every row is one or the other, and a problem's
@@ -94,11 +109,11 @@ decouples with dy = 0 there. solve runs such a problem on
 SdpProblem.real_problem, the real rows only, built on first use from the
 problem's own rows with no second independence check, over the real basis
 of the diagonal and symmetric elements alone (_basis(nb, real=True)). Its
-loop runs in float64: X, Z, Z^-1, the eigendecompositions, the inverses and
-every product are real arrays, half the memory of complex ones and a
-fraction of their arithmetic. solve returns its y with zeros on the dropped
-rows and its X and Z blocks as complex arrays again, which is exact, so
-images still applies the full rows. This takes m from 512 to 272 at
+loop runs in float64: X, Z, Z^-1, the Cholesky factors, the step
+eigenvalues and every product are real arrays, half the memory of complex
+ones and a fraction of their arithmetic. solve returns its y with zeros
+on the dropped rows and its X and Z blocks as complex arrays again, which is
+exact, so images still applies the full rows. This takes m from 512 to 272 at
 isotropic d = 4, from 324 to 171 for fig7q's DPS2 problems and from 128 to
 72 for example1's, and the Schur assembly and its factorization shrink
 with m. The values differ from those of the complex loop on the full rows
@@ -379,7 +394,8 @@ class SdpProblem:
     The rows are checked for linear independence once, here, whatever the
     number of problems later solved over them; each problem of a stack
     brings its own right-hand side to solve. real_rows and real_problem,
-    built on first use, are the rows solve runs a real-data problem on.
+    built on first use, are the rows solve runs a real-data problem on;
+    classes and at, the blocks by size, are the layout of its iterates.
     """
 
     def __init__(self, blocks, coords):
@@ -390,6 +406,29 @@ class SdpProblem:
                 raise ValueError(f"block coordinates have shape {u.shape}, not {(self.m, nb * nb)}")
         self.a_rows = tuple(_BlockRows(_basis(nb), u) for nb, u in zip(self.blocks, coords))
         self._check_independence()
+
+    @functools.cached_property
+    def classes(self) -> tuple:
+        """The blocks by size, one class per size in order of first
+        declaration: its basis and its blocks' indices, in order."""
+        by_size = {}
+        for i, nb in enumerate(self.blocks):
+            by_size.setdefault(nb, []).append(i)
+        return tuple((self.a_rows[ids[0]].basis, tuple(ids)) for ids in by_size.values())
+
+    @functools.cached_property
+    def at(self) -> tuple:
+        """Per block, in declaration order, its class and its index in that class."""
+        at = {i: (c, j) for c, (_, ids) in enumerate(self.classes) for j, i in enumerate(ids)}
+        return tuple(at[i] for i in range(len(self.blocks)))
+
+    def group(self, mats) -> list:
+        """Per-block (K, nb, nb) stacks as one (K, B_c, nb, nb) array per class."""
+        return [np.stack([mats[i] for i in ids], axis=1) for _, ids in self.classes]
+
+    def ungroup(self, mats) -> list:
+        """The per-block (K, nb, nb) views of class arrays, in declaration order."""
+        return [mats[c][:, j] for c, j in self.at]
 
     @functools.cached_property
     def real_rows(self):
@@ -446,7 +485,7 @@ class SdpProblem:
         """
         if self.m == 0:
             return
-        eye = [np.eye(nb)[None] for nb in self.blocks]
+        eye = [np.broadcast_to(np.eye(tab.nb), (1, len(ids), tab.nb, tab.nb)) for tab, ids in self.classes]
         gram_t = np.empty((1, self.m, self.m))
         gram = _schur(self, eye, eye, gram_t)[0]
         # summed in slices of rows of the buffer, G's columns: np.abs of the
@@ -477,71 +516,87 @@ class SdpSolution:
     history: list = field(default_factory=list)
 
 
-def _vdots(a: list, b: list) -> list:
-    """sum_b <A_b[k], B_b[k]> per problem k, over two lists of block stacks.
+# The operators below act on a stack of problems, with the blocks of one
+# size held as one class array: every X_b, Z_b is a view [:, j] of a (K,
+# B_c, nb, nb) array, the Schur matrices carry a leading problem axis, and y
+# and A(X) are (K, m).
 
-    <A, B> = Re tr(AB) for Hermitian A, Re tr(A^H B) in general: one np.vdot
-    per problem and block, so each problem's sum is that of a stack of one.
+
+def _vdots(prob: SdpProblem, a: list, b: list) -> list:
+    """sum_b <A_b[k], B_b[k]> per problem k, over two lists of class arrays.
+
+    <A, B> = Re tr(AB) for Hermitian A, Re tr(A^H B) in general: one matmul
+    per class of each flattened block, conjugated, against its partner, which
+    takes the dot product np.vdot would; each problem then sums its blocks in
+    declaration order, so its sum is that of a stack of one.
     """
-    return [sum(float(np.vdot(ab[k], bb[k]).real) for ab, bb in zip(a, b))
-            for k in range(len(a[0]))]
-
-
-# The operators below act on a stack of problems: every X_b, Z_b and the
-# Schur matrices carry a leading problem axis, y and A(X) are (K, m).
+    dots = [(ac.conj().reshape(ac.shape[:2] + (1, -1)) @ bc.reshape(bc.shape[:2] + (-1, 1)))[..., 0, 0].real
+            for ac, bc in zip(a, b)]
+    total = np.zeros(len(a[0]))
+    for c, j in prob.at:
+        total += dots[c][:, j]
+    return total.tolist()
 
 
 def _apply(prob: SdpProblem, mats) -> np.ndarray:
-    """A(X)_i = sum_b <A_ib, X_b>, per problem."""
+    """A(X)_i = sum_b <A_ib, X_b>, per problem: one _svec per class, then
+    each block's row sums added in declaration order."""
+    u = [_svec(tab, w) for (tab, _), w in zip(prob.classes, mats)]
     out = np.zeros((len(mats[0]), prob.m))
-    for blk, w in zip(prob.a_rows, mats):
-        out[:, blk.lo : blk.lo + blk.span] += blk.row_sums(_svec(blk.basis, w))
+    for blk, (c, j) in zip(prob.a_rows, prob.at):
+        out[:, blk.lo : blk.lo + blk.span] += blk.row_sums(u[c][:, j])
     return out
 
 
 def _adjoint(prob: SdpProblem, y: np.ndarray) -> list:
-    """A^T(y)_b = sum_i y_i A_ib per problem, summed slot layer by slot layer.
+    """A^T(y)_b = sum_i y_i A_ib per problem, as class arrays, summed slot
+    layer by slot layer.
 
     One np.bincount per block scatters every problem's terms, problem k into
     the bins offset by k dim; each bin adds its terms in order, as a call per
-    problem would.
+    problem would. One _smat per class turns the coordinates into matrices.
     """
-    out = []
     count = len(y)
-    for blk in prob.a_rows:
+    u = [np.empty((count, len(ids), tab.dim)) for tab, ids in prob.classes]
+    for blk, (c, j) in zip(prob.a_rows, prob.at):
         dim = blk.basis.dim
         t = blk.vals * y[:, None, blk.lo : blk.lo + blk.span]
         idx = (np.arange(count)[:, None] * dim + blk.cols.ravel()).ravel()
-        u = np.bincount(idx, t.ravel(), minlength=count * dim).reshape(count, dim)
-        out.append(_smat(blk.basis, u))
-    return out
+        u[c][:, j] = np.bincount(idx, t.ravel(), minlength=count * dim).reshape(count, dim)
+    return [_smat(tab, uc) for (tab, _), uc in zip(prob.classes, u)]
 
 
 def _schur(prob: SdpProblem, x, zi, out_t=None) -> np.ndarray:
     """M_ij = sum_b Re tr(X_b A_ib Z_b^-1 A_jb) per problem, column-major.
 
-    The matrices are assembled transposed into out_t, a (K, m, m) buffer
-    (a new one if not given), and returned as its transposed view.
-    At X = Z = I it is the Gram matrix of the rows.
+    x and zi are class arrays, read block by block in declaration order. The
+    matrices are assembled transposed into out_t, a (K, m, m) buffer (a new
+    one if not given), and returned as its transposed view. At X = Z = I it
+    is the Gram matrix of the rows.
     """
     out_t = np.empty((len(x[0]), prob.m, prob.m)) if out_t is None else out_t
     out_t.fill(0.0)
-    for blk, xb, zib in zip(prob.a_rows, x, zi):
-        blk.add_schur(xb, zib, out_t)
+    for blk, (c, j) in zip(prob.a_rows, prob.at):
+        blk.add_schur(x[c][:, j], zi[c][:, j], out_t)
     return out_t.transpose(0, 2, 1)
 
 
-def _isqrt(s: np.ndarray) -> np.ndarray:
-    """A factor F with F F^H = S^-1 (S^-1/2 up to a unitary), eigenvalues floored."""
-    w, v = np.linalg.eigh(s)
-    return v / np.sqrt(np.maximum(w, w[:, -1:] * 1e-15))[:, None, :]
+def _step_factor(s: np.ndarray) -> np.ndarray:
+    """F = L^-H for the Cholesky factor S = L L^H over the last two axes, so F
+    F^H = S^-1; SolverError when an S is not numerically positive definite."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(s)).conj().swapaxes(-1, -2)
+    except np.linalg.LinAlgError as err:
+        raise SolverError("iterate is not numerically positive definite") from err
 
 
-def _max_step(isqrts, ds_blocks) -> np.ndarray:
-    """Largest t with S + t dS psd, via lambda_min(S^-1/2 dS S^-1/2), given _isqrt(S)."""
-    t = np.full(len(isqrts[0]), np.inf)
-    for isqrt, ds in zip(isqrts, ds_blocks):
-        lam = np.linalg.eigvalsh(_herm(isqrt.conj().swapaxes(-1, -2) @ ds @ isqrt))[:, 0]
+def _max_step(factors, ds) -> np.ndarray:
+    """Largest t with S + t dS psd, per problem, given the class arrays of dS
+    and F = _step_factor(S): t = -1 / lambda_min(F^H dS F) when that is
+    negative, from one eigvalsh per class and the least over its blocks."""
+    t = np.full(len(factors[0]), np.inf)
+    for f, d in zip(factors, ds):
+        lam = np.linalg.eigvalsh(_herm(f.conj().swapaxes(-1, -2) @ d @ f))[..., 0].min(axis=1)
         neg = lam < -1e-14
         t[neg] = np.minimum(t[neg], -1.0 / lam[neg])
     return t
@@ -756,13 +811,14 @@ def _status(rec: dict, norm: float, norm_b: float, norm_c: float):
     return SdpStatus.ITERATION_LIMIT if rec["iter"] == MAX_ITER else None
 
 
-def _direction(prob, solve_schur, rhs, rd, x, zi, lead, cross, isqrts, gamma) -> tuple:
+def _direction(prob, solve_schur, rhs, rd, x, zi, lead, cross, factors, gamma) -> tuple:
     """The Newton step (dx, dy, dz) for the Schur right-hand side rhs, and its step lengths.
 
     dy comes from solve_schur, dZ = R_d - A^T(dy) and dX = herm(lead - X dZ
-    Z^-1 - cross), with no cross term for cross None. The primal and dual
-    step lengths ap and ad are, per problem, min(1, gamma times the largest
-    step that keeps X, resp. Z, psd), given isqrts = (_isqrt(X), _isqrt(Z)).
+    Z^-1 - cross), with no cross term for cross None, each a list of class
+    arrays. The primal and dual step lengths ap and ad are, per problem,
+    min(1, gamma times the largest step that keeps X, resp. Z, psd), given
+    factors = (_step_factor(X), _step_factor(Z)).
     """
     dy = solve_schur(rhs)
     dz = [r - a for r, a in zip(rd, _adjoint(prob, dy))]
@@ -770,24 +826,29 @@ def _direction(prob, solve_schur, rhs, rd, x, zi, lead, cross, isqrts, gamma) ->
     if cross is not None:
         dx = [d - cr for d, cr in zip(dx, cross)]
     dx = [_herm(d) for d in dx]
-    ap, ad = (np.minimum(1.0, gamma * _max_step(isqrt, ds)) for isqrt, ds in zip(isqrts, (dx, dz)))
+    ap, ad = (np.minimum(1.0, gamma * _max_step(f, ds)) for f, ds in zip(factors, (dx, dz)))
     return dx, dy, dz, ap, ad
 
 
 def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
     """solve on one sub-stack of validated cost blocks and its (K, m) b.
 
-    The iterates take the dtype of prob's basis: float64 on a real one,
-    whose cost blocks are real symmetric, else complex128.
+    Every iterate is one (K, B_c, nb, nb) array per size class of
+    prob.classes, and each iteration factors every X and Z once, by
+    _step_factor, for the step lengths and Z^-1. The iterates take the dtype
+    of prob's basis: float64 on a real one, whose cost blocks are real
+    symmetric, else complex128.
     """
     count = len(c[0])
     dtype = prob.a_rows[0].basis.dtype
     n_tot = sum(prob.blocks)
+    c = prob.group(c)
     norm_b = np.abs(b).max(axis=1, initial=0.0).tolist()
-    norm_c = [float(np.sqrt(v)) for v in _vdots(c, c)]
-    tau = np.array([1.0 + max(bk, ck) for bk, ck in zip(norm_b, norm_c)])[:, None, None]
-    x = [tau * np.eye(nb, dtype=dtype) for nb in prob.blocks]
-    z = [tau * np.eye(nb, dtype=dtype) for nb in prob.blocks]
+    norm_c = [float(np.sqrt(v)) for v in _vdots(prob, c, c)]
+    tau = np.array([1.0 + max(bk, ck) for bk, ck in zip(norm_b, norm_c)])[:, None, None, None]
+    x = [tau * np.broadcast_to(np.eye(tab.nb, dtype=dtype), (len(ids), tab.nb, tab.nb))
+         for tab, ids in prob.classes]
+    z = [xb.copy() for xb in x]
     y = np.zeros((count, prob.m))
     schur_t = np.empty((count, prob.m, prob.m))
     chol = _lapack()
@@ -798,14 +859,14 @@ def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
     history = [[] for _ in ids]
     out = [None] * count
     for k in range(MAX_ITER + 1):
-        conic, pobj = _vdots(x, z), _vdots(c, x)
+        conic, pobj = _vdots(prob, x, z), _vdots(prob, c, x)
         dobj = [float(bk @ yk) for bk, yk in zip(b, y)]
         rp = b - _apply(prob, x)
         rd = [cb - a - zb for cb, a, zb in zip(c, _adjoint(prob, y), z)]
         rp_norm = np.abs(rp).max(axis=1, initial=0.0).tolist()
-        rd_norm = [float(np.sqrt(v)) for v in _vdots(rd, rd)]
+        rd_norm = [float(np.sqrt(v)) for v in _vdots(prob, rd, rd)]
         norm = np.max([np.abs(y).max(axis=1, initial=0.0)]
-                      + [np.abs(w).max(axis=(1, 2)) for w in x + z], axis=0).tolist()
+                      + [np.abs(w).max(axis=(1, 2, 3)) for w in x + z], axis=0).tolist()
         keep = []
         for i in range(len(ids)):
             history[i].append({"iter": k, "mu": conic[i] / n_tot, "pobj": pobj[i], "dobj": dobj[i],
@@ -815,8 +876,9 @@ def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
                 keep.append(i)
                 continue
             out[ids[i]] = SdpSolution(
-                status=status, x_blocks=[xb[i] for xb in x], y=y[i], z_blocks=[zb[i] for zb in z],
-                pobj=pobj[i], dobj=dobj[i], gap=conic[i], iterations=k, history=history[i])
+                status=status, x_blocks=[xb[i] for xb in prob.ungroup(x)], y=y[i],
+                z_blocks=[zb[i] for zb in prob.ungroup(z)], pobj=pobj[i], dobj=dobj[i],
+                gap=conic[i], iterations=k, history=history[i])
         if len(keep) < len(ids):
             ids, conic, norm_b, norm_c, history = ([a[i] for i in keep]
                                                    for a in (ids, conic, norm_b, norm_c, history))
@@ -826,19 +888,19 @@ def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
         if not ids:
             break
 
-        zi = [_herm(np.linalg.inv(zb)) for zb in z]
+        factors = [_step_factor(xb) for xb in x], [_step_factor(zb) for zb in z]
+        zi = [_herm(f @ f.conj().swapaxes(-1, -2)) for f in factors[1]]
         _schur(prob, x, zi, schur_t)
         solve_schur = _schur_solver(schur_t, chol)
         a_xrz = _apply(prob, [xb @ r @ zib for xb, r, zib in zip(x, rd, zi)])
-        isqrts = [_isqrt(xb) for xb in x], [_isqrt(zb) for zb in z]
 
         # predictor: the affine-scaling step, up to the psd boundary
         dx, _, dz, ap, ad = _direction(prob, solve_schur, b + a_xrz, rd, x, zi,
-                                       [-xb for xb in x], None, isqrts, 1.0)
-        x_aff = [xb + ap[:, None, None] * dxb for xb, dxb in zip(x, dx)]
-        z_aff = [zb + ad[:, None, None] * dzb for zb, dzb in zip(z, dz)]
+                                       [-xb for xb in x], None, factors, 1.0)
+        x_aff = [xb + ap[:, None, None, None] * dxb for xb, dxb in zip(x, dx)]
+        z_aff = [zb + ad[:, None, None, None] * dzb for zb, dzb in zip(z, dz)]
         sigma_mu = []
-        for gap, gap_aff in zip(conic, _vdots(x_aff, z_aff)):
+        for gap, gap_aff in zip(conic, _vdots(prob, x_aff, z_aff)):
             mu, mu_aff = gap / n_tot, gap_aff / n_tot
             # a Python float: numpy's ** rounds differently in the last bit
             sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
@@ -848,12 +910,12 @@ def _solve_stack(prob: SdpProblem, c: list, b: np.ndarray) -> list:
         # corrector: centred on sigma mu, with the predictor's second-order term
         cross = [dxb @ dzb @ zib for dxb, dzb, zib in zip(dx, dz, zi)]
         rhs = b - sigma_mu[:, None] * _apply(prob, zi) + a_xrz + _apply(prob, cross)
-        lead = [sigma_mu[:, None, None] * zib - xb for zib, xb in zip(zi, x)]
+        lead = [sigma_mu[:, None, None, None] * zib - xb for zib, xb in zip(zi, x)]
         dx, dy, dz, ap, ad = _direction(prob, solve_schur, rhs, rd, x, zi,
-                                        lead, cross, isqrts, 0.98)
-        x = [xb + ap[:, None, None] * dxb for xb, dxb in zip(x, dx)]
+                                        lead, cross, factors, 0.98)
+        x = [xb + ap[:, None, None, None] * dxb for xb, dxb in zip(x, dx)]
         y = y + ad[:, None] * dy
-        z = [zb + ad[:, None, None] * dzb for zb, dzb in zip(z, dz)]
+        z = [zb + ad[:, None, None, None] * dzb for zb, dzb in zip(z, dz)]
 
     return out
 
@@ -966,8 +1028,8 @@ class HermitianSdp:
         """
         x = {v: np.reshape([sol.x_blocks[j] for sol in sols], (len(sols), nb, nb))
              for j, (v, nb) in enumerate(self._blocks.items())}
-        applied = {drop: _apply(self._problem, [np.zeros_like(xb) if v == drop else xb
-                                                for v, xb in x.items()])
+        applied = {drop: _apply(self._problem, self._problem.group(
+                           [np.zeros_like(xb) if v == drop else xb for v, xb in x.items()]))
                    for drop in dict.fromkeys(skip)}
         return [_smat(_basis(size), applied[drop][:, start : start + size * size])
                 for (_, size, start), drop in zip(self._rows, skip, strict=True)]

@@ -232,12 +232,12 @@ def test_sparse_operators_match_dense_formulas(seed, dims):
     # A(X) on Hermitian and on general square matrices (the solver applies
     # A to products such as X R Z^-1)
     general = [xb @ zb for xb, zb in zip(x, zi)]
-    schur = sdp._schur(prob, x, zi)
+    schur = sdp._schur(prob, prob.group(x), prob.group(zi))
     for k in range(count):
         for mats in (x, general):
             want = sum(np.einsum("iab,ba->i", ab, w[k]).real for ab, w in zip(a, mats))
-            assert_close(sdp._apply(prob, mats)[k], want)
-        for got, ab in zip(sdp._adjoint(prob, y), a):
+            assert_close(sdp._apply(prob, prob.group(mats))[k], want)
+        for got, ab in zip(prob.ungroup(sdp._adjoint(prob, y)), a):
             assert_close(got[k], np.einsum("i,iab->ab", y[k], ab))
         want = sum(
             np.einsum("ab,ibc,cd,jda->ij", xb[k], ab, zib[k], ab).real
@@ -277,7 +277,7 @@ def test_schur_over_distinct_rows(monkeypatch, measure, runs, distinct, width):
     rng = np.random.default_rng(7)
     x = [np.stack([rand_pd(rng, nb) for _ in range(count)]) for nb in prob.blocks]
     zi = [np.stack([rand_pd(rng, nb) for _ in range(count)]) for nb in prob.blocks]
-    schur = sdp._schur(prob, x, zi)
+    schur = sdp._schur(prob, prob.group(x), prob.group(zi))
     want = np.zeros((count, prob.m, prob.m))
     for blk, xb, zib in zip(prob.a_rows, x, zi):
         a = dense_rows(blk)
@@ -295,7 +295,7 @@ def test_schur_over_distinct_rows(monkeypatch, measure, runs, distinct, width):
     # slices of one or seven columns cut the runs; the entries stay the same
     for cols in (1, 7):
         monkeypatch.setattr(sdp, "SCHUR_SLICE", cols * count * max(prob.blocks) ** 2)
-        assert np.array_equal(sdp._schur(prob, x, zi), schur)
+        assert np.array_equal(sdp._schur(prob, prob.group(x), prob.group(zi)), schur)
 
 
 # The solver gathers basis coordinates with np.take; these references gather
@@ -389,8 +389,8 @@ def test_take_kernels_match_advanced_indexing(measure):
         assert _bitwise(sdp._svec(tab, mats), _svec_indexed(tab, mats))
     # A(X) also on the general products X R Z^-1 the solver applies it to
     for mats in (x, [xb @ zib for xb, zib in zip(x, zi)]):
-        assert _bitwise(sdp._apply(prob, mats), _apply_indexed(prob, mats))
-    assert _bitwise(sdp._schur(prob, x, zi), _schur_indexed(prob, x, zi))
+        assert _bitwise(sdp._apply(prob, prob.group(mats)), _apply_indexed(prob, mats))
+    assert _bitwise(sdp._schur(prob, prob.group(x), prob.group(zi)), _schur_indexed(prob, x, zi))
 
 
 def captured_images(measure) -> tuple:
@@ -1028,7 +1028,7 @@ def test_schur_cancels_z_inverse_off_the_constraint_support():
     want = np.einsum(
         "ab,ibc,cd,jda->ij", *(t.astype(np.clongdouble) for t in (x, a, zi, a))
     ).real.astype(float)
-    got = sdp._schur(prob, [x[None]], [zi[None]])[0]
+    got = sdp._schur(prob, [x[None, None]], [zi[None, None]])[0]
     assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
@@ -1179,8 +1179,9 @@ def test_b_must_match_the_costs():
     (["isotropic", "--d", "2", "--p-count", "3", "--n-list", "1,inf,2"], 2),
     (["isotropic", "--d", "2", "--p-count", "3", "--n-list", "0,1,inf"], 2),
     # one build per (cut, n != 0): a cut's finite n could share a stack, but
-    # one stack of 22 problems at m = 128 peaks 7 % higher in memory than two
-    # stacks of 11 (41.2 against 44.1 MB), while a build costs about 1.5 ms
+    # one stack of 22 problems on the m = 72 real rows peaks 3 % higher in
+    # memory than two stacks of 11 (40.4-40.6 against 39.2-39.3 MB), while a
+    # build costs about 1.7 ms
     (["example1", "--q-count", "3"], 9),
     (["example1", "--q-count", "3", "--n-list", "0.5,1,2,inf"], 12),
     (["fig7q", "--a-grid", "0.1:0.9:3", "--e-grid", "0.9:1.0:2"], 1),
@@ -1416,8 +1417,8 @@ def test_real_kernels_match_advanced_indexing(case):
         assert mats.dtype == np.float64
         assert _bitwise(sdp._svec(tab, mats), _svec_indexed(tab, mats))
     for mats in (x, [xb @ zib for xb, zib in zip(x, zi)]):
-        assert _bitwise(sdp._apply(prob, mats), _apply_indexed(prob, mats))
-    assert _bitwise(sdp._schur(prob, x, zi), _schur_indexed(prob, x, zi))
+        assert _bitwise(sdp._apply(prob, prob.group(mats)), _apply_indexed(prob, mats))
+    assert _bitwise(sdp._schur(prob, prob.group(x), prob.group(zi)), _schur_indexed(prob, x, zi))
 
 
 def test_real_and_complex_problems_share_a_stack(monkeypatch):
@@ -1470,3 +1471,134 @@ def test_only_real_data_runs_on_the_real_rows(monkeypatch, mixed, cost, b, m):
     assert prob.real_rows is None
     solve(prob, [np.eye(2)[None]], b)
     assert ms[-1] == prob.m == 1
+
+
+def out_of_order_blocks() -> HermitianSdp:
+    """Blocks of sizes 2, 3, 2 and a 1 x 1 scalar, declared out of size order:
+    X_a + X_c = I, tr X_b + s = 1 and tr X_a - tr X_b = 1/2."""
+    hs = HermitianSdp({"a": 2, "b": 3, "c": 2, "s": 1})
+    hs.add_matrix_equality({"a": lambda e: e, "c": lambda e: e}, np.eye(2))
+    hs.add_matrix_equality({"b": lambda e: e * np.eye(3), "s": lambda e: e}, [[1.0]])
+    hs.add_matrix_equality({"a": lambda e: e * np.eye(2), "b": lambda e: -e * np.eye(3)}, [[0.5]])
+    return hs
+
+
+def test_size_classes_keep_declaration_order(monkeypatch):
+    # the loop holds the two 2 x 2 blocks as one array; every solution still
+    # has its blocks in declaration order, and every problem of a stack that
+    # mixes real and complex costs has the bytes of its solve alone
+    hs = out_of_order_blocks()
+    prob, _ = hs.build()
+    assert [(tab.nb, ids) for tab, ids in prob.classes] == [(2, (0, 2)), (3, (1,)), (1, (3,))]
+    assert prob.at == ((0, 0), (1, 0), (0, 1), (2, 0))
+    assert [(tab.nb, ids) for tab, ids in prob.real_problem.classes] == [(2, (0, 2)), (3, (1,)), (1, (3,))]
+    rng = np.random.default_rng(21)
+    costs = {v: np.stack([rand_herm(rng, nb) for _ in range(4)]) for v, nb in (("a", 2), ("b", 3), ("c", 2))}
+    costs["s"] = rng.uniform(-1.0, 1.0, (4, 1, 1))
+    for c in costs.values():
+        c[::2] = c[::2].real  # problems 0 and 2 have real data
+    ms = m_spy(monkeypatch)
+    sols = hs.solve(costs)
+    assert ms == [len(prob.real_rows), prob.m]
+    for k, sol in enumerate(sols):
+        for blocks in (sol.x_blocks, sol.z_blocks):
+            assert [w.shape for w in blocks] == [(2, 2), (3, 3), (2, 2), (1, 1)]
+        # each block is its own variable's: the objective sums each cost against it
+        want = sum(np.vdot(costs[v][k], w).real for v, w in zip("abcs", sol.x_blocks))
+        assert abs(sol.pobj - want) <= 1e-12 * (1.0 + abs(want))
+        x, _ = hs.blocks(sol)
+        assert np.abs(x["a"] + x["c"] - np.eye(2)).max() <= 1e-6
+        assert abs(np.trace(x["b"]).real + x["s"][0, 0].real - 1.0) <= 1e-6
+        assert abs(np.trace(x["a"]).real - np.trace(x["b"]).real - 0.5) <= 1e-6
+        assert_same_solution(sol, hs.solve({v: c[k : k + 1] for v, c in costs.items()})[0])
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_inner_products_sum_blocks_in_declaration_order(dtype):
+    prob, _ = out_of_order_blocks().build()
+    rng = np.random.default_rng(22)
+    a, b = ([np.stack([rand_herm(rng, nb) for _ in range(3)]) for nb in prob.blocks] for _ in range(2))
+    if dtype is float:
+        a, b = ([w.real.copy() for w in ws] for ws in (a, b))
+    # problem 0's block products are 1e16, 1, -1e16 and 0: in declaration
+    # order they sum to 0, by class (1e16 - 1e16) + 1 would give 1
+    for w in a + b:
+        w[0] = 0.0
+    for ab, bb, (u, v) in zip(a, b, [(1e8, 1e8), (1.0, 1.0), (1e8, -1e8)]):
+        ab[0, 0, 0], bb[0, 0, 0] = u, v
+    want = [sum(float(np.vdot(ab[k], bb[k]).real) for ab, bb in zip(a, b)) for k in range(3)]
+    got = sdp._vdots(prob, prob.group(a), prob.group(b))
+    assert got == want
+    assert got[0] == 0.0
+
+
+def rand_pd_stack(rng, shape: tuple, n: int, dtype) -> np.ndarray:
+    g = rng.standard_normal(shape + (n, n))
+    if dtype is complex:
+        g = g + 1j * rng.standard_normal(g.shape)
+    return g @ g.conj().swapaxes(-1, -2) + n * np.eye(n)
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_cholesky_step_factor(dtype):
+    # F = L^-H of S = L L^H: F F^H S = I, F F^H is S^-1, and the step length
+    # from F is that of the eigendecomposition S = V W V^H, with S^-1/2 = V W^-1/2
+    rng = np.random.default_rng(23)
+    s = [rand_pd_stack(rng, (4, 3), 5, dtype), rand_pd_stack(rng, (4, 1), 3, dtype)]
+    ds = [sdp._herm(rng.standard_normal(w.shape) + (1j * rng.standard_normal(w.shape) if dtype is complex else 0))
+          for w in s]
+    for d in ds:  # problem 0 moves into the cone, so it has no step bound
+        d[0] = d[0] @ d[0].conj().swapaxes(-1, -2)
+    factors = [sdp._step_factor(w) for w in s]
+    for f, w in zip(factors, s):
+        assert f.dtype == dtype
+        ffh = f @ f.conj().swapaxes(-1, -2)
+        assert np.abs(ffh @ w - np.eye(w.shape[-1])).max() <= 1e-12
+        inv = np.linalg.inv(w)
+        assert np.abs(ffh - inv).max() <= 1e-12 * np.abs(inv).max()
+    lam = np.full(4, np.inf)
+    for w, d in zip(s, ds):
+        ew, v = np.linalg.eigh(w)
+        isqrt = v / np.sqrt(ew)[..., None, :]
+        lam = np.minimum(lam, np.linalg.eigvalsh(isqrt.conj().swapaxes(-1, -2) @ d @ isqrt)[..., 0].min(axis=1))
+    want = np.where(lam < -1e-14, -1.0 / lam, np.inf)
+    got = sdp._max_step(factors, ds)
+    assert np.isinf(got[0]) and np.isinf(want[0])
+    assert (np.abs(got[1:] - want[1:]) <= 1e-12 * want[1:]).all()
+
+
+def test_iterate_without_a_cholesky_factor_raises_solver_error(monkeypatch):
+    with pytest.raises(SolverError, match="not numerically positive definite"):
+        sdp._step_factor(np.diag([1.0, -1e-3])[None, None])
+    # full Newton steps, whatever the psd boundary, leave the cone
+    monkeypatch.setattr(sdp, "_max_step", lambda factors, ds: np.full(len(factors[0]), np.inf))
+    with pytest.raises(SolverError, match="not numerically positive definite"):
+        min_eig(rand_sym(5, 4))
+
+
+# (status, iterations) of every solve, in stack order, of the small
+# reproduce commands CI reruns; a change that moves one restates it here
+PINNED_SOLVES = {
+    "example1": (["example1", "--q-count", "3", "--n-list", "0.5,1,2,inf"],
+                 [8, 9, 14, 8, 9, 14, 8, 9, 14, 7, 9, 7, 7, 9, 7, 7, 9, 7,
+                  7, 8, 7, 7, 8, 7, 7, 8, 7, 7, 8, 7, 7, 8, 7, 7, 8, 7]),
+    "isotropic": (["isotropic", "--d", "3", "--p-count", "3"],
+                  [7, 8, 8, 7, 9, 8, 7, 8, 7, 7, 8, 7, 7, 8, 8]),
+    "fig7q": (["fig7q", "--a-grid", "0.1:0.9:3", "--e-grid", "0.9:1.0:2"],
+              [11, 15, 10, 14, 10, 12]),
+}
+
+
+@pytest.mark.parametrize("argv, iterations", PINNED_SOLVES.values(), ids=PINNED_SOLVES.keys())
+def test_reproduce_solves_keep_their_iterations(monkeypatch, tmp_path, argv, iterations):
+    got = []
+    real = sdp.solve
+
+    def spy(prob, costs, b):
+        sols = real(prob, costs, b)
+        got.extend((sol.status, sol.iterations) for sol in sols)
+        return sols
+
+    monkeypatch.setattr(sdp, "solve", spy)
+    assert main(["reproduce", *argv, "--out", str(tmp_path / "out.csv")]) == 0
+    assert got == [(SdpStatus.OPTIMAL, i) for i in iterations]
